@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(stage, help=help_by_stage[stage])
         p.add_argument("--config", required=True, help="path to the run configuration JSON")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=None, help="parallelism cap; never changes results")
+        p.add_argument("--threads", type=int, default=None, help="worker threads for matching; never changes results")
     return parser
 
 

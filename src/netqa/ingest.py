@@ -114,7 +114,6 @@ def _eval_predicate(node, attributes) -> bool:
 class Dataset:
     name: str
     edges: list = field(default_factory=list)
-    crs_label: str = "projected-meters"
 
 
 def _load_json(path):
@@ -202,7 +201,7 @@ def parse_dataset(path) -> list[RawFeature]:
     return features
 
 
-def classify(features, rules, name: str, crs_label: str = "projected-meters") -> Dataset:
+def classify(features, rules, name: str) -> Dataset:
     """Apply ordered classification rules; first match wins.
 
     Matching features become network edges carrying the rule outcome and
@@ -228,7 +227,7 @@ def classify(features, rules, name: str, crs_label: str = "projected-meters") ->
                 break
     if not edges:
         log.warning("dataset %r: no features matched any classification rule", name)
-    return Dataset(name=name, edges=edges, crs_label=crs_label)
+    return Dataset(name=name, edges=edges)
 
 
 def load_rules(path) -> dict[str, list[ClassificationRule]]:

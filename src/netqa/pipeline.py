@@ -11,6 +11,7 @@ separate file excluded from golden comparisons.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +21,8 @@ from .errors import ConfigError, NetqaError, PipelineError, WeightsError, ZeroVa
 from .featureio import round_metric as _r
 
 __all__ = ["RunConfig", "Pipeline", "run_pipeline", "STAGES"]
+
+log = logging.getLogger(__name__)
 
 STAGES = ("validate", "density", "structure", "match", "tags", "autocorr", "full")
 
@@ -114,11 +117,24 @@ class RunConfig:
             if kind == "knn":
                 if "k" not in scheme:
                     raise ConfigError("knn weights scheme needs 'k'")
+                if not _is_int(scheme["k"]) or scheme["k"] < 1:
+                    raise ConfigError(f"knn weights key 'k' must be an integer >= 1, got {scheme['k']!r}")
             elif kind == "distance_band":
                 if "distance_m" not in scheme:
                     raise ConfigError("distance_band weights scheme needs 'distance_m'")
+                if not _is_number(scheme["distance_m"]) or not scheme["distance_m"] > 0:
+                    raise ConfigError(
+                        f"distance_band weights key 'distance_m' must be a number > 0, got {scheme['distance_m']!r}"
+                    )
             else:
                 raise ConfigError(f"unknown weights scheme {kind!r}")
+
+        n_permutations = doc.get("n_permutations", _DEFAULTS["n_permutations"])
+        if not _is_int(n_permutations) or n_permutations < 1:
+            raise ConfigError(f"config key 'n_permutations' must be an integer >= 1, got {n_permutations!r}")
+        alpha = doc.get("alpha", _DEFAULTS["alpha"])
+        if not _is_number(alpha) or not 0.0 < alpha < 1.0:
+            raise ConfigError(f"config key 'alpha' must be a number in (0, 1), got {alpha!r}")
 
         grid_doc = doc.get("grid", {})
         return cls(
@@ -137,8 +153,8 @@ class RunConfig:
             undershoot_threshold_m=float(doc.get("undershoot_threshold_m", _DEFAULTS["undershoot_threshold_m"])),
             match_config=match_cfg,
             weights_schemes=weights_schemes,
-            n_permutations=int(doc.get("n_permutations", _DEFAULTS["n_permutations"])),
-            alpha=float(doc.get("alpha", _DEFAULTS["alpha"])),
+            n_permutations=n_permutations,
+            alpha=float(alpha),
             length_policy=policy,
             tag_specs=tag_specs,
             tags_use_raw_length=bool(doc.get("tags_use_raw_length", False)),
@@ -197,6 +213,14 @@ class RunConfig:
         }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _cell_key(cell_id) -> str:
     return f"{cell_id[0]},{cell_id[1]}"
 
@@ -217,9 +241,13 @@ class Pipeline:
         self.grid_fields: dict[str, dict] = {}  # field name -> {cell_id: value}
         self.summary: dict = {"configuration": cfg.resolved()}
         self.outputs: dict[str, tuple] = {}
+        # wall seconds of each stage's first computation, including any
+        # prerequisite it computed first; recorded in run_info.json
+        self.stage_seconds: dict[str, float] = {}
 
     def _run(self, stage, fn):
         if stage not in self._cache:
+            start = time.perf_counter()
             try:
                 self._cache[stage] = fn()
             except PipelineError:
@@ -228,6 +256,8 @@ class Pipeline:
                 raise PipelineError(stage, exc) from exc
             except Exception as exc:  # defensive: name the failing stage
                 raise PipelineError(stage, repr(exc)) from exc
+            self.stage_seconds[stage] = time.perf_counter() - start
+            log.debug("stage %s: %.3f s", stage, self.stage_seconds[stage])
         return self._cache[stage]
 
     def _add_grid_field(self, name: str, values: dict):
@@ -520,15 +550,17 @@ class Pipeline:
                 else:
                     scheme_obj = spatial.distance_band_scheme(scheme["distance_m"])
                     label = f"band{scheme['distance_m']:g}"
+                weights_by_cells = {}  # metrics over the same cells share weights
                 for metric in metrics:
                     values = self.grid_fields.get(metric, {})
                     try:
-                        centroids = {cell: grid.cells[cell].center for cell in values}
-                        w = spatial.build_weights(centroids, scheme_obj)
+                        cells = tuple(sorted(values))
+                        w = weights_by_cells.get(cells)
+                        if w is None:
+                            centroids = {cell: grid.cells[cell].center for cell in cells}
+                            w = weights_by_cells[cells] = spatial.build_weights(centroids, scheme_obj)
                         moran = spatial.global_moran(values, w, cfg.n_permutations, cfg.seed)
-                        lisa = spatial.local_moran(
-                            values, w, cfg.n_permutations, cfg.seed, cfg.alpha, threads=cfg.threads
-                        )
+                        lisa = spatial.local_moran(values, w, cfg.n_permutations, cfg.seed, cfg.alpha)
                     except (WeightsError, ZeroVarianceError) as exc:
                         self.summary.setdefault("spatial_autocorrelation", {}).setdefault(label, {})[
                             metric
@@ -682,6 +714,7 @@ class Pipeline:
                     "version": "0.1.0",
                     "output_dir": str(out_dir),
                     "threads": self.cfg.threads,
+                    "stage_seconds": {stage: round(sec, 6) for stage, sec in self.stage_seconds.items()},
                 },
             )
             written.append("run_info.json")

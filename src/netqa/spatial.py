@@ -12,7 +12,6 @@ results are bit-identical no matter how the work is scheduled.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
     "global_moran",
     "local_moran",
 ]
-
-QUADRANTS = ("HH", "LL", "HL", "LH")
 
 
 def knn_scheme(k: int) -> dict:
@@ -224,6 +221,33 @@ def _quadrant(z_i: float, lag_i: float) -> str:
     return "LH" if lag_i > 0 else "LL"
 
 
+def _sample_others(u: np.ndarray, n: int, cells: np.ndarray) -> np.ndarray:
+    """Uniform neighbor draws by Floyd's algorithm (Bentley & Floyd 1987).
+
+    ``u`` holds uniforms in [0, 1) of shape (k, len(cells), draws); each
+    ``u[:, b, d]`` becomes one uniform k-subset of the n-1 cells other
+    than ``cells[b]``, returned as cell indices in the same shape. Step s
+    picks t in [0, n-1-k+s] and takes n-1-k+s instead when t is already
+    in the subset, so a subset costs O(k²) comparisons, independent of n.
+    """
+    k = len(u)
+    picks = np.empty(u.shape, dtype=np.intp)
+    for s in range(k):
+        top = n - 1 - k + s
+        # u < 1 keeps u * (top + 1) below top + 1 after rounding
+        t = (u[s] * (top + 1)).astype(np.intp)
+        taken = (picks[:s] == t).any(axis=0)
+        picks[s] = np.where(taken, top, t)
+    # index among the other n-1 cells -> index among all cells
+    picks += picks >= cells[:, None]
+    return picks
+
+
+# Upper bound on the uniforms drawn for one block of cells in local_moran;
+# it caps transient memory and does not change results.
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def local_moran(
     values: dict,
     w: SpatialWeights,
@@ -242,7 +266,17 @@ def local_moran(
     cell's p-value is the smaller tail count with the +1 correction.
     Significance is strict: pseudo_p < alpha. Cells without neighbors get
     local I 0, pseudo p 1, and are never significant.
+
+    Cell i draws a ``(degree, n_perm)`` array of uniforms from its own
+    stream ``SeedSequence(entropy=seed, spawn_key=(i,))`` and turns each
+    column into a uniform ``degree``-subset of the other n-1 cells with
+    Floyd's algorithm, so the cost is O(n·n_perm·degree²) rather than
+    O(n²·n_perm). Cells are processed in blocks of equal degree; results
+    do not depend on the block size. ``threads`` has no effect; it is
+    accepted so that existing callers keep working.
     """
+    if n_perm < 1:
+        raise ValueError(f"local autocorrelation needs n_perm >= 1, got {n_perm}")
     v = _aligned_values(values, w)
     n = len(v)
     if n < 3:
@@ -254,35 +288,35 @@ def local_moran(
     lag = w.lag(z)
     local = (n - 1) * z * lag / den
 
-    def p_for_cell(i: int) -> float:
-        degree = len(w.neighbors[i])
-        if degree == 0:
-            return 1.0
-        z_others = np.delete(z, i)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        keys = rng.random((n_perm, n - 1))
-        # row weights are uniform (see SpatialWeights), so an unordered
-        # uniform subset of size `degree` is a faithful neighbor draw
-        draw = np.argpartition(keys, degree - 1, axis=1)[:, :degree]
-        sim_lag = z_others[draw].mean(axis=1)
-        sims = (n - 1) * z[i] * sim_lag / den
-        tail = int((sims >= local[i]).sum())
-        tail = min(tail, n_perm - tail)
-        return (tail + 1.0) / (n_perm + 1.0)
-
-    indices = range(n)
-    if threads <= 1:
-        pvals = [p_for_cell(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pvals = list(pool.map(p_for_cell, indices))
+    degrees = np.array([len(nbrs) for nbrs in w.neighbors], dtype=np.intp)
+    pvals = np.ones(n)
+    for degree in sorted(set(degrees.tolist()) - {0}):
+        cells = np.nonzero(degrees == degree)[0]
+        block = max(1, _BLOCK_ELEMENTS // (n_perm * degree))
+        for lo in range(0, len(cells), block):
+            idx = cells[lo : lo + block]
+            u = np.empty((len(idx), degree, n_perm))
+            for row, i in zip(u, idx):
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(i),)))
+                rng.random(out=row)
+            draw = _sample_others(u.transpose(1, 0, 2), n, idx)
+            # row weights are uniform (see SpatialWeights), so the simulated
+            # lag is the mean of the drawn values, summed in draw order
+            sim_lag = z[draw[0]]
+            for picked in draw[1:]:
+                sim_lag += z[picked]
+            sim_lag /= degree
+            sims = (n - 1) * z[idx, None] * sim_lag / den
+            tail = (sims >= local[idx, None]).sum(axis=1)
+            tail = np.minimum(tail, n_perm - tail)
+            pvals[idx] = (tail + 1.0) / (n_perm + 1.0)
 
     ids = w.ids
     return LisaResult(
         local_i={ids[i]: float(local[i]) for i in range(n)},
         quadrant={ids[i]: _quadrant(z[i], lag[i]) for i in range(n)},
-        pseudo_p={ids[i]: pvals[i] for i in range(n)},
-        significant={ids[i]: pvals[i] < alpha and len(w.neighbors[i]) > 0 for i in range(n)},
+        pseudo_p={ids[i]: float(pvals[i]) for i in range(n)},
+        significant={ids[i]: bool(pvals[i] < alpha and degrees[i] > 0) for i in range(n)},
         alpha=alpha,
         n_permutations=n_perm,
         seed=seed,

@@ -1,8 +1,10 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
 
+from netqa import spatial
 from netqa.cli import main as cli_main
 from netqa.errors import ConfigError, PipelineError
 from netqa.pipeline import Pipeline, RunConfig, run_pipeline
@@ -54,6 +56,27 @@ def test_config_defaults_resolved(tmp_path):
     assert echo["length_policy"]["centerline,bidirectional"] == 2.0
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"weights": [{"scheme": "knn", "k": 0}]}, "'k'"),
+        ({"weights": [{"scheme": "knn", "k": 2.5}]}, "'k'"),
+        ({"weights": [{"scheme": "distance_band", "distance_m": -5}]}, "'distance_m'"),
+        ({"weights": [{"scheme": "distance_band", "distance_m": 0}]}, "'distance_m'"),
+        ({"n_permutations": -5}, "'n_permutations'"),
+        ({"n_permutations": 0}, "'n_permutations'"),
+        ({"alpha": 2}, "'alpha'"),
+        ({"alpha": 0.0}, "'alpha'"),
+    ],
+    ids=["knn_k0", "knn_k_fraction", "band_negative", "band_zero", "perm_negative", "perm_zero", "alpha2", "alpha0"],
+)
+def test_config_rejects_bad_autocorrelation_settings(tmp_path, overrides, key):
+    # each of these used to run: skipped every metric, crashed in numpy,
+    # or flagged every cell significant
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_file(demo_config(tmp_path, **overrides))
+
+
 def test_missing_input_reported(tmp_path):
     cfg_path = demo_config(tmp_path, candidate={"name": "x", "path": "nope.geojson"})
     cfg = RunConfig.from_file(cfg_path)
@@ -67,9 +90,10 @@ def test_missing_input_reported(tmp_path):
 # ---------------------------------------------------------------- pipeline
 
 
-def test_full_pipeline_writes_documented_files(tmp_path):
+def test_full_pipeline_writes_documented_files(tmp_path, caplog):
     cfg = RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "out")
-    summary, written = run_pipeline(cfg)
+    with caplog.at_level(logging.DEBUG, logger="netqa.pipeline"):
+        summary, written = run_pipeline(cfg)
     expected = {
         "grid_metrics.geojson",
         "segments_candidate.geojson",
@@ -90,6 +114,12 @@ def test_full_pipeline_writes_documented_files(tmp_path):
     assert (tmp_path / "out" / "summary.json").exists()
     # config echoed into the report header
     assert summary["configuration"]["seed"] == 42
+    # stage timings go to run_info.json and the debug log only
+    stages = {"ingest", "grid", "graph", "density", "structure", "match", "tags", "autocorr"}
+    run_info = json.loads((tmp_path / "out" / "run_info.json").read_text())
+    assert set(run_info["stage_seconds"]) == stages
+    assert all(sec >= 0.0 for sec in run_info["stage_seconds"].values())
+    assert "stage autocorr:" in caplog.text
 
 
 def test_pipeline_deterministic_across_runs_and_threads(tmp_path):
@@ -104,6 +134,23 @@ def test_pipeline_deterministic_across_runs_and_threads(tmp_path):
     c = read_outputs(tmp_path / "c")
     assert a == b
     assert a == c
+
+
+def test_autocorr_builds_weights_once_per_cell_set(tmp_path, monkeypatch):
+    built = []
+    real = spatial.build_weights
+
+    def counting(centroids, scheme):
+        built.append(tuple(sorted(centroids)))
+        return real(centroids, scheme)
+
+    monkeypatch.setattr(spatial, "build_weights", counting)
+    pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path)))
+    pipe.autocorr()
+    tag_cells = {tuple(sorted(pipe.grid_fields[f"tag_{t.name}"])) for t in pipe.cfg.tag_specs}
+    assert len(tag_cells) == 1  # the tag metrics share one cell set
+    assert len(built) == len(set(built))
+    assert tag_cells <= set(built)
 
 
 def test_summary_cross_checks_hold(tmp_path):

@@ -1,10 +1,17 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from netqa import spatial
 from netqa.errors import WeightsError, ZeroVarianceError
 from netqa.spatial import (
+    _sample_others,
     build_weights,
     distance_band_scheme,
     global_moran,
@@ -300,3 +307,91 @@ def test_islands_get_neutral_results():
     assert lisa.local_i[3] == 0.0
     assert lisa.pseudo_p[3] == 1.0
     assert not lisa.significant[3]
+
+
+# --------------------------------------------------------- neighbor sampler
+
+
+def test_sampler_uniform_over_all_subsets():
+    # cell 7 of 8 draws 3 of the other 7: every one of the C(7,3) = 35
+    # subsets should come up equally often
+    per_subset = 200
+    subsets = list(itertools.combinations(range(7), 3))
+    u = np.random.default_rng(2024).random((3, 1, per_subset * len(subsets)))
+    picks = _sample_others(u, 8, np.array([7]))[:, 0, :]
+    counts = Counter(tuple(sorted(col)) for col in picks.T.tolist())
+    assert set(counts) == set(subsets)
+    chi2 = sum((counts[sub] - per_subset) ** 2 / per_subset for sub in subsets)
+    # 99.9% quantile of the chi-square distribution with 34 degrees of freedom
+    assert chi2 < 65.25
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40), data=st.data())
+def test_sampler_draws_distinct_in_range_never_self(n, data):
+    k = data.draw(st.integers(min_value=1, max_value=n - 1))
+    cells = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
+    uniforms = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    u = data.draw(hnp.arrays(np.float64, (k, len(cells), 8), elements=uniforms))
+    picks = _sample_others(u, n, cells)
+    assert picks.shape == u.shape
+    assert picks.min() >= 0 and picks.max() < n
+    for b, cell in enumerate(cells):
+        for col in picks[:, b, :].T:
+            assert len(set(col.tolist())) == k
+            assert cell not in col
+
+
+def lisa_p_reference(values, w, lisa, n_perm, seed):
+    """One cell and one permutation at a time, with the same streams."""
+    v = np.array([values[c] for c in w.ids])
+    z = v - v.mean()
+    n = len(z)
+    den = float((z * z).sum())
+    out = {}
+    for i, nbrs in enumerate(w.neighbors):
+        k = len(nbrs)
+        if k == 0:
+            out[w.ids[i]] = 1.0
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        u = rng.random((k, n_perm))
+        tail = 0
+        for p in range(n_perm):
+            chosen = []
+            for s in range(k):
+                top = n - 1 - k + s
+                t = int(u[s, p] * (top + 1))
+                chosen.append(top if t in chosen else t)
+            others = [j + (j >= i) for j in chosen]
+            assert i not in others and len(set(others)) == k
+            acc = z[others[0]]
+            for j in others[1:]:
+                acc += z[j]
+            sim = (n - 1) * z[i] * (acc / k) / den
+            tail += bool(sim >= lisa.local_i[w.ids[i]])
+        tail = min(tail, n_perm - tail)
+        out[w.ids[i]] = (tail + 1.0) / (n_perm + 1.0)
+    return out
+
+
+def test_local_pseudo_p_matches_scalar_reference(monkeypatch):
+    # distance band over a hex block: degrees 2..6, plus one far island
+    cents = hex_block(6, 4)
+    cents[(50, 50)] = (500.0, 500.0)
+    values = {c: float(v) for c, v in zip(sorted(cents), np.random.default_rng(5).normal(size=len(cents)))}
+    values[(0, 0)] = 8.0
+    values[(1, 0)] = 7.0
+    w = build_weights(cents, distance_band_scheme(1.8))
+    assert len({len(nbrs) for nbrs in w.neighbors}) >= 4
+    assert w.islands == ((50, 50),)
+
+    lisa = local_moran(values, w, n_perm=99, seed=17)
+    assert lisa.pseudo_p == lisa_p_reference(values, w, lisa, 99, 17)
+    assert lisa.pseudo_p[(50, 50)] == 1.0
+    assert not lisa.significant[(50, 50)]
+    assert any(lisa.significant.values())
+
+    # one cell per block gives the same bytes as the default block size
+    monkeypatch.setattr(spatial, "_BLOCK_ELEMENTS", 1)
+    assert local_moran(values, w, n_perm=99, seed=17) == lisa
