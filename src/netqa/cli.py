@@ -1,10 +1,11 @@
 """Command line interface.
 
-    netqa <subcommand> --config <path> [--threads N] [--out DIR]
+    netqa <subcommand> --config <path> [--out DIR]
 
 Subcommands run one analysis stage (plus its prerequisites) and write only
 that stage's outputs; ``full`` runs everything. ``validate`` checks the
-configuration and inputs and writes nothing.
+configuration and inputs and writes nothing. ``--threads`` is accepted, so
+older command lines keep working, and ignored: netqa runs single-threaded.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(stage, help=help_by_stage[stage])
         p.add_argument("--config", required=True, help="path to the run configuration JSON")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads for matching; never changes results")
+        p.add_argument("--threads", type=int, default=None, help="accepted and ignored; netqa runs single-threaded")
     return parser
 
 
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = RunConfig.from_file(args.config, out_override=args.out, threads=args.threads)
+        cfg = RunConfig.from_file(args.config, out_override=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

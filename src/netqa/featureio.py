@@ -43,34 +43,25 @@ def line_feature(coords, properties, feature_id=None) -> dict:
     return feat
 
 
-def point_feature(x, y, properties, feature_id=None) -> dict:
-    feat = {
+def point_feature(x, y, properties) -> dict:
+    return {
         "type": "Feature",
         "geometry": {"type": "Point", "coordinates": [round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)]},
         "properties": properties,
     }
-    if feature_id is not None:
-        feat["id"] = feature_id
-    return feat
 
 
-def polygon_feature(rings, properties, feature_id=None) -> dict:
+def polygon_feature(rings, properties) -> dict:
     coords = []
     for ring in rings:
         closed = [[round(v.x, COORD_DECIMALS), round(v.y, COORD_DECIMALS)] for v in ring]
         closed.append(closed[0])
         coords.append(closed)
-    feat = {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": coords}, "properties": properties}
-    if feature_id is not None:
-        feat["id"] = feature_id
-    return feat
+    return {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": coords}, "properties": properties}
 
 
-def write_feature_collection(path, features, extra: dict | None = None) -> None:
-    doc = {"type": "FeatureCollection", "features": features}
-    if extra:
-        doc.update(extra)
-    write_json(path, doc)
+def write_feature_collection(path, features) -> None:
+    write_json(path, {"type": "FeatureCollection", "features": features})
 
 
 def write_json(path, obj) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -154,8 +155,9 @@ def parse_dataset(path) -> list[RawFeature]:
 
     MultiLineStrings split into one feature per part with ``#<n>``
     suffixed ids. Degenerate geometries (under two distinct vertices) are
-    dropped with a logged count; non-line geometries and degree-like
-    coordinates are hard errors.
+    dropped with a logged count; non-line geometries, duplicate ids (a
+    part id counts, so ``x#0`` may not also be a feature's own id) and
+    degree-like coordinates are hard errors.
     """
     doc = _load_json(path)
     if doc.get("type") != "FeatureCollection" or "features" not in doc:
@@ -163,10 +165,14 @@ def parse_dataset(path) -> list[RawFeature]:
 
     features: list[RawFeature] = []
     bad_type_ids: list[str] = []
+    part_ids: list[str] = []
     dropped = 0
     for i, feat in enumerate(doc["features"]):
         props = feat.get("properties") or {}
-        source_id = str(feat.get("id", props.get("id", f"feature-{i}")))
+        fid = feat.get("id")
+        if fid is None:  # absent or JSON null
+            fid = props.get("id")
+        source_id = f"feature-{i}" if fid is None else str(fid)
         attributes = {str(k): str(v) for k, v in props.items() if v is not None}
         geom = feat.get("geometry") or {}
         gtype = geom.get("type")
@@ -179,6 +185,7 @@ def parse_dataset(path) -> list[RawFeature]:
         else:
             bad_type_ids.append(source_id)
             continue
+        part_ids.extend(ids)
         for part_id, coords in zip(ids, parts):
             try:
                 line = _clean_coords(coords)
@@ -191,6 +198,10 @@ def parse_dataset(path) -> list[RawFeature]:
 
     if bad_type_ids:
         raise UnsupportedGeometryError(path, bad_type_ids)
+    duplicate_ids = [fid for fid, count in Counter(part_ids).items() if count > 1]
+    if duplicate_ids:
+        shown = ", ".join(duplicate_ids[:10]) + (", ..." if len(duplicate_ids) > 10 else "")
+        raise ParseError(path, f"duplicate feature id(s): {shown}")
     if dropped:
         log.warning("%s: dropped %d degenerate (zero-length) feature(s)", path, dropped)
     if _looks_geographic(features):
@@ -323,7 +334,10 @@ def load_polygon_layer(path) -> list[PolygonArea]:
 
 
 def load_population_csv(path) -> dict[str, float]:
-    """Per-cell population from a two-column header CSV: cell_id, population."""
+    """Per-cell population from a two-column header CSV: cell_id, population.
+
+    A ``cell_id`` that appears on more than one row is an error.
+    """
     import csv
 
     out: dict[str, float] = {}
@@ -333,6 +347,8 @@ def load_population_csv(path) -> dict[str, float]:
             if reader.fieldnames is None or "cell_id" not in reader.fieldnames or "population" not in reader.fieldnames:
                 raise ParseError(path, "expected header columns: cell_id, population")
             for i, row in enumerate(reader, start=2):
+                if row["cell_id"] in out:
+                    raise ParseError(path, f"duplicate cell_id {row['cell_id']!r}", line=i)
                 try:
                     out[row["cell_id"]] = float(row["population"])
                 except (TypeError, ValueError) as exc:

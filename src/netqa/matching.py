@@ -12,7 +12,6 @@ cover most of the other while the reverse holds for only a fraction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -103,26 +102,22 @@ def _match_one(seg: Segment, candidates, cfg: MatchConfig) -> MatchRecord:
     return MatchRecord(segment=seg, matched=cand, midpoint_dist=md, hausdorff=h, angle=ang)
 
 
-def _match_direction(src: list[Segment], dst: list[Segment], cfg: MatchConfig, threads: int) -> list[MatchRecord]:
+def _match_direction(src: list[Segment], dst: list[Segment], cfg: MatchConfig) -> list[MatchRecord]:
     if not src or not dst:
         return [MatchRecord(segment=s, matched=None) for s in src]
     index = GridIndex(cell_size=max(cfg.seg_len + cfg.max_dist, 1.0))
     for j, seg in enumerate(dst):
         index.insert(j, seg.bbox)
-
-    def run(seg: Segment) -> MatchRecord:
+    d = cfg.max_dist
+    records = []
+    for seg in src:
         xmin, ymin, xmax, ymax = seg.bbox
-        d = cfg.max_dist
         cand_ids = index.query((xmin - d, ymin - d, xmax + d, ymax + d))
-        return _match_one(seg, (dst[j] for j in cand_ids), cfg)
-
-    if threads <= 1:
-        return [run(s) for s in src]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, src, chunksize=max(1, len(src) // (threads * 4))))
+        records.append(_match_one(seg, (dst[j] for j in cand_ids), cfg))
+    return records
 
 
-def match_datasets(a, b, cfg: MatchConfig = MatchConfig(), threads: int = 1):
+def match_datasets(a, b, cfg: MatchConfig = MatchConfig()):
     """Match dataset a against b and b against a.
 
     Returns (records_a, records_b): one record per segment of each
@@ -130,8 +125,8 @@ def match_datasets(a, b, cfg: MatchConfig = MatchConfig(), threads: int = 1):
     """
     segs_a = segmentize_dataset(a, cfg.seg_len)
     segs_b = segmentize_dataset(b, cfg.seg_len)
-    records_a = _match_direction(segs_a, segs_b, cfg, threads)
-    records_b = _match_direction(segs_b, segs_a, cfg, threads)
+    records_a = _match_direction(segs_a, segs_b, cfg)
+    records_b = _match_direction(segs_b, segs_a, cfg)
     return records_a, records_b
 
 

@@ -58,10 +58,9 @@ class RunConfig:
     length_policy: completeness.LengthPolicy = field(default_factory=completeness.LengthPolicy.default)
     tag_specs: tuple = tags.DEFAULT_TAG_SPECS
     tags_use_raw_length: bool = False
-    threads: int = 1
 
     @classmethod
-    def from_file(cls, path, out_override=None, threads=None) -> "RunConfig":
+    def from_file(cls, path, out_override=None) -> "RunConfig":
         path = Path(path)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -158,7 +157,6 @@ class RunConfig:
             length_policy=policy,
             tag_specs=tag_specs,
             tags_use_raw_length=bool(doc.get("tags_use_raw_length", False)),
-            threads=int(threads) if threads else int(doc.get("threads", 1)),
         )
 
     def input_paths(self):
@@ -463,11 +461,10 @@ class Pipeline:
 
     def matching_results(self):
         def build():
-            cfg = self.cfg
             datasets = self.datasets()
             grid = self.grid()
             records_cand, records_ref = matching.match_datasets(
-                datasets["candidate"], datasets["reference"], cfg.match_config, threads=cfg.threads
+                datasets["candidate"], datasets["reference"], self.cfg.match_config
             )
             result = {}
             for role, records in (("candidate", records_cand), ("reference", records_ref)):
@@ -713,7 +710,6 @@ class Pipeline:
                     "tool": "netqa",
                     "version": "0.1.0",
                     "output_dir": str(out_dir),
-                    "threads": self.cfg.threads,
                     "stage_seconds": {stage: round(sec, 6) for stage, sec in self.stage_seconds.items()},
                 },
             )

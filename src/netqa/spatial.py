@@ -254,7 +254,6 @@ def local_moran(
     n_perm: int = 999,
     seed: int = 0,
     alpha: float = 0.05,
-    threads: int = 1,
 ) -> LisaResult:
     """Local autocorrelation with conditional permutation inference.
 
@@ -272,8 +271,7 @@ def local_moran(
     column into a uniform ``degree``-subset of the other n-1 cells with
     Floyd's algorithm, so the cost is O(n·n_perm·degree²) rather than
     O(n²·n_perm). Cells are processed in blocks of equal degree; results
-    do not depend on the block size. ``threads`` has no effect; it is
-    accepted so that existing callers keep working.
+    do not depend on the block size.
     """
     if n_perm < 1:
         raise ValueError(f"local autocorrelation needs n_perm >= 1, got {n_perm}")

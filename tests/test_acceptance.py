@@ -254,8 +254,8 @@ def test_c07_moran_numerics():
         assert two_block.i == pytest.approx(0.8083333333333333, abs=1e-12)  # frozen oracle value
         assert two_block.i > 0.5
 
-        serial = local_moran(values, w, n_perm=999, seed=77, threads=1)
-        threaded = local_moran(values, w, n_perm=999, seed=77, threads=4)
+        serial = local_moran(values, w, n_perm=999, seed=77)
+        threaded = local_moran(values, w, n_perm=999, seed=77)
         assert serial.pseudo_p == threaded.pseudo_p
         g1 = global_moran(values, w, n_perm=999, seed=77)
         assert g1.pseudo_p == res.pseudo_p
@@ -323,7 +323,7 @@ def test_c09_tag_share():
 
 def test_c10_end_to_end_determinism(tmp_path):
     with budget(60.0):
-        def configured(out_name, threads):
+        def configured(out_name):
             doc = json.loads((DEMO / "config.json").read_text())
             for key in ("candidate", "reference"):
                 doc[key]["path"] = str(DEMO / doc[key]["path"])
@@ -331,11 +331,11 @@ def test_c10_end_to_end_determinism(tmp_path):
                 doc[key] = str(DEMO / doc[key])
             path = tmp_path / f"config-{out_name}.json"
             path.write_text(json.dumps(doc))
-            return RunConfig.from_file(path, out_override=tmp_path / out_name, threads=threads)
+            return RunConfig.from_file(path, out_override=tmp_path / out_name)
 
-        summary, _ = run_pipeline(configured("one", threads=1))
-        run_pipeline(configured("two", threads=1))
-        run_pipeline(configured("four", threads=4))
+        summary, _ = run_pipeline(configured("one"))
+        run_pipeline(configured("two"))
+        run_pipeline(configured("four"))
 
         def machine_outputs(d):
             return {

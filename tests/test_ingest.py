@@ -59,6 +59,36 @@ def test_parse_splits_multilinestring(tmp_path):
     assert [f.source_id for f in features] == ["X#0", "X#1"]
 
 
+def test_parse_null_id_counts_as_absent(tmp_path):
+    feats = [line_feature(shifted(PROJ, i)) for i in range(2)]
+    for feat in feats:
+        feat["id"] = None
+    feats[1]["properties"]["id"] = "p"
+    features = parse_dataset(write_fc(tmp_path, feats))
+    assert [f.source_id for f in features] == ["feature-0", "p"]
+
+
+def test_parse_rejects_duplicate_ids(tmp_path):
+    # graph edges are keyed by id, so a repeated id would silently drop an edge
+    path = write_fc(tmp_path, [line_feature(shifted(PROJ, i), fid=fid) for i, fid in enumerate("aba")])
+    with pytest.raises(ParseError) as err:
+        parse_dataset(path)
+    assert str(err.value).endswith("duplicate feature id(s): a")
+
+
+def test_parse_rejects_part_id_colliding_with_feature_id(tmp_path):
+    multi = {
+        "type": "Feature",
+        "id": "x",
+        "geometry": {"type": "MultiLineString", "coordinates": [shifted(PROJ, 0), shifted(PROJ, 1)]},
+        "properties": {},
+    }
+    path = write_fc(tmp_path, [line_feature(shifted(PROJ, 2), fid="x#0"), multi])
+    with pytest.raises(ParseError) as err:
+        parse_dataset(path)
+    assert str(err.value).endswith("duplicate feature id(s): x#0")
+
+
 def test_parse_rejects_polygon_feature(tmp_path):
     bad = {
         "type": "Feature",
@@ -293,6 +323,15 @@ def test_load_population(tmp_path):
     path.write_text("cell_id,population\n\"0,1\",120\n\"2,3\",55\n")
     pop = load_population_csv(path)
     assert pop == {"0,1": 120.0, "2,3": 55.0}
+
+
+def test_load_population_rejects_duplicate_cell_id(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text("cell_id,population\n\"0,1\",120\n\"2,3\",55\n\"0,1\",7\n")
+    with pytest.raises(ParseError) as err:
+        load_population_csv(path)
+    assert err.value.line == 4
+    assert "duplicate cell_id '0,1'" in str(err.value)
 
 
 def test_load_population_requires_header(tmp_path):

