@@ -58,6 +58,7 @@ class HexGrid:
         self.edge_len = edge_length_for_area(cell_area)
         self.apothem = self.edge_len * _SQRT3 / 2.0
         self.cells = cells
+        self._clips: dict[Polyline, dict[tuple[int, int], float]] = {}
 
     @property
     def signature(self) -> tuple:
@@ -105,8 +106,16 @@ class HexGrid:
 
         Exact parametric clipping of each straight piece against the
         hexagon's six half-planes. Only cells receiving positive length
-        appear in the result.
+        appear in the result. Each distinct polyline is clipped once per
+        grid: the result is memoized and the same dict is returned to
+        every caller, so it must be treated as read-only.
         """
+        out = self._clips.get(p)
+        if out is None:
+            out = self._clips[p] = self._clip(p)
+        return out
+
+    def _clip(self, p: Polyline) -> dict[tuple[int, int], float]:
         out: dict[tuple[int, int], float] = {}
         for a, b in zip(p.vertices, p.vertices[1:]):
             xmin, xmax = min(a.x, b.x), max(a.x, b.x)

@@ -276,14 +276,14 @@ def load_rules(path) -> dict[str, list[ClassificationRule]]:
 def _rings_from_polygon_coords(coords):
     rings = []
     for ring_coords in coords:
-        pts = [Point2D(float(x), float(y)) for x, y in ring_coords]
+        pts = [Point2D(float(xy[0]), float(xy[1])) for xy in ring_coords]
         if len(pts) > 1 and pts[0].x == pts[-1].x and pts[0].y == pts[-1].y:
             pts = pts[:-1]  # drop GeoJSON closing vertex
         rings.append(tuple(pts))
     return tuple(rings)
 
 
-def _polygon_parts(feat, fallback_name):
+def _polygon_parts(path, feat, fallback_name):
     props = feat.get("properties") or {}
     name = str(props.get("name", feat.get("id", fallback_name)))
     geom = feat.get("geometry") or {}
@@ -294,43 +294,37 @@ def _polygon_parts(feat, fallback_name):
         all_coords = geom["coordinates"]
     else:
         return name, None
-    return name, [PolygonArea(rings=_rings_from_polygon_coords(c), name=name) for c in all_coords]
+    try:
+        return name, [PolygonArea(rings=_rings_from_polygon_coords(c), name=name) for c in all_coords]
+    except (GeometryError, TypeError, IndexError, ValueError) as exc:
+        raise ParseError(path, f"feature {name}: {exc}") from exc
+
+
+def _load_polygons(path, fallback_prefix, empty_message) -> list[PolygonArea]:
+    doc = _load_json(path)
+    if doc.get("type") != "FeatureCollection" or not doc.get("features"):
+        raise ParseError(path, empty_message)
+    parts: list[PolygonArea] = []
+    bad = []
+    for i, feat in enumerate(doc["features"]):
+        name, feat_parts = _polygon_parts(path, feat, f"{fallback_prefix}-{i}")
+        if feat_parts is None:
+            bad.append(name)
+        else:
+            parts.extend(feat_parts)
+    if bad:
+        raise UnsupportedGeometryError(path, bad)
+    return parts
 
 
 def load_study_area(path) -> list[PolygonArea]:
     """Polygon part(s) delimiting the study area."""
-    doc = _load_json(path)
-    if doc.get("type") != "FeatureCollection" or not doc.get("features"):
-        raise ParseError(path, "expected a FeatureCollection with at least one polygon feature")
-    parts: list[PolygonArea] = []
-    bad = []
-    for i, feat in enumerate(doc["features"]):
-        name, feat_parts = _polygon_parts(feat, f"study-{i}")
-        if feat_parts is None:
-            bad.append(name)
-        else:
-            parts.extend(feat_parts)
-    if bad:
-        raise UnsupportedGeometryError(path, bad)
-    return parts
+    return _load_polygons(path, "study", "expected a FeatureCollection with at least one polygon feature")
 
 
 def load_polygon_layer(path) -> list[PolygonArea]:
     """Named administrative polygons; MultiPolygons split into same-named parts."""
-    doc = _load_json(path)
-    if doc.get("type") != "FeatureCollection" or not doc.get("features"):
-        raise ParseError(path, "expected a FeatureCollection with polygon features")
-    parts: list[PolygonArea] = []
-    bad = []
-    for i, feat in enumerate(doc["features"]):
-        name, feat_parts = _polygon_parts(feat, f"polygon-{i}")
-        if feat_parts is None:
-            bad.append(name)
-        else:
-            parts.extend(feat_parts)
-    if bad:
-        raise UnsupportedGeometryError(path, bad)
-    return parts
+    return _load_polygons(path, "polygon", "expected a FeatureCollection with polygon features")
 
 
 def load_population_csv(path) -> dict[str, float]:

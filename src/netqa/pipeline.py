@@ -3,15 +3,21 @@
 Stages run in dependency order (ingest, graph, grid, density, structure,
 matching, tags, autocorrelation); each subcommand executes only its stage
 plus prerequisites. All output payloads are assembled in memory and
-written together at the end, so a failing stage leaves no partial files
-behind. Output files carry no timestamps; run metadata lives in a
-separate file excluded from golden comparisons.
+written together at the end, into a temporary directory beside the output
+directory; the files are moved into place only once all of them are
+written, so neither a failing stage nor a failed write leaves partial
+files behind or destroys a previous run's results. Output files carry no
+timestamps; run metadata lives in a separate file excluded from golden
+comparisons.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -683,28 +689,30 @@ class Pipeline:
         summary_json = dict(self.summary)
         self._cross_check(summary_json)
 
+        out_dir.mkdir(parents=True, exist_ok=True)
+        tmp_dir = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
         written: list[str] = []
         try:
             if grid_features is not None:
-                featureio.write_feature_collection(out_dir / "grid_metrics.geojson", grid_features)
+                featureio.write_feature_collection(tmp_dir / "grid_metrics.geojson", grid_features)
                 written.append("grid_metrics.geojson")
             for name in sorted(self.outputs):
                 kind, payload = self.outputs[name]
                 if kind == "fc":
-                    featureio.write_feature_collection(out_dir / name, payload)
+                    featureio.write_feature_collection(tmp_dir / name, payload)
                 elif kind == "csv":
                     header, rows = payload
-                    featureio.write_csv(out_dir / name, header, rows)
+                    featureio.write_csv(tmp_dir / name, header, rows)
                 else:
-                    featureio.write_json(out_dir / name, payload)
+                    featureio.write_json(tmp_dir / name, payload)
                 written.append(name)
-            featureio.write_json(out_dir / "summary.json", summary_json)
+            featureio.write_json(tmp_dir / "summary.json", summary_json)
             written.append("summary.json")
-            with open(out_dir / "summary.txt", "w", encoding="utf-8", newline="\n") as fh:
+            with open(tmp_dir / "summary.txt", "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(render_text_summary(summary_json))
             written.append("summary.txt")
             featureio.write_json(
-                out_dir / "run_info.json",
+                tmp_dir / "run_info.json",
                 {
                     "finished_unix": int(time.time()),
                     "tool": "netqa",
@@ -714,13 +722,10 @@ class Pipeline:
                 },
             )
             written.append("run_info.json")
-        except Exception:
             for name in written:
-                try:
-                    (out_dir / name).unlink()
-                except OSError:
-                    pass
-            raise
+                os.replace(tmp_dir / name, out_dir / name)
+        finally:
+            shutil.rmtree(tmp_dir, ignore_errors=True)
         return written
 
     def _cross_check(self, summary: dict) -> None:

@@ -5,10 +5,11 @@ import pytest
 
 from netqa.errors import GeometryError
 from netqa.geometry import Point2D, polyline_length
+from netqa import hexgrid
 from netqa.hexgrid import assign_lengths, build_grid, edge_length_for_area
 from netqa.polygons import point_in_rings, ring_signed_area
 
-from conftest import make_edge, rect_polygon
+from conftest import make_edge, rect_polygon, reference_ring_intersects_polygon, wobbly_polygon
 
 
 def test_edge_length_formula():
@@ -75,6 +76,15 @@ def test_retained_count_matches_rasterization_oracle():
     retained = set(grid.cells)
     assert oracle_cells <= retained
     assert abs(len(retained) - len(oracle_cells)) / len(oracle_cells) <= 0.05
+
+
+def test_grid_on_wobbly_outline_matches_unindexed_build(monkeypatch):
+    study = wobbly_polygon(1500)
+    grid = build_grid(study, 400000.0)
+    monkeypatch.setattr(hexgrid, "ring_intersects_polygon", reference_ring_intersects_polygon)
+    reference = build_grid(study, 400000.0)
+    assert list(grid.cells) == list(reference.cells)
+    assert len(grid.cells) > 50
 
 
 def test_cell_containing_agrees_with_polygon_test(rng):

@@ -318,6 +318,29 @@ def test_load_study_area_and_polygons(tmp_path):
     assert poly.name == "north"
 
 
+def polygon_fc(tmp_path, name, ring):
+    feat = {"type": "Feature", "properties": {"name": name}, "geometry": {"type": "Polygon", "coordinates": [ring]}}
+    return write_fc(tmp_path, [feat], name="area.geojson")
+
+
+@pytest.mark.parametrize("load", [load_study_area, load_polygon_layer])
+def test_load_polygons_accept_3d_positions(tmp_path, load):
+    ring = [[0, 0, 12.5], [1000, 0, 13.0], [1000, 1000, 11.0], [0, 1000, 12.0], [0, 0, 12.5]]
+    (part,) = load(polygon_fc(tmp_path, "hilly", ring))
+    assert part.area == 1000000.0
+    assert len(part.rings[0]) == 4
+
+
+@pytest.mark.parametrize("load", [load_study_area, load_polygon_layer])
+def test_load_polygons_reject_short_ring_naming_file_and_feature(tmp_path, load):
+    path = polygon_fc(tmp_path, "sliver", [[0, 0], [1000, 0], [0, 0]])
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert err.value.path == str(path)
+    assert str(err.value).startswith(f"{path}: feature sliver: ")
+    assert "fewer than 3 vertices" in str(err.value)
+
+
 def test_load_population(tmp_path):
     path = tmp_path / "pop.csv"
     path.write_text("cell_id,population\n\"0,1\",120\n\"2,3\",55\n")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from netqa import spatial
+from netqa import featureio, hexgrid, spatial
 from netqa.cli import main as cli_main
 from netqa.errors import ConfigError, PipelineError
 from netqa.pipeline import Pipeline, RunConfig, run_pipeline
@@ -218,6 +218,46 @@ def test_failing_stage_names_itself(tmp_path):
     with pytest.raises(PipelineError) as err:
         Pipeline(cfg).run_stage("density")
     assert err.value.stage == "ingest"
+
+
+def test_failed_write_keeps_previous_outputs(tmp_path, monkeypatch):
+    run_pipeline(RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "out"))
+    before = read_outputs(tmp_path / "out", skip=())
+    real = featureio.write_json
+
+    def failing(path, obj):
+        if Path(path).name == "run_info.json":  # the last file written
+            raise OSError("disk full")
+        real(path, obj)
+
+    monkeypatch.setattr(featureio, "write_json", failing)
+    # a different seed changes the LISA outputs and the summary
+    cfg = RunConfig.from_file(demo_config(tmp_path, seed=7), out_override=tmp_path / "out")
+    with pytest.raises(OSError, match="disk full"):
+        run_pipeline(cfg)
+    assert read_outputs(tmp_path / "out", skip=()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+
+
+def test_full_run_clips_each_geometry_once(tmp_path, monkeypatch):
+    calls = []
+    real = hexgrid._clip_piece_to_hex
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hexgrid, "_clip_piece_to_hex", counting)
+    pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "out"))
+    pipe.run_stage("full")
+    in_run = sorted(calls)
+    calls.clear()
+    grid = pipe.grid()
+    fresh = hexgrid.HexGrid(grid.origin, grid.cell_area, grid.cells)
+    for geometry in {edge.geometry for dataset in pipe.datasets().values() for edge in dataset.edges}:
+        fresh.clip_polyline(geometry)
+    assert calls
+    assert in_run == sorted(calls)
 
 
 # --------------------------------------------------------------------- CLI

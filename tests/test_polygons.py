@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netqa.errors import GeometryError
 from netqa.geometry import Point2D, Polyline
@@ -10,7 +14,7 @@ from netqa.polygons import (
     ring_signed_area,
 )
 
-from conftest import rect_polygon
+from conftest import rect_polygon, reference_clip_polyline_to_polygon, reference_ring_intersects_polygon
 
 
 def line(*coords):
@@ -90,3 +94,109 @@ def test_signed_area_orientation():
     cw = tuple(reversed(ccw))
     assert ring_signed_area(ccw) == 0.5
     assert ring_signed_area(cw) == -0.5
+
+
+# ------------------------------------------------ boundary-edge index
+#
+# The index must give exactly (==) what testing every boundary edge gives.
+# Coordinates sit on a coarse lattice so that horizontal edges, collinear
+# edges, vertices on slab boundaries and queries at y = ymax are common.
+
+UNITS = st.sampled_from([1.0, 0.1, 37.5])
+
+
+def _star_ring(angles, radii, unit):
+    return tuple(
+        Point2D(round(r * math.cos(math.radians(a))) * unit, round(r * math.sin(math.radians(a))) * unit)
+        for a, r in zip(angles, radii)
+    )
+
+
+def test_index_with_vertices_on_slab_boundaries():
+    # 16 edges give 4 slabs of height 2 over y in [0, 8]; the zigzag puts
+    # vertices and horizontal edges on every slab boundary
+    ring = [Point2D(float(x), float(y)) for x, y in [(0, 0), (8, 0), (8, 2), (6, 2), (6, 4), (8, 4), (8, 6), (6, 6)]]
+    ring += [Point2D(float(x), float(y)) for x, y in [(6, 8), (2, 8), (2, 6), (0, 6), (0, 4), (2, 4), (2, 2), (0, 2)]]
+    poly = PolygonArea(rings=(tuple(ring),))
+    assert len(poly.edges_near(*poly.bbox)) == 16
+    for y in [k / 2.0 for k in range(-2, 19)]:
+        for x in [k / 2.0 for k in range(-2, 19)]:
+            assert poly.contains(x, y) == point_in_rings(x, y, poly.rings)
+    for x0, y0, x1, y1 in [(-1, 2, 9, 2), (1, -1, 1, 9), (7, 6, 7, 9), (-1, -1, 9, 9), (3, 8, 5, 8)]:
+        p = line((x0, y0), (x1, y1))
+        assert clip_polyline_to_polygon(p, poly) == reference_clip_polyline_to_polygon(p, poly)
+
+
+@st.composite
+def lattice_polygons(draw):
+    """Star-shaped polygons on a lattice, some with a star-shaped hole."""
+    unit = draw(UNITS)
+    angles = sorted(draw(st.sets(st.integers(0, 359), min_size=3, max_size=60)))
+    radii = draw(st.lists(st.integers(6, 12), min_size=len(angles), max_size=len(angles)))
+    rings = [_star_ring(angles, radii, unit)]
+    if draw(st.booleans()):
+        hole_angles = sorted(draw(st.sets(st.integers(0, 359), min_size=3, max_size=12)))
+        hole_radii = draw(st.lists(st.integers(1, 4), min_size=len(hole_angles), max_size=len(hole_angles)))
+        rings.append(_star_ring(hole_angles, hole_radii, unit))
+    try:
+        return PolygonArea(rings=tuple(rings)), unit
+    except GeometryError:  # rounding collapsed a ring to zero area
+        return rect_polygon(-3 * unit, -2 * unit, 6 * unit, 4 * unit), unit
+
+
+def lattice_points(unit, n):
+    # half-lattice coordinates reaching past the polygon's bbox
+    coord = st.integers(-30, 30).map(lambda k: k * unit / 2.0)
+    return st.lists(st.tuples(coord, coord), min_size=n, max_size=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_indexed_contains_equals_every_edge_test(data):
+    poly, unit = data.draw(lattice_polygons())
+    points = data.draw(lattice_points(unit, 40))
+    xmin, ymin, xmax, ymax = poly.bbox
+    points += [(x, ymax) for x, _ in points[:10]] + [(x, ymin) for x, _ in points[10:20]]
+    points += [(v.x, v.y) for ring in poly.rings for v in ring]
+    for x, y in points:
+        assert poly.contains(x, y) == point_in_rings(x, y, poly.rings)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_edges_near_equals_every_edge_meeting_the_box(data):
+    poly, unit = data.draw(lattice_polygons())
+    (ax, ay), (bx, by) = data.draw(lattice_points(unit, 2))
+    box = (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+    expected = [
+        (c.x, c.y, d.x, d.y)
+        for ring in poly.rings
+        for c, d in zip(ring, ring[1:] + ring[:1])
+        if min(c.x, d.x) <= box[2] and max(c.x, d.x) >= box[0] and min(c.y, d.y) <= box[3] and max(c.y, d.y) >= box[1]
+    ]
+    near = poly.edges_near(*box)
+    assert len(near) == len(set(map(id, near)))  # each edge once
+    assert sorted(near) == sorted(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_indexed_ring_intersects_equals_every_edge_test(data):
+    poly, unit = data.draw(lattice_polygons())
+    for _ in range(5):
+        pts = data.draw(lattice_points(unit, data.draw(st.integers(3, 6))))
+        ring = tuple(Point2D(x, y) for x, y in pts)
+        assert ring_intersects_polygon(ring, poly) == reference_ring_intersects_polygon(ring, poly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_indexed_clip_equals_every_edge_test(data):
+    poly, unit = data.draw(lattice_polygons())
+    for _ in range(5):
+        pts = data.draw(lattice_points(unit, data.draw(st.integers(2, 5))))
+        pts = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+        if len(pts) < 2:
+            continue
+        p = Polyline(tuple(Point2D(x, y) for x, y in pts))
+        assert clip_polyline_to_polygon(p, poly) == reference_clip_polyline_to_polygon(p, poly)
