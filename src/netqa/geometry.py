@@ -191,19 +191,19 @@ def segmentize(p: Polyline, seg_len: float, parent_edge_id: str = "") -> list[Se
         else:
             boundaries.append(total)
 
-    segments = []
-    for i, (d0, d1) in enumerate(zip(boundaries, boundaries[1:])):
-        segments.append(
-            Segment(
-                start=_point_at(p, cum, d0),
-                end=_point_at(p, cum, d1),
-                parent_edge_id=parent_edge_id,
-                offset=d0,
-                arc_length=d1 - d0,
-                index=i,
-            )
+    # each cut point ends one piece and starts the next
+    points = [_point_at(p, cum, d) for d in boundaries]
+    return [
+        Segment(
+            start=points[i],
+            end=points[i + 1],
+            parent_edge_id=parent_edge_id,
+            offset=boundaries[i],
+            arc_length=boundaries[i + 1] - boundaries[i],
+            index=i,
         )
-    return segments
+        for i in range(len(boundaries) - 1)
+    ]
 
 
 def point_segment_distance(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:

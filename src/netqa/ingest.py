@@ -288,12 +288,11 @@ def _polygon_parts(path, feat, fallback_name):
     name = str(props.get("name", feat.get("id", fallback_name)))
     geom = feat.get("geometry") or {}
     gtype = geom.get("type")
-    if gtype == "Polygon":
-        all_coords = [geom["coordinates"]]
-    elif gtype == "MultiPolygon":
-        all_coords = geom["coordinates"]
-    else:
+    if gtype not in ("Polygon", "MultiPolygon"):
         return name, None
+    if "coordinates" not in geom:
+        raise ParseError(path, f"feature {name}: {gtype} has no coordinates")
+    all_coords = [geom["coordinates"]] if gtype == "Polygon" else geom["coordinates"]
     try:
         return name, [PolygonArea(rings=_rings_from_polygon_coords(c), name=name) for c in all_coords]
     except (GeometryError, TypeError, IndexError, ValueError) as exc:

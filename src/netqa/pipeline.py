@@ -19,7 +19,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 from . import completeness, featureio, graph, hexgrid, ingest, matching, spatial, tags
@@ -248,6 +248,8 @@ class Pipeline:
         # wall seconds of each stage's first computation, including any
         # prerequisite it computed first; recorded in run_info.json
         self.stage_seconds: dict[str, float] = {}
+        # per-direction matching work (role -> MatchCounts); run_info.json
+        self.match_counts: dict[str, matching.MatchCounts] = {}
 
     def _run(self, stage, fn):
         if stage not in self._cache:
@@ -469,9 +471,17 @@ class Pipeline:
         def build():
             datasets = self.datasets()
             grid = self.grid()
+            counts = []
             records_cand, records_ref = matching.match_datasets(
-                datasets["candidate"], datasets["reference"], self.cfg.match_config
+                datasets["candidate"], datasets["reference"], self.cfg.match_config, counts
             )
+            for role, c in zip(self.ROLES, counts):
+                self.match_counts[role] = c
+                log.debug(
+                    "match %s: %d segments, %d pairs within max_dist, %d rejected by Hausdorff, "
+                    "%d rejected by angle, %d accepted, %d matched",
+                    role, *astuple(c),
+                )
             result = {}
             for role, records in (("candidate", records_cand), ("reference", records_ref)):
                 summ = matching.match_summary(records, grid)
@@ -711,16 +721,16 @@ class Pipeline:
             with open(tmp_dir / "summary.txt", "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(render_text_summary(summary_json))
             written.append("summary.txt")
-            featureio.write_json(
-                tmp_dir / "run_info.json",
-                {
-                    "finished_unix": int(time.time()),
-                    "tool": "netqa",
-                    "version": "0.1.0",
-                    "output_dir": str(out_dir),
-                    "stage_seconds": {stage: round(sec, 6) for stage, sec in self.stage_seconds.items()},
-                },
-            )
+            run_info = {
+                "finished_unix": int(time.time()),
+                "tool": "netqa",
+                "version": "0.1.0",
+                "output_dir": str(out_dir),
+                "stage_seconds": {stage: round(sec, 6) for stage, sec in self.stage_seconds.items()},
+            }
+            if self.match_counts:
+                run_info["matching"] = {role: asdict(c) for role, c in self.match_counts.items()}
+            featureio.write_json(tmp_dir / "run_info.json", run_info)
             written.append("run_info.json")
             for name in written:
                 os.replace(tmp_dir / name, out_dir / name)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from netqa.geometry import Point2D, Polyline
+from netqa.geometry import Point2D, Polyline, hausdorff_distance, segment_angle_deg
 from netqa.graph import NetworkEdge
 from netqa.ingest import Dataset
 from netqa.polygons import _PARAM_EPS, PolygonArea, _crossing_param, _segments_cross, point_in_rings
@@ -118,6 +118,41 @@ def reference_ring_intersects_polygon(ring, polygon) -> bool:
             if _segments_cross(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y):
                 return True
     return False
+
+
+def reference_match(src, dst, cfg):
+    """The scalar matcher over all pairs, no index: the arithmetic of
+    ``hausdorff_distance``, ``segment_angle_deg`` and a ``** 0.5`` midpoint
+    distance, keeping the least (score, target segment id).
+
+    Returns one (segment id, matched id, midpoint distance, Hausdorff,
+    angle) tuple per source segment, and the (pairs within max_dist,
+    rejected by Hausdorff, rejected by angle, accepted) pair counts.
+    """
+    records = []
+    within = rejected_h = rejected_a = 0
+    for s in src:
+        mid = s.midpoint
+        best_key, best = None, (None, None, None, None)
+        for d in dst:
+            cmid = d.midpoint
+            md = ((mid.x - cmid.x) ** 2 + (mid.y - cmid.y) ** 2) ** 0.5
+            if md > cfg.max_dist:
+                continue
+            within += 1
+            h = hausdorff_distance(s, d)
+            if h > cfg.max_hausdorff:
+                rejected_h += 1
+                continue
+            ang = segment_angle_deg(s, d)
+            if ang > cfg.max_angle:
+                rejected_a += 1
+                continue
+            key = (h + md + (ang / cfg.max_angle) * cfg.max_dist, d.segment_id)
+            if best_key is None or key < best_key:
+                best_key, best = key, (d.segment_id, md, h, ang)
+        records.append((s.segment_id, *best))
+    return records, (within, rejected_h, rejected_a, within - rejected_h - rejected_a)
 
 
 def random_polyline(rng: np.random.Generator, n_vertices: int, scale=100.0) -> Polyline:

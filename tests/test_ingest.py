@@ -341,6 +341,18 @@ def test_load_polygons_reject_short_ring_naming_file_and_feature(tmp_path, load)
     assert "fewer than 3 vertices" in str(err.value)
 
 
+@pytest.mark.parametrize("load", [load_study_area, load_polygon_layer])
+@pytest.mark.parametrize("gtype", ["Polygon", "MultiPolygon"])
+def test_load_polygons_reject_missing_coordinates_naming_file_and_feature(tmp_path, load, gtype):
+    path = tmp_path / "area.geojson"
+    feature = {"type": "Feature", "properties": {"name": "hollow"}, "geometry": {"type": gtype}}
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert err.value.path == str(path)
+    assert str(err.value) == f"{path}: feature hollow: {gtype} has no coordinates"
+
+
 def test_load_population(tmp_path):
     path = tmp_path / "pop.csv"
     path.write_text("cell_id,population\n\"0,1\",120\n\"2,3\",55\n")

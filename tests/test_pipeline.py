@@ -310,6 +310,28 @@ def test_cli_accepts_and_ignores_threads(tmp_path):
     RunConfig.from_file(demo_config(tmp_path, threads=4))
 
 
+def test_run_info_records_matching_counts_outside_compared_outputs(tmp_path, caplog):
+    base = ["full", "--config", str(DEMO / "config.json"), "--out"]
+    assert cli_main(base + [str(tmp_path / "quiet")]) == 0
+    with caplog.at_level(logging.DEBUG, logger="netqa.pipeline"):
+        assert cli_main(["-v"] + base + [str(tmp_path / "verbose")]) == 0
+    outputs = read_outputs(tmp_path / "quiet")
+    assert outputs == read_outputs(tmp_path / "verbose")
+    assert not any(b"pairs_within_max_dist" in data for data in outputs.values())
+    summary = json.loads(outputs["summary.json"])
+    run_info = json.loads((tmp_path / "quiet" / "run_info.json").read_text())
+    assert set(run_info["matching"]) == {"candidate", "reference"}
+    for role, c in run_info["matching"].items():
+        assert c["pairs_within_max_dist"] == c["rejected_hausdorff"] + c["rejected_angle"] + c["accepted_pairs"]
+        assert 0 < c["matched_segments"] <= min(c["accepted_pairs"], c["segments"])
+        assert c["segments"] == summary["matching"][role]["segments"]
+        assert c["matched_segments"] == summary["matching"][role]["matched_segments"]
+        assert f"match {role}: {c['segments']} segments, {c['pairs_within_max_dist']} pairs" in caplog.text
+    # a run that does not match records no matching counts
+    assert cli_main(["structure", "--config", str(DEMO / "config.json"), "--out", str(tmp_path / "s")]) == 0
+    assert "matching" not in json.loads((tmp_path / "s" / "run_info.json").read_text())
+
+
 def test_cli_structure_rejects_duplicate_feature_ids(tmp_path, capsys):
     doc = json.loads((DEMO / "candidate.geojson").read_text())
     doc["features"][1]["id"] = doc["features"][0]["id"]
