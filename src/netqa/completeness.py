@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError, ZeroVarianceError
 from .geometry import polyline_length
-from .hexgrid import HexGrid, assign_lengths
+from .hexgrid import EdgeCells, HexGrid, assign_lengths
 from .polygons import PolygonArea, clip_polyline_to_polygon
 
 log = logging.getLogger(__name__)
@@ -94,10 +94,10 @@ class DensitySurface:
     outside_m: float = 0.0
 
 
-def build_density_surface(dataset, grid: HexGrid, policy: LengthPolicy) -> DensitySurface:
-    cell_lengths, outside = assign_lengths(dataset.edges, grid, policy)
-    values = {cell: 1000.0 * length_m / grid.cell_area for cell, length_m in cell_lengths.items()}
-    return DensitySurface(dataset_name=dataset.name, grid=grid, values=values, outside_m=outside)
+def build_density_surface(dataset, cells: EdgeCells, policy: LengthPolicy) -> DensitySurface:
+    cell_lengths, outside = assign_lengths(dataset.edges, cells, policy)
+    values = {cell: 1000.0 * length_m / cells.grid.cell_area for cell, length_m in cell_lengths.items()}
+    return DensitySurface(dataset_name=dataset.name, grid=cells.grid, values=values, outside_m=outside)
 
 
 def density_difference(a: DensitySurface, b: DensitySurface) -> dict:

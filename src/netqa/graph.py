@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .geometry import Point2D, Polyline, point_to_polyline_distance, polyline_length
 from .spindex import GridIndex
 
@@ -52,10 +54,6 @@ class NetworkEdge:
     from_node: int | None = None
     to_node: int | None = None
     component_id: int | None = None
-
-    @property
-    def length_m(self) -> float:
-        return polyline_length(self.geometry)
 
 
 @dataclass
@@ -195,15 +193,11 @@ def connected_components(g: Graph, policy=None) -> list[ComponentStats]:
     given, raw geometric length otherwise. Ties in length keep component
     id order.
     """
-    stats = []
-    for cid in sorted(g.component_index):
-        eids = g.component_index[cid]
-        length = 0.0
-        for eid in eids:
-            edge = g.edges[eid]
-            factor = policy.factor_for(edge) if policy is not None else 1.0
-            length += polyline_length(edge.geometry) * factor
-        stats.append(ComponentStats(cid, len(eids), length))
+    edges = list(g.edges.values())
+    length = [polyline_length(e.geometry) * (policy.factor_for(e) if policy is not None else 1.0) for e in edges]
+    # component ids are dense; bincount adds each component's edges in edge order
+    totals = np.bincount([e.component_id for e in edges], length, minlength=len(g.component_index)).tolist()
+    stats = [ComponentStats(cid, len(g.component_index[cid]), totals[cid]) for cid in sorted(g.component_index)]
     stats.sort(key=lambda s: (-s.length_m, s.component_id))
     return stats
 
@@ -253,15 +247,12 @@ def component_zipf(g: Graph, policy=None) -> list[tuple[int, float]]:
     return [(rank, s.length_m) for rank, s in enumerate(connected_components(g, policy), start=1)]
 
 
-def local_component_count(g: Graph, grid) -> dict:
+def local_component_count(g: Graph, cells) -> dict:
     """Distinct components each grid cell intersects.
 
     Cells intersecting no edge are absent from the result, not zero.
     """
-    per_cell: dict[object, set[int]] = {}
-    for eid in g.edges:
-        edge = g.edges[eid]
-        for cell_id, length in grid.clip_polyline(edge.geometry).items():
-            if length > 0.0:
-                per_cell.setdefault(cell_id, set()).add(edge.component_id)
-    return {cell: len(comps) for cell, comps in sorted(per_cell.items())}
+    cells.check(g.edges)
+    component = [e.component_id for e in g.edges.values()]
+    distinct = {(c, component[e]) for c, e in zip(cells.cell.tolist(), cells.edge.tolist())}
+    return cells.grid.sum_by_cell([c for c, _ in distinct])

@@ -14,13 +14,15 @@ import logging
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GeometryError
 from .geometry import Point2D, Polyline, polyline_length
 from .polygons import PolygonArea, ring_intersects_polygon
 
 log = logging.getLogger(__name__)
 
-__all__ = ["HexCell", "HexGrid", "build_grid", "assign_lengths", "DEFAULT_CELL_AREA"]
+__all__ = ["HexCell", "HexGrid", "EdgeCells", "build_grid", "assign_lengths", "DEFAULT_CELL_AREA"]
 
 # Matches an average cell of roughly 0.74 km².
 DEFAULT_CELL_AREA = 740000.0
@@ -39,10 +41,6 @@ class HexCell:
     center: Point2D
     polygon: tuple[Point2D, ...]
 
-    @property
-    def cell_id(self) -> tuple[int, int]:
-        return (self.q, self.r)
-
 
 class HexGrid:
     """Flat-top hexagon lattice clipped to a study area.
@@ -58,7 +56,8 @@ class HexGrid:
         self.edge_len = edge_length_for_area(cell_area)
         self.apothem = self.edge_len * _SQRT3 / 2.0
         self.cells = cells
-        self._clips: dict[Polyline, dict[tuple[int, int], float]] = {}
+        self.cell_ids = sorted(cells)
+        self._position = {cell_id: i for i, cell_id in enumerate(self.cell_ids)}
 
     @property
     def signature(self) -> tuple:
@@ -81,13 +80,29 @@ class HexGrid:
 
     def cell_containing(self, pt: Point2D) -> tuple[int, int] | None:
         """Axial id of the retained cell containing a point, if any."""
-        s = self.edge_len
-        x = pt.x - self.origin.x
-        y = pt.y - self.origin.y
-        qf = (2.0 / 3.0) * x / s
-        rf = (-x / 3.0 + _SQRT3 / 3.0 * y) / s
-        q, r = _axial_round(qf, rf)
-        return (q, r) if (q, r) in self.cells else None
+        i = int(self.cells_at(np.array([pt.x]), np.array([pt.y]))[0])
+        return self.cell_ids[i] if i >= 0 else None
+
+    def cells_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Position in ``cell_ids`` of the retained cell holding each point, or -1
+        (cube rounding; ``np.rint`` rounds half to even, as ``round`` does)."""
+        x = x - self.origin.x
+        qf = (2.0 / 3.0) * x / self.edge_len
+        rf = (-x / 3.0 + _SQRT3 / 3.0 * (y - self.origin.y)) / self.edge_len
+        frac = np.stack([rf, -qf - rf, qf])
+        r, s, q = rounded = np.rint(frac)
+        # re-derive the coordinate rounded furthest; ties go to r, then s
+        worst = np.argmax(np.abs(rounded - frac), axis=0)
+        q = np.where(worst == 2, -r - s, q)
+        r = np.where(worst == 0, -q - s, r)
+        ids = zip(q.astype(np.int64).tolist(), r.astype(np.int64).tolist())
+        return np.array([self._position.get(cell_id, -1) for cell_id in ids], dtype=np.intp)
+
+    def sum_by_cell(self, cell: np.ndarray, weights: np.ndarray | None = None) -> dict:
+        """{cell id: sum of its rows' positive weights, or count}, ascending; adds in row order."""
+        sums = np.bincount(cell, weights, minlength=len(self.cell_ids))
+        touched = np.flatnonzero(sums).tolist()
+        return dict(zip([self.cell_ids[i] for i in touched], sums[touched].tolist()))
 
     def _candidate_cells(self, xmin, ymin, xmax, ymax):
         s = self.edge_len
@@ -106,16 +121,8 @@ class HexGrid:
 
         Exact parametric clipping of each straight piece against the
         hexagon's six half-planes. Only cells receiving positive length
-        appear in the result. Each distinct polyline is clipped once per
-        grid: the result is memoized and the same dict is returned to
-        every caller, so it must be treated as read-only.
+        appear in the result, in the order the pieces first meet them.
         """
-        out = self._clips.get(p)
-        if out is None:
-            out = self._clips[p] = self._clip(p)
-        return out
-
-    def _clip(self, p: Polyline) -> dict[tuple[int, int], float]:
         out: dict[tuple[int, int], float] = {}
         for a, b in zip(p.vertices, p.vertices[1:]):
             xmin, xmax = min(a.x, b.x), max(a.x, b.x)
@@ -127,26 +134,36 @@ class HexGrid:
                     out[(q, r)] = out.get((q, r), 0.0) + piece
         return out
 
+    def clip_edges(self, edges) -> EdgeCells:
+        """Clip each edge once, into the rows of an ``EdgeCells``."""
+        clips = [self.clip_polyline(e.geometry) for e in edges]
+        edge = np.repeat(np.arange(len(clips), dtype=np.intp), [len(clip) for clip in clips])
+        cell = np.array([self._position[c] for clip in clips for c in clip], dtype=np.intp)
+        length = np.array([v for clip in clips for v in clip.values()], dtype=float)
+        return EdgeCells(self, len(clips), edge, cell, length)
+
+
+@dataclass(frozen=True)
+class EdgeCells:
+    """Edges clipped against a grid. Row k: edge ``edge[k]`` has length ``length[k]`` > 0
+    in cell ``cell[k]`` (a position in ``grid.cell_ids``). Rows run in edge order, then in
+    the order the clip first meets each cell, so per-cell sums add as a loop over edges does."""
+
+    grid: HexGrid
+    n_edges: int
+    edge: np.ndarray
+    cell: np.ndarray
+    length: np.ndarray
+
+    def check(self, edges) -> None:
+        if len(edges) != self.n_edges:
+            raise ValueError(f"clip index was built from {self.n_edges} edges, not {len(edges)}")
+
 
 def edge_length_for_area(cell_area: float) -> float:
     if cell_area <= 0 or not math.isfinite(cell_area):
         raise GeometryError(f"cell_area must be positive and finite, got {cell_area}")
     return math.sqrt(2.0 * cell_area / (3.0 * _SQRT3))
-
-
-def _axial_round(qf: float, rf: float) -> tuple[int, int]:
-    # cube rounding: x + y + z == 0 with x=q, z=r
-    xf, zf = qf, rf
-    yf = -xf - zf
-    rx, ry, rz = round(xf), round(yf), round(zf)
-    dx, dy, dz = abs(rx - xf), abs(ry - yf), abs(rz - zf)
-    if dx > dy and dx > dz:
-        rx = -ry - rz
-    elif dy > dz:
-        ry = -rx - rz
-    else:
-        rz = -rx - ry
-    return int(rx), int(rz)
 
 
 def _clip_piece_to_hex(ax, ay, bx, by, cx, cy, apothem) -> float:
@@ -212,10 +229,10 @@ def build_grid(study_area, cell_area: float = DEFAULT_CELL_AREA) -> HexGrid:
     return HexGrid(origin, cell_area, cells)
 
 
-def assign_lengths(edges, grid: HexGrid, policy=None) -> tuple[dict[tuple[int, int], float], float]:
+def assign_lengths(edges, cells: EdgeCells, policy=None) -> tuple[dict[tuple[int, int], float], float]:
     """Attribute edge lengths to grid cells.
 
-    Each edge's geometry is clipped against the cells; contributions are
+    ``cells`` is the clip of ``edges`` against the grid; contributions are
     multiplied by the infrastructure-length policy factor when a policy is
     given. Length falling outside every retained cell lands in the
     returned outside bucket (with a warning), so the cell totals plus the
@@ -225,17 +242,14 @@ def assign_lengths(edges, grid: HexGrid, policy=None) -> tuple[dict[tuple[int, i
     -------
     (cell_totals, outside_m)
     """
-    totals: dict[tuple[int, int], float] = {}
+    cells.check(edges)
+    factors = [policy.factor_for(e) if policy is not None else 1.0 for e in edges]
+    covered = np.bincount(cells.edge, cells.length, minlength=len(factors)).tolist()
     outside = 0.0
-    for edge in edges:
-        factor = policy.factor_for(edge) if policy is not None else 1.0
-        contributions = grid.clip_polyline(edge.geometry)
-        covered = sum(contributions.values())
-        gap = polyline_length(edge.geometry) - covered
+    for edge, factor, covered_m in zip(edges, factors, covered):
+        gap = polyline_length(edge.geometry) - covered_m
         if gap > 0.0:
             outside += gap * factor
-        for cell_id, length in contributions.items():
-            totals[cell_id] = totals.get(cell_id, 0.0) + length * factor
     if outside > 1e-6:
         log.warning("%.3f m of infrastructure length falls outside the grid", outside)
-    return totals, outside
+    return cells.grid.sum_by_cell(cells.cell, cells.length * np.array(factors, dtype=float)[cells.edge]), outside

@@ -299,19 +299,14 @@ def match_summary(records: list[MatchRecord], grid) -> MatchSummary:
     Per-cell percentages weight by segment length among segments whose
     midpoint falls in the cell; cells without segments are absent.
     """
-    total_len = sum(r.segment.arc_length for r in records)
-    matched = [r for r in records if r.matched is not None]
-    matched_len = sum(r.segment.arc_length for r in matched)
-
-    cell_total: dict = {}
-    cell_matched: dict = {}
-    for r in records:
-        cell = grid.cell_containing(r.segment.midpoint) if grid is not None else None
-        if cell is None:
-            continue
-        cell_total[cell] = cell_total.get(cell, 0.0) + r.segment.arc_length
-        if r.matched is not None:
-            cell_matched[cell] = cell_matched.get(cell, 0.0) + r.segment.arc_length
+    length = np.array([r.segment.arc_length for r in records], dtype=float)
+    matched = np.array([r.matched is not None for r in records], dtype=bool)
+    total_len = sum(length.tolist())
+    matched_len = sum(length[matched].tolist())
+    at = grid.cells_at(*_midpoints(_endpoints([r.segment for r in records])))
+    inside = at >= 0
+    cell_total = grid.sum_by_cell(at[inside], length[inside])
+    cell_matched = grid.sum_by_cell(at[inside & matched], length[inside & matched])
     per_cell = {
         cell: min(100.0, 100.0 * cell_matched.get(cell, 0.0) / cell_total[cell])
         for cell in sorted(cell_total)
@@ -319,10 +314,10 @@ def match_summary(records: list[MatchRecord], grid) -> MatchSummary:
     pcts = list(per_cell.values())
     return MatchSummary(
         total_segments=len(records),
-        matched_segments=len(matched),
+        matched_segments=int(matched.sum()),
         total_length_m=total_len,
         matched_length_m=matched_len,
-        pct_matched_count=100.0 * len(matched) / len(records) if records else 0.0,
+        pct_matched_count=100.0 * int(matched.sum()) / len(records) if records else 0.0,
         pct_matched_length=100.0 * matched_len / total_len if total_len > 0 else 0.0,
         per_cell_pct=per_cell,
         local_min_pct=min(pcts) if pcts else None,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import shutil
 import tempfile
@@ -91,34 +92,42 @@ class RunConfig:
         ref_name, ref_path = dataset("reference")
         if "seed" not in doc:
             raise ConfigError("config is missing required key 'seed' (reproducibility)")
+        if not _is_int(doc["seed"]) or doc["seed"] < 0:
+            raise ConfigError(f"config key 'seed' must be an integer >= 0, got {doc['seed']!r}")
 
-        match_doc = doc.get("match", {})
+        match_doc = _object(doc.get("match", {}), "match")
+
+        def threshold(key, default):
+            return _number(match_doc.get(key, default), f"match.{key}", *_POSITIVE)
+
         match_cfg = matching.MatchConfig(
-            seg_len=float(match_doc.get("seg_len_m", 10.0)),
-            max_dist=float(match_doc.get("max_dist_m", 15.0)),
-            max_hausdorff=float(match_doc.get("max_hausdorff_m", 17.0)),
-            max_angle=float(match_doc.get("max_angle_deg", 30.0)),
+            seg_len=threshold("seg_len_m", 10.0),
+            max_dist=threshold("max_dist_m", 15.0),
+            max_hausdorff=threshold("max_hausdorff_m", 17.0),
+            max_angle=threshold("max_angle_deg", 30.0),
         )
 
         policy = completeness.LengthPolicy.default()
         if "length_policy" in doc:
             factors = {}
-            for key, factor in doc["length_policy"].items():
+            for key, factor in _object(doc["length_policy"], "length_policy").items():
                 parts = [p.strip() for p in key.split(",")]
                 if len(parts) != 2:
                     raise ConfigError(f"length_policy key {key!r} must be 'mapping_model,directionality'")
-                factors[(parts[0], parts[1])] = float(factor)
+                factors[(parts[0], parts[1])] = _number(factor, f"length_policy.{key}", *_AT_LEAST_ONE)
             policy = completeness.LengthPolicy(factors=factors)
 
         tag_specs = tags.DEFAULT_TAG_SPECS
         if "tags" in doc:
-            tag_specs = tuple(
-                tags.TagSpec(name=t["name"], keys=tuple(t["keys"])) for t in doc["tags"]
-            )
+            tag_specs = tuple(_tag_spec(entry, f"tags[{i}]") for i, entry in enumerate(_list(doc["tags"], "tags")))
+            names = [t.name for t in tag_specs]
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise ConfigError(f"config key 'tags' names a tag more than once: {', '.join(repeated)}")
 
-        weights_schemes = tuple(doc.get("weights", _DEFAULTS["weights"]))
-        for scheme in weights_schemes:
-            kind = scheme.get("scheme")
+        weights_schemes = tuple(_list(doc.get("weights", _DEFAULTS["weights"]), "weights"))
+        for i, scheme in enumerate(weights_schemes):
+            kind = _object(scheme, f"weights[{i}]").get("scheme")
             if kind == "knn":
                 if "k" not in scheme:
                     raise ConfigError("knn weights scheme needs 'k'")
@@ -137,11 +146,12 @@ class RunConfig:
         n_permutations = doc.get("n_permutations", _DEFAULTS["n_permutations"])
         if not _is_int(n_permutations) or n_permutations < 1:
             raise ConfigError(f"config key 'n_permutations' must be an integer >= 1, got {n_permutations!r}")
-        alpha = doc.get("alpha", _DEFAULTS["alpha"])
-        if not _is_number(alpha) or not 0.0 < alpha < 1.0:
-            raise ConfigError(f"config key 'alpha' must be a number in (0, 1), got {alpha!r}")
+        alpha = _number(doc.get("alpha", _DEFAULTS["alpha"]), "alpha", "a number in (0, 1)", lambda v: 0.0 < v < 1.0)
+        tags_use_raw_length = doc.get("tags_use_raw_length", False)
+        if not isinstance(tags_use_raw_length, bool):
+            raise ConfigError(f"config key 'tags_use_raw_length' must be true or false, got {tags_use_raw_length!r}")
 
-        grid_doc = doc.get("grid", {})
+        grid_doc = _object(doc.get("grid", {}), "grid")
         return cls(
             candidate_name=cand_name,
             candidate_path=cand_path,
@@ -150,19 +160,27 @@ class RunConfig:
             study_area_path=base / need("study_area"),
             rules_path=base / need("rules"),
             output_dir=Path(out_override) if out_override else base / doc.get("output_dir", "netqa-out"),
-            seed=int(doc["seed"]),
+            seed=doc["seed"],
             polygons_path=base / doc["polygons"] if "polygons" in doc else None,
             population_path=base / doc["population"] if "population" in doc else None,
-            cell_area_m2=float(grid_doc.get("cell_area_m2", _DEFAULTS["cell_area_m2"])),
-            snap_tolerance_m=float(doc.get("snap_tolerance_m", _DEFAULTS["snap_tolerance_m"])),
-            undershoot_threshold_m=float(doc.get("undershoot_threshold_m", _DEFAULTS["undershoot_threshold_m"])),
+            cell_area_m2=_number(
+                grid_doc.get("cell_area_m2", _DEFAULTS["cell_area_m2"]), "grid.cell_area_m2", *_POSITIVE
+            ),
+            snap_tolerance_m=_number(
+                doc.get("snap_tolerance_m", _DEFAULTS["snap_tolerance_m"]), "snap_tolerance_m", *_NONNEGATIVE
+            ),
+            undershoot_threshold_m=_number(
+                doc.get("undershoot_threshold_m", _DEFAULTS["undershoot_threshold_m"]),
+                "undershoot_threshold_m",
+                *_POSITIVE,
+            ),
             match_config=match_cfg,
             weights_schemes=weights_schemes,
             n_permutations=n_permutations,
-            alpha=float(alpha),
+            alpha=alpha,
             length_policy=policy,
             tag_specs=tag_specs,
-            tags_use_raw_length=bool(doc.get("tags_use_raw_length", False)),
+            tags_use_raw_length=tags_use_raw_length,
         )
 
     def input_paths(self):
@@ -185,8 +203,8 @@ class RunConfig:
         """Analysis configuration with defaults applied, echoed into reports.
 
         Execution details that cannot change results (output directory,
-        thread cap) are excluded here and recorded in run_info.json, so
-        reports stay byte-comparable across invocations.
+        stage timings, work sizes) are excluded here and recorded in
+        run_info.json, so reports stay byte-comparable across invocations.
         """
         return {
             "candidate": {"name": self.candidate_name, "path": str(self.candidate_path)},
@@ -223,6 +241,41 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_POSITIVE = ("a finite number > 0", lambda v: v > 0)
+_NONNEGATIVE = ("a finite number >= 0", lambda v: v >= 0)
+_AT_LEAST_ONE = ("a finite number >= 1", lambda v: v >= 1)
+
+
+def _number(value, key: str, rule: str, ok) -> float:
+    """``value`` as a float if it is a finite JSON number passing ``ok``."""
+    if not _is_number(value) or not math.isfinite(value) or not ok(value):
+        raise ConfigError(f"config key {key!r} must be {rule}, got {value!r}")
+    return float(value)
+
+
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must be an object, got {value!r}")
+    return value
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _tag_spec(entry, key: str) -> tags.TagSpec:
+    """A tag entry: a nonempty string ``name`` and a nonempty list of nonempty string ``keys``."""
+    entry = _object(entry, key)
+    name, keys = entry.get("name"), entry.get("keys")
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"config key '{key}.name' must be a nonempty string, got {name!r}")
+    if not isinstance(keys, list) or not keys or not all(isinstance(k, str) and k for k in keys):
+        raise ConfigError(f"config key '{key}.keys' must be a nonempty list of nonempty strings, got {keys!r}")
+    return tags.TagSpec(name=name, keys=tuple(keys))
 
 
 def _cell_key(cell_id) -> str:
@@ -297,6 +350,12 @@ class Pipeline:
 
         return self._run("grid", build)
 
+    def edge_cells(self, role: str) -> hexgrid.EdgeCells:
+        """One role's edges clipped once; graph edges are the same objects in order."""
+        if ("clip", role) not in self._cache:
+            self._cache[("clip", role)] = self.grid().clip_edges(self.datasets()[role].edges)
+        return self._cache[("clip", role)]
+
     def graphs(self):
         def build():
             return {
@@ -312,9 +371,8 @@ class Pipeline:
         def build():
             cfg = self.cfg
             datasets = self.datasets()
-            grid = self.grid()
             surfaces = {
-                role: completeness.build_density_surface(ds, grid, cfg.length_policy)
+                role: completeness.build_density_surface(ds, self.edge_cells(role), cfg.length_policy)
                 for role, ds in datasets.items()
             }
             diff = completeness.density_difference(surfaces["candidate"], surfaces["reference"])
@@ -334,7 +392,7 @@ class Pipeline:
                     }
                     for role, t in totals.items()
                 },
-                "grid_cells_total": len(grid.cells),
+                "grid_cells_total": len(self.grid().cells),
                 "cells_with_data": {
                     "candidate": len(cells_cand),
                     "reference": len(cells_ref),
@@ -397,7 +455,6 @@ class Pipeline:
         def build():
             cfg = self.cfg
             graphs = self.graphs()
-            grid = self.grid()
             result = {}
             for role in self.ROLES:
                 g = graphs[role]
@@ -405,7 +462,7 @@ class Pipeline:
                 dangling = graph.dangling_nodes(g)
                 undershoots = graph.detect_undershoots(g, cfg.undershoot_threshold_m)
                 zipf = graph.component_zipf(g, cfg.length_policy)
-                counts = graph.local_component_count(g, grid)
+                counts = graph.local_component_count(g, self.edge_cells(role))
                 total_m = sum(c.length_m for c in comps)
                 largest_m = comps[0].length_m if comps else 0.0
                 result[role] = {
@@ -529,11 +586,10 @@ class Pipeline:
         def build():
             cfg = self.cfg
             edges = self.datasets()["candidate"].edges
-            grid = self.grid()
             policy = None if cfg.tags_use_raw_length else cfg.length_policy
             shares = {}
             for spec in cfg.tag_specs:
-                share = tags.tag_share(edges, spec, grid, policy)
+                share = tags.tag_share(edges, spec, self.edge_cells("candidate"), policy)
                 shares[spec.name] = share
                 self.summary.setdefault("tags", {})[spec.name] = {
                     "keys": list(spec.keys),
@@ -730,6 +786,7 @@ class Pipeline:
             }
             if self.match_counts:
                 run_info["matching"] = {role: asdict(c) for role, c in self.match_counts.items()}
+            run_info["work"] = self._work()
             featureio.write_json(tmp_dir / "run_info.json", run_info)
             written.append("run_info.json")
             for name in written:
@@ -737,6 +794,19 @@ class Pipeline:
         finally:
             shutil.rmtree(tmp_dir, ignore_errors=True)
         return written
+
+    def _work(self) -> dict:
+        """Sizes of what the run computed: grid cells and, per role, edges,
+        clip index rows and, when matching ran, segments."""
+        work = {"grid_cells": len(self.grid().cells)}
+        for role, ds in self.datasets().items():
+            work[role] = {"edges": len(ds.edges)}
+            if ("clip", role) in self._cache:
+                work[role]["clips"] = len(self._cache[("clip", role)].edge)
+            if role in self.match_counts:
+                work[role]["segments"] = self.match_counts[role].segments
+        log.debug("work: %s", json.dumps(work, sort_keys=True))
+        return work
 
     def _cross_check(self, summary: dict) -> None:
         structure = summary.get("structure")

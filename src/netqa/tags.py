@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import polyline_length
-from .hexgrid import HexGrid
+from .hexgrid import EdgeCells
 
 __all__ = ["TagSpec", "TagShare", "DEFAULT_TAG_SPECS", "tag_presence", "tag_share"]
 
@@ -52,28 +54,26 @@ class TagShare:
     per_cell_pct: dict
 
 
-def tag_share(edges, spec: TagSpec, grid: HexGrid, policy=None) -> TagShare:
+def tag_share(edges, spec: TagSpec, cells: EdgeCells, policy=None) -> TagShare:
     """Percent of infrastructure length carrying the tag, global and per cell.
 
     Lengths are multiplier-adjusted when a policy is given, raw geometric
     otherwise. Cells without infrastructure are absent, not zero.
     """
+    cells.check(edges)
+    factors = [policy.factor_for(e) if policy is not None else 1.0 for e in edges]
+    tagged = [tag_presence(e, spec) for e in edges]
     total_global = 0.0
     tagged_global = 0.0
-    cell_total: dict = {}
-    cell_tagged: dict = {}
-    for edge in edges:
-        factor = policy.factor_for(edge) if policy is not None else 1.0
-        present = tag_presence(edge, spec)
+    for edge, factor, present in zip(edges, factors, tagged):
         length = polyline_length(edge.geometry) * factor
         total_global += length
         if present:
             tagged_global += length
-        for cell, clipped in grid.clip_polyline(edge.geometry).items():
-            contribution = clipped * factor
-            cell_total[cell] = cell_total.get(cell, 0.0) + contribution
-            if present:
-                cell_tagged[cell] = cell_tagged.get(cell, 0.0) + contribution
+    contribution = cells.length * np.array(factors, dtype=float)[cells.edge]
+    rows = np.array(tagged, dtype=bool)[cells.edge]
+    cell_total = cells.grid.sum_by_cell(cells.cell, contribution)
+    cell_tagged = cells.grid.sum_by_cell(cells.cell[rows], contribution[rows])
     # tagged and total accumulate the same clip contributions in different
     # orders; clamp away the resulting last-ulp overshoot
     per_cell = {

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
-from netqa.geometry import Point2D, Polyline, hausdorff_distance, segment_angle_deg
-from netqa.graph import NetworkEdge
+from netqa.geometry import Point2D, Polyline, hausdorff_distance, polyline_length, segment_angle_deg
+from netqa.graph import ComponentStats, NetworkEdge
+from netqa.hexgrid import _SQRT3
 from netqa.ingest import Dataset
+from netqa.matching import MatchSummary
 from netqa.polygons import _PARAM_EPS, PolygonArea, _crossing_param, _segments_cross, point_in_rings
+from netqa.tags import TagShare, tag_presence
 
 
 def make_edge(
@@ -153,6 +158,132 @@ def reference_match(src, dst, cfg):
                 best_key, best = key, (d.segment_id, md, h, ang)
         records.append((s.segment_id, *best))
     return records, (within, rejected_h, rejected_a, within - rejected_h - rejected_a)
+
+
+# The accumulation loops that the clip index, ``HexGrid.sum_by_cell`` and
+# ``np.bincount`` replaced, kept to hold the array code to their results bit
+# for bit. Each clips through the unmemoized ``HexGrid.clip_polyline``.
+# Where a loop summed a clip with ``sum()``, the sequential
+# ``reduce(add, ...)`` stands in: it is what ``sum()`` of floats did up to
+# Python 3.11, while 3.12 compensates.
+
+
+def reference_cell_containing(grid, pt):
+    """``HexGrid.cell_containing`` by scalar cube rounding."""
+    s = grid.edge_len
+    x = pt.x - grid.origin.x
+    y = pt.y - grid.origin.y
+    xf = (2.0 / 3.0) * x / s
+    zf = (-x / 3.0 + _SQRT3 / 3.0 * y) / s
+    yf = -xf - zf
+    rx, ry, rz = round(xf), round(yf), round(zf)
+    dx, dy, dz = abs(rx - xf), abs(ry - yf), abs(rz - zf)
+    if dx > dy and dx > dz:
+        rx = -ry - rz
+    elif dy > dz:
+        ry = -rx - rz
+    else:
+        rz = -rx - ry
+    return (rx, rz) if (rx, rz) in grid.cells else None
+
+
+def reference_assign_lengths(edges, grid, policy=None):
+    totals = {}
+    outside = 0.0
+    for edge in edges:
+        factor = policy.factor_for(edge) if policy is not None else 1.0
+        contributions = grid.clip_polyline(edge.geometry)
+        covered = reduce(add, contributions.values(), 0.0)
+        gap = polyline_length(edge.geometry) - covered
+        if gap > 0.0:
+            outside += gap * factor
+        for cell_id, length in contributions.items():
+            totals[cell_id] = totals.get(cell_id, 0.0) + length * factor
+    return totals, outside
+
+
+def reference_tag_share(edges, spec, grid, policy=None):
+    total_global = 0.0
+    tagged_global = 0.0
+    cell_total = {}
+    cell_tagged = {}
+    for edge in edges:
+        factor = policy.factor_for(edge) if policy is not None else 1.0
+        present = tag_presence(edge, spec)
+        length = polyline_length(edge.geometry) * factor
+        total_global += length
+        if present:
+            tagged_global += length
+        for cell, clipped in grid.clip_polyline(edge.geometry).items():
+            contribution = clipped * factor
+            cell_total[cell] = cell_total.get(cell, 0.0) + contribution
+            if present:
+                cell_tagged[cell] = cell_tagged.get(cell, 0.0) + contribution
+    per_cell = {
+        cell: min(100.0, max(0.0, 100.0 * cell_tagged.get(cell, 0.0) / cell_total[cell]))
+        for cell in sorted(cell_total)
+    }
+    return TagShare(
+        tag_name=spec.name,
+        global_pct=min(100.0, 100.0 * tagged_global / total_global) if total_global > 0 else None,
+        per_cell_pct=per_cell,
+    )
+
+
+def reference_local_component_count(g, grid):
+    per_cell = {}
+    for eid in g.edges:
+        edge = g.edges[eid]
+        for cell_id, length in grid.clip_polyline(edge.geometry).items():
+            if length > 0.0:
+                per_cell.setdefault(cell_id, set()).add(edge.component_id)
+    return {cell: len(comps) for cell, comps in sorted(per_cell.items())}
+
+
+def reference_connected_components(g, policy=None):
+    stats = []
+    for cid in sorted(g.component_index):
+        eids = g.component_index[cid]
+        length = 0.0
+        for eid in eids:
+            edge = g.edges[eid]
+            factor = policy.factor_for(edge) if policy is not None else 1.0
+            length += polyline_length(edge.geometry) * factor
+        stats.append(ComponentStats(cid, len(eids), length))
+    stats.sort(key=lambda s: (-s.length_m, s.component_id))
+    return stats
+
+
+def reference_match_summary(records, grid):
+    total_len = sum(r.segment.arc_length for r in records)
+    matched = [r for r in records if r.matched is not None]
+    matched_len = sum(r.segment.arc_length for r in matched)
+    cell_total = {}
+    cell_matched = {}
+    for r in records:
+        cell = reference_cell_containing(grid, r.segment.midpoint)
+        if cell is None:
+            continue
+        cell_total[cell] = cell_total.get(cell, 0.0) + r.segment.arc_length
+        if r.matched is not None:
+            cell_matched[cell] = cell_matched.get(cell, 0.0) + r.segment.arc_length
+    per_cell = {
+        cell: min(100.0, 100.0 * cell_matched.get(cell, 0.0) / cell_total[cell])
+        for cell in sorted(cell_total)
+    }
+    pcts = list(per_cell.values())
+    return MatchSummary(
+        total_segments=len(records),
+        matched_segments=len(matched),
+        total_length_m=total_len,
+        matched_length_m=matched_len,
+        pct_matched_count=100.0 * len(matched) / len(records) if records else 0.0,
+        pct_matched_length=100.0 * matched_len / total_len if total_len > 0 else 0.0,
+        per_cell_pct=per_cell,
+        local_min_pct=min(pcts) if pcts else None,
+        local_max_pct=max(pcts) if pcts else None,
+        local_avg_pct=sum(pcts) / len(pcts) if pcts else None,
+    )
 
 
 def random_polyline(rng: np.random.Generator, n_vertices: int, scale=100.0) -> Polyline:

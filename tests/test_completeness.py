@@ -127,7 +127,7 @@ def test_density_surface_units(small_grid):
     cell = small_grid.cells[(2, 2)]
     edge = make_edge("e", [(cell.center.x - 200, cell.center.y), (cell.center.x + 200, cell.center.y)])
     ds = Dataset(name="d", edges=[edge])
-    surface = build_density_surface(ds, small_grid, LengthPolicy.default())
+    surface = build_density_surface(ds, small_grid.clip_edges(ds.edges), LengthPolicy.default())
     assert surface.values[(2, 2)] == pytest.approx(0.8)
     # cells without data are absent, not zero
     assert (0, 0) not in surface.values

@@ -291,11 +291,11 @@ def test_local_component_count():
         ("d", [(100, 500), (200, 500)]),
     ]
     g = graph_of(specs)
-    counts = local_component_count(g, grid)
+    counts = local_component_count(g, grid.clip_edges(g.edges.values()))
     assert max(counts.values()) == 3
     # same-component edges a+b count once wherever they fall together
     only_ab = graph_of(specs[:2])
-    counts_ab = local_component_count(only_ab, grid)
+    counts_ab = local_component_count(only_ab, grid.clip_edges(only_ab.edges.values()))
     assert set(counts_ab.values()) == {1}
 
 
@@ -304,7 +304,7 @@ def test_local_component_count_extreme():
     grid = build_grid(study, cell_area=1000000.0)
     specs = [(f"stub{i}", [(50 + i * 10, 100), (50 + i * 10, 160)]) for i in range(21)]
     g = graph_of(specs)
-    counts = local_component_count(g, grid)
+    counts = local_component_count(g, grid.clip_edges(g.edges.values()))
     assert max(counts.values()) == 21
 
 
@@ -312,6 +312,6 @@ def test_cells_without_edges_absent():
     study = rect_polygon(0, 0, 5000, 5000)
     grid = build_grid(study, cell_area=740000.0)
     g = graph_of([("a", [(100, 100), (200, 100)])])
-    counts = local_component_count(g, grid)
+    counts = local_component_count(g, grid.clip_edges(g.edges.values()))
     assert all(v >= 1 for v in counts.values())
     assert len(counts) < len(grid.cells)

@@ -162,7 +162,7 @@ def test_clip_matches_discretization_oracle(rng):
         if (x2, y2) == (x, y):
             continue
         edges.append(make_edge(f"e{i}", [(float(x), float(y)), (x2, y2)]))
-    exact, outside = assign_lengths(edges, grid)
+    exact, outside = assign_lengths(edges, grid.clip_edges(edges))
     oracle = _discretization_oracle(edges, grid)
     assert outside < 1e-6
     for cell in oracle:
@@ -181,7 +181,7 @@ def test_conservation(rng):
         if (x2, y2) == (x, y):
             continue
         edges.append(make_edge(f"e{i}", [(float(x), float(y)), (x2, y2)]))
-    totals, outside = assign_lengths(edges, grid)
+    totals, outside = assign_lengths(edges, grid.clip_edges(edges))
     total_in = sum(totals.values()) + outside
     total_edges = sum(polyline_length(e.geometry) for e in edges)
     assert total_in == pytest.approx(total_edges, rel=1e-3)
@@ -194,7 +194,9 @@ def test_assign_lengths_multiplier_and_outside(caplog):
     import logging
 
     with caplog.at_level(logging.WARNING):
-        totals, outside = assign_lengths([inside, far_away], grid, policy=_default_policy())
+        totals, outside = assign_lengths(
+            [inside, far_away], grid.clip_edges([inside, far_away]), policy=_default_policy()
+        )
     assert sum(totals.values()) == pytest.approx(200.0)  # 100 m * factor 2
     assert outside == pytest.approx(100.0)
     assert "outside" in caplog.text

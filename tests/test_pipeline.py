@@ -77,6 +77,49 @@ def test_config_rejects_bad_autocorrelation_settings(tmp_path, overrides, key):
         RunConfig.from_file(demo_config(tmp_path, **overrides))
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"tags": [{"name": "surface", "keys": []}]}, "'tags[0].keys'"),
+        ({"tags": [{"keys": ["surface"]}]}, "'tags[0].name'"),
+        ({"tags": [{"name": "surface", "keys": "surface"}]}, "'tags[0].keys'"),
+        ({"tags": [{"name": "s", "keys": ["surface"]}, {"name": "s", "keys": ["lit"]}]}, "'tags'"),
+        ({"length_policy": {"centerline,bidirectional": "two"}}, "'length_policy.centerline,bidirectional'"),
+        ({"match": {"seg_len_m": "ten"}}, "'match.seg_len_m'"),
+        ({"match": {"max_dist_m": float("nan")}}, "'match.max_dist_m'"),
+        ({"match": {"max_angle_deg": float("inf")}}, "'match.max_angle_deg'"),
+        ({"grid": {"cell_area_m2": "large"}}, "'grid.cell_area_m2'"),
+        ({"weights": ["knn"]}, "'weights[0]'"),
+        ({"seed": "abc"}, "'seed'"),
+        ({"snap_tolerance_m": -0.5}, "'snap_tolerance_m'"),
+        ({"undershoot_threshold_m": 0.0}, "'undershoot_threshold_m'"),
+        ({"undershoot_threshold_m": -3.0}, "'undershoot_threshold_m'"),
+    ],
+    ids=[
+        "tag_keys_empty",
+        "tag_without_name",
+        "tag_keys_string",
+        "tag_name_repeated",
+        "policy_factor_text",
+        "seg_len_text",
+        "max_dist_nan",
+        "max_angle_inf",
+        "cell_area_text",
+        "weights_entry_not_object",
+        "seed_text",
+        "snap_negative",
+        "undershoot_zero",
+        "undershoot_negative",
+    ],
+)
+def test_config_errors_fail_at_load_naming_the_key(tmp_path, capsys, overrides, key):
+    # each of these used to give a traceback, a silently wrong result, or
+    # an error only inside a stage
+    assert cli_main(["validate", "--config", str(demo_config(tmp_path, **overrides))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key") and key in err
+
+
 def test_missing_input_reported(tmp_path):
     cfg_path = demo_config(tmp_path, candidate={"name": "x", "path": "nope.geojson"})
     cfg = RunConfig.from_file(cfg_path)
@@ -330,6 +373,30 @@ def test_run_info_records_matching_counts_outside_compared_outputs(tmp_path, cap
     # a run that does not match records no matching counts
     assert cli_main(["structure", "--config", str(DEMO / "config.json"), "--out", str(tmp_path / "s")]) == 0
     assert "matching" not in json.loads((tmp_path / "s" / "run_info.json").read_text())
+
+
+def test_run_info_records_work_and_a_tags_run_clips_only_the_candidate(tmp_path, caplog):
+    base = ["--config", str(DEMO / "config.json"), "--out"]
+    with caplog.at_level(logging.DEBUG, logger="netqa.pipeline"):
+        assert cli_main(["-v", "full"] + base + [str(tmp_path / "full")]) == 0
+    outputs = read_outputs(tmp_path / "full")
+    assert not any(b'"clips"' in data or b'"work"' in data for data in outputs.values())
+    summary = json.loads(outputs["summary.json"])
+    work = json.loads((tmp_path / "full" / "run_info.json").read_text())["work"]
+    assert f"work: {json.dumps(work, sort_keys=True)}" in caplog.text
+    pipe = Pipeline(RunConfig.from_file(DEMO / "config.json"))
+    grid = pipe.grid()
+    assert work["grid_cells"] == summary["density"]["grid_cells_total"] == len(grid.cells)
+    for role, ds in pipe.datasets().items():
+        assert work[role] == {
+            "edges": summary["density"]["totals"][role]["edge_count"],
+            "clips": sum(len(grid.clip_polyline(e.geometry)) for e in ds.edges),
+            "segments": summary["matching"][role]["segments"],
+        }
+    assert cli_main(["tags"] + base + [str(tmp_path / "tags")]) == 0
+    work = json.loads((tmp_path / "tags" / "run_info.json").read_text())["work"]
+    assert "clips" in work["candidate"] and "clips" not in work["reference"]
+    assert "segments" not in work["candidate"]
 
 
 def test_cli_structure_rejects_duplicate_feature_ids(tmp_path, capsys):
