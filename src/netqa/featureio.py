@@ -4,6 +4,13 @@ Every writer produces byte-identical files for identical inputs: keys are
 sorted, floats rounded at fixed precision, newlines fixed to \\n. Nothing
 time-dependent belongs in these files; run metadata with timestamps goes
 in its own file excluded from golden comparisons.
+
+JSON is written compact (no indentation, ``,`` and ``:`` separators), so
+the C encoder of the standard library does the work. A feature collection
+is streamed from any iterable of features: the ``{"features":[`` header
+line, one feature per line (the line layout of RFC 8142 GeoJSON text
+sequences, inside one RFC 7946 ``FeatureCollection``), then the footer
+line, so a layer is never held in memory whole.
 """
 
 from __future__ import annotations
@@ -60,20 +67,34 @@ def polygon_feature(rings, properties) -> dict:
     return {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": coords}, "properties": properties}
 
 
+# compact separators and no indent: ``encode`` runs the C encoder
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _open(path):
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_feature_collection(path, features) -> None:
-    write_json(path, {"type": "FeatureCollection", "features": features})
+    """Stream ``features`` (any iterable, consumed once) as a FeatureCollection."""
+    encode = _ENCODER.encode
+    with _open(path) as fh:
+        fh.write('{"features":[')
+        sep = "\n"
+        for feature in features:
+            fh.write(sep + encode(feature))
+            sep = ",\n"
+        fh.write('\n],"type":"FeatureCollection"}\n')
 
 
 def write_json(path, obj) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    with _open(path) as fh:
+        fh.write(_ENCODER.encode(obj) + "\n")
 
 
 def write_csv(path, header, rows) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")

@@ -242,9 +242,9 @@ def detect_undershoots(g: Graph, threshold: float = DEFAULT_UNDERSHOOT_THRESHOLD
     return out
 
 
-def component_zipf(g: Graph, policy=None) -> list[tuple[int, float]]:
-    """Component lengths ranked descending, 1-based, for log-log plotting."""
-    return [(rank, s.length_m) for rank, s in enumerate(connected_components(g, policy), start=1)]
+def component_zipf(components: list[ComponentStats]) -> list[tuple[int, float]]:
+    """``connected_components`` lengths ranked descending, 1-based, for log-log plotting."""
+    return [(rank, s.length_m) for rank, s in enumerate(components, start=1)]
 
 
 def local_component_count(g: Graph, cells) -> dict:

@@ -2,13 +2,16 @@
 
 Stages run in dependency order (ingest, graph, grid, density, structure,
 matching, tags, autocorrelation); each subcommand executes only its stage
-plus prerequisites. All output payloads are assembled in memory and
-written together at the end, into a temporary directory beside the output
-directory; the files are moved into place only once all of them are
-written, so neither a failing stage nor a failed write leaves partial
+plus prerequisites. A stage registers each output layer as a producer: a
+zero-argument callable returning an iterable of features, built from the
+stage's results. All files are written together at the end (the ``write``
+stage), each layer streamed from its producer while its file is written,
+so no layer is held in memory whole. They go into a temporary directory
+beside the output directory and are moved into place only once all of them
+are written, so neither a failing stage nor a failed write leaves partial
 files behind or destroys a previous run's results. Output files carry no
-timestamps; run metadata lives in a separate file excluded from golden
-comparisons.
+timestamps; run metadata (stage timings including ``write``, peak RSS,
+work sizes) lives in ``run_info.json``, excluded from golden comparisons.
 """
 
 from __future__ import annotations
@@ -18,14 +21,21 @@ import logging
 import math
 import os
 import shutil
+import sys
 import tempfile
 import time
 from dataclasses import asdict, astuple, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import completeness, featureio, graph, hexgrid, ingest, matching, spatial, tags
 from .errors import ConfigError, NetqaError, PipelineError, WeightsError, ZeroVarianceError
 from .featureio import round_metric as _r
+
+try:
+    import resource
+except ImportError:  # no getrusage on Windows; run_info.json then records null
+    resource = None
 
 __all__ = ["RunConfig", "Pipeline", "run_pipeline", "STAGES"]
 
@@ -287,6 +297,93 @@ def _parse_cell_key(text: str):
     return (int(q), int(r))
 
 
+# ---------------- output layers ----------------
+# Generators over a stage's results, bound with functools.partial into the
+# producers that Pipeline.outputs holds; each runs while its file is written.
+# partial binds its arguments at once: a closure over the stages' loop
+# variables (role, scheme, metric) would give every layer the last value.
+
+
+def _undershoot_features(g, undershoots):
+    for u in undershoots:
+        at = g.nodes[u.node_id].location
+        yield featureio.point_feature(
+            at.x, at.y, {"node_id": u.node_id, "nearest_edge_id": u.nearest_edge_id, "gap_m": _r(u.gap_distance)}
+        )
+
+
+def _component_features(g):
+    for e in g.edges.values():
+        yield featureio.line_feature(
+            featureio.polyline_coords(e.geometry),
+            {"edge_id": e.id, "component_id": e.component_id, "infra_category": e.infra_category},
+            feature_id=e.id,
+        )
+
+
+def _segment_features(records):
+    for r in records:
+        s, m = r.segment, r.matched
+        yield featureio.line_feature(
+            [[round(s.start.x, 6), round(s.start.y, 6)], [round(s.end.x, 6), round(s.end.y, 6)]],
+            {
+                "edge_id": s.parent_edge_id,
+                "segment_index": s.index,
+                "length_m": _r(s.arc_length),
+                "matched": m is not None,
+                "matched_edge_id": m.parent_edge_id if m else None,
+                "matched_segment_index": m.index if m else None,
+                "midpoint_dist_m": _r(r.midpoint_dist),
+                "hausdorff_m": _r(r.hausdorff),
+                "angle_deg": _r(r.angle),
+            },
+        )
+
+
+def _lisa_features(grid, lisa):
+    for cell in lisa.local_i:
+        yield featureio.polygon_feature(
+            [grid.cells[cell].polygon],
+            {
+                "cell_id": _cell_key(cell),
+                "local_i": _r(lisa.local_i[cell], 12),
+                "quadrant": lisa.quadrant[cell],
+                "pseudo_p": _r(lisa.pseudo_p[cell], 6),
+                "significant": lisa.significant[cell],
+            },
+        )
+
+
+def _grid_features(grid, grid_fields):
+    names = sorted(grid_fields)
+    for cell_id in sorted(grid.cells):
+        props = {"cell_id": _cell_key(cell_id), "q": cell_id[0], "r": cell_id[1]}
+        for name in names:
+            value = grid_fields[name].get(cell_id)
+            props[name] = _r(value, 9) if value is not None else None
+        yield featureio.polygon_feature([grid.cells[cell_id].polygon], props)
+
+
+def _write_file(path, kind: str, payload) -> None:
+    if kind == "fc":
+        featureio.write_feature_collection(path, payload())
+    elif kind == "csv":
+        featureio.write_csv(path, *payload)
+    elif kind == "json":
+        featureio.write_json(path, payload)
+    else:  # "text": a callable returning the file's text
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(payload())
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far, in MB (10**6 bytes)."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+    return round(peak * (1 if sys.platform == "darwin" else 1024) / 1e6, 3)
+
+
 class Pipeline:
     """Caches stage results so subcommands share prerequisites."""
 
@@ -297,6 +394,7 @@ class Pipeline:
         self._cache = {}
         self.grid_fields: dict[str, dict] = {}  # field name -> {cell_id: value}
         self.summary: dict = {"configuration": cfg.resolved()}
+        # file name -> ("fc", feature producer) or ("csv", (header, rows))
         self.outputs: dict[str, tuple] = {}
         # wall seconds of each stage's first computation, including any
         # prerequisite it computed first; recorded in run_info.json
@@ -461,7 +559,7 @@ class Pipeline:
                 comps = graph.connected_components(g, cfg.length_policy)
                 dangling = graph.dangling_nodes(g)
                 undershoots = graph.detect_undershoots(g, cfg.undershoot_threshold_m)
-                zipf = graph.component_zipf(g, cfg.length_policy)
+                zipf = graph.component_zipf(comps)
                 counts = graph.local_component_count(g, self.edge_cells(role))
                 total_m = sum(c.length_m for c in comps)
                 largest_m = comps[0].length_m if comps else 0.0
@@ -481,38 +579,8 @@ class Pipeline:
                     "largest_component_share_pct": _r(100.0 * largest_m / total_m if total_m else 0.0, 6),
                 }
                 self._add_grid_field(f"component_count_{role}", counts)
-
-                g_obj = graphs[role]
-                self.outputs[f"undershoots_{role}.geojson"] = (
-                    "fc",
-                    [
-                        featureio.point_feature(
-                            g_obj.nodes[u.node_id].location.x,
-                            g_obj.nodes[u.node_id].location.y,
-                            {
-                                "node_id": u.node_id,
-                                "nearest_edge_id": u.nearest_edge_id,
-                                "gap_m": _r(u.gap_distance),
-                            },
-                        )
-                        for u in undershoots
-                    ],
-                )
-                self.outputs[f"components_{role}.geojson"] = (
-                    "fc",
-                    [
-                        featureio.line_feature(
-                            featureio.polyline_coords(e.geometry),
-                            {
-                                "edge_id": e.id,
-                                "component_id": e.component_id,
-                                "infra_category": e.infra_category,
-                            },
-                            feature_id=e.id,
-                        )
-                        for e in g_obj.edges.values()
-                    ],
-                )
+                self.outputs[f"undershoots_{role}.geojson"] = ("fc", partial(_undershoot_features, g, undershoots))
+                self.outputs[f"components_{role}.geojson"] = ("fc", partial(_component_features, g))
                 self.outputs[f"zipf_{role}.csv"] = (
                     "csv",
                     (
@@ -555,29 +623,7 @@ class Pipeline:
                     "local_avg_pct": _r(summ.local_avg_pct, 6),
                 }
                 self._add_grid_field(f"pct_matched_{role}", summ.per_cell_pct)
-                self.outputs[f"segments_{role}.geojson"] = (
-                    "fc",
-                    [
-                        featureio.line_feature(
-                            [
-                                [round(r.segment.start.x, 6), round(r.segment.start.y, 6)],
-                                [round(r.segment.end.x, 6), round(r.segment.end.y, 6)],
-                            ],
-                            {
-                                "edge_id": r.segment.parent_edge_id,
-                                "segment_index": r.segment.index,
-                                "length_m": _r(r.segment.arc_length),
-                                "matched": r.matched is not None,
-                                "matched_edge_id": r.matched.parent_edge_id if r.matched else None,
-                                "matched_segment_index": r.matched.index if r.matched else None,
-                                "midpoint_dist_m": _r(r.midpoint_dist),
-                                "hausdorff_m": _r(r.hausdorff),
-                                "angle_deg": _r(r.angle),
-                            },
-                        )
-                        for r in records
-                    ],
-                )
+                self.outputs[f"segments_{role}.geojson"] = ("fc", partial(_segment_features, records))
             return result
 
         return self._run("match", build)
@@ -646,22 +692,7 @@ class Pipeline:
                         "n_permutations": moran.n_permutations,
                         "significant_cells": sum(1 for v in lisa.significant.values() if v),
                     }
-                    self.outputs[f"lisa_{w.scheme}_{metric}.geojson"] = (
-                        "fc",
-                        [
-                            featureio.polygon_feature(
-                                [grid.cells[cell].polygon],
-                                {
-                                    "cell_id": _cell_key(cell),
-                                    "local_i": _r(lisa.local_i[cell], 12),
-                                    "quadrant": lisa.quadrant[cell],
-                                    "pseudo_p": _r(lisa.pseudo_p[cell], 6),
-                                    "significant": lisa.significant[cell],
-                                },
-                            )
-                            for cell in lisa.local_i
-                        ],
-                    )
+                    self.outputs[f"lisa_{w.scheme}_{metric}.geojson"] = ("fc", partial(_lisa_features, grid, lisa))
             if cfg.population_path is not None:
                 self._population_correlations()
             return results
@@ -694,19 +725,6 @@ class Pipeline:
         self.summary["population_correlation"] = out
 
     # ---------------- assembly ----------------
-
-    def _grid_layer(self):
-        grid = self.grid()
-        fields = sorted(self.grid_fields)
-        features = []
-        for cell_id in sorted(grid.cells):
-            cell = grid.cells[cell_id]
-            props = {"cell_id": _cell_key(cell_id), "q": cell_id[0], "r": cell_id[1]}
-            for name in fields:
-                value = self.grid_fields[name].get(cell_id)
-                props[name] = _r(value, 9) if value is not None else None
-            features.append(featureio.polygon_feature([cell.polygon], props))
-        return features
 
     def run_stage(self, stage: str):
         if stage == "validate":
@@ -750,39 +768,44 @@ class Pipeline:
         return report
 
     def write_outputs(self) -> list[str]:
+        """Build and write every file, then run_info.json; returns the names written.
+
+        Building and writing the files before run_info.json is the ``write``
+        stage: a failure there raises ``PipelineError("write", ...)`` naming
+        the file, and the previous run's outputs stay in place.
+        """
         out_dir = Path(self.cfg.output_dir)
-        grid_features = self._grid_layer() if self.grid_fields else None
         summary_json = dict(self.summary)
         self._cross_check(summary_json)
+        files = []
+        if self.grid_fields:
+            files.append(("grid_metrics.geojson", "fc", partial(_grid_features, self.grid(), self.grid_fields)))
+        files += [(name, *self.outputs[name]) for name in sorted(self.outputs)]
+        files.append(("summary.json", "json", summary_json))
+        files.append(("summary.txt", "text", partial(render_text_summary, summary_json)))
 
         out_dir.mkdir(parents=True, exist_ok=True)
         tmp_dir = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
         written: list[str] = []
         try:
-            if grid_features is not None:
-                featureio.write_feature_collection(tmp_dir / "grid_metrics.geojson", grid_features)
-                written.append("grid_metrics.geojson")
-            for name in sorted(self.outputs):
-                kind, payload = self.outputs[name]
-                if kind == "fc":
-                    featureio.write_feature_collection(tmp_dir / name, payload)
-                elif kind == "csv":
-                    header, rows = payload
-                    featureio.write_csv(tmp_dir / name, header, rows)
-                else:
-                    featureio.write_json(tmp_dir / name, payload)
+            start = time.perf_counter()
+            for name, kind, payload in files:
+                try:
+                    _write_file(tmp_dir / name, kind, payload)
+                except Exception as exc:
+                    raise PipelineError("write", f"{name}: {exc!r}") from exc
                 written.append(name)
-            featureio.write_json(tmp_dir / "summary.json", summary_json)
-            written.append("summary.json")
-            with open(tmp_dir / "summary.txt", "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(render_text_summary(summary_json))
-            written.append("summary.txt")
+            self.stage_seconds["write"] = time.perf_counter() - start
+            peak_rss_mb = _peak_rss_mb()
+            log.debug("stage write: %.3f s", self.stage_seconds["write"])
+            log.debug("peak RSS: %s MB", peak_rss_mb)
             run_info = {
                 "finished_unix": int(time.time()),
                 "tool": "netqa",
                 "version": "0.1.0",
                 "output_dir": str(out_dir),
                 "stage_seconds": {stage: round(sec, 6) for stage, sec in self.stage_seconds.items()},
+                "peak_rss_mb": peak_rss_mb,
             }
             if self.match_counts:
                 run_info["matching"] = {role: asdict(c) for role, c in self.match_counts.items()}

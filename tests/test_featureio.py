@@ -1,0 +1,65 @@
+import json
+
+from netqa import featureio
+from netqa.geometry import Point2D
+
+HEADER = '{"features":['
+FOOTER = '],"type":"FeatureCollection"}'
+
+
+def sample_features():
+    square = [Point2D(0.0, 0.0), Point2D(1.0, 0.0), Point2D(1.0, 1.0)]
+    return [
+        featureio.point_feature(1.23456789, -2.0, {"node_id": 3, "gap_m": 0.5, "note": None}),
+        featureio.line_feature([[0.0, 0.0], [10.0, 0.0]], {"name": "Straße\n2", "matched": True}, feature_id="e1"),
+        featureio.polygon_feature([square], {"cell_id": "0,-1", "values": [1, 2.5, None]}),
+    ]
+
+
+def lines_of(path):
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    return text[:-1].split("\n")
+
+
+def test_generator_input_writes_every_feature(tmp_path):
+    features = sample_features()
+    path = tmp_path / "layer.geojson"
+    featureio.write_feature_collection(path, (f for f in features))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc == {"type": "FeatureCollection", "features": features}
+
+
+def test_empty_collection(tmp_path):
+    path = tmp_path / "sub" / "empty.geojson"
+    featureio.write_feature_collection(path, iter(()))
+    assert json.loads(path.read_text(encoding="utf-8")) == {"type": "FeatureCollection", "features": []}
+    assert lines_of(path) == [HEADER, FOOTER]
+
+
+def test_one_compact_sorted_feature_per_line(tmp_path):
+    features = sample_features()
+    path = tmp_path / "layer.geojson"
+    featureio.write_feature_collection(path, features)
+    lines = lines_of(path)
+    assert lines[0] == HEADER and lines[-1] == FOOTER
+    assert len(lines) == len(features) + 2
+    for i, (line, feature) in enumerate(zip(lines[1:-1], features)):
+        body = line[:-1] if i < len(features) - 1 else line
+        parsed = json.loads(body)
+        assert parsed["type"] == "Feature"
+        assert parsed == feature
+        assert body == json.dumps(feature, sort_keys=True, separators=(",", ":"))
+
+
+def test_parsed_content_equals_the_indented_encoding(tmp_path):
+    features = sample_features()
+    obj = {"type": "FeatureCollection", "features": features}
+    indented = json.loads(json.dumps(obj, sort_keys=True, indent=1))
+    featureio.write_feature_collection(tmp_path / "layer.geojson", iter(features))
+    featureio.write_json(tmp_path / "doc.json", obj)
+    with open(tmp_path / "layer.geojson", encoding="utf-8") as fh:
+        assert json.load(fh) == indented
+    with open(tmp_path / "doc.json", encoding="utf-8") as fh:
+        assert json.load(fh) == indented
+    assert lines_of(tmp_path / "doc.json") == [json.dumps(obj, sort_keys=True, separators=(",", ":"))]

@@ -257,12 +257,12 @@ def test_zipf_ranks_descending():
         ("c", [(0, 200), (3000, 200)]),
     ]
     g = graph_of(specs)
-    assert component_zipf(g) == [(1, 5000.0), (2, 3000.0), (3, 1000.0)]
+    assert component_zipf(connected_components(g)) == [(1, 5000.0), (2, 3000.0), (3, 1000.0)]
 
 
 def test_zipf_single_component():
     g = graph_of([("a", [(0, 0), (700, 0)])])
-    assert component_zipf(g) == [(1, 700.0)]
+    assert component_zipf(connected_components(g)) == [(1, 700.0)]
 
 
 def test_zipf_ties_stable_by_component_id():
@@ -271,7 +271,7 @@ def test_zipf_ties_stable_by_component_id():
         ("second", [(0, 50), (100, 50)]),
     ]
     g = graph_of(specs)
-    ranked = component_zipf(g)
+    ranked = component_zipf(connected_components(g))
     assert ranked == [(1, 100.0), (2, 100.0)]
     stats = connected_components(g)
     assert stats[0].component_id < stats[1].component_id

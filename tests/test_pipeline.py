@@ -1,15 +1,20 @@
+import hashlib
 import json
 import logging
+import shutil
 from pathlib import Path
 
 import pytest
 
-from netqa import featureio, hexgrid, spatial
+from netqa import featureio, graph, hexgrid, spatial
 from netqa.cli import main as cli_main
 from netqa.errors import ConfigError, PipelineError
 from netqa.pipeline import Pipeline, RunConfig, run_pipeline
 
 DEMO = Path(__file__).parent / "data" / "demo"
+# SHA-256 of each demo output's parsed content (see parsed_digest), recorded
+# from the indented writer that preceded the compact one
+DEMO_DIGESTS = Path(__file__).parent / "data" / "demo_parsed_sha256.json"
 
 
 def demo_config(tmp_path, out_name="out", **overrides):
@@ -157,12 +162,15 @@ def test_full_pipeline_writes_documented_files(tmp_path, caplog):
     assert (tmp_path / "out" / "summary.json").exists()
     # config echoed into the report header
     assert summary["configuration"]["seed"] == 42
-    # stage timings go to run_info.json and the debug log only
-    stages = {"ingest", "grid", "graph", "density", "structure", "match", "tags", "autocorr"}
+    # stage timings and peak RSS go to run_info.json and the debug log only
+    stages = {"ingest", "grid", "graph", "density", "structure", "match", "tags", "autocorr", "write"}
     run_info = json.loads((tmp_path / "out" / "run_info.json").read_text())
     assert set(run_info["stage_seconds"]) == stages
     assert all(sec >= 0.0 for sec in run_info["stage_seconds"].values())
+    assert run_info["peak_rss_mb"] > 0.0
     assert "stage autocorr:" in caplog.text
+    assert "stage write:" in caplog.text
+    assert f"peak RSS: {run_info['peak_rss_mb']} MB" in caplog.text
 
 
 def test_pipeline_deterministic_across_runs_and_threads(tmp_path):
@@ -280,6 +288,92 @@ def test_failed_write_keeps_previous_outputs(tmp_path, monkeypatch):
         run_pipeline(cfg)
     assert read_outputs(tmp_path / "out", skip=()) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+
+
+def test_failing_producer_names_the_write_stage_and_keeps_previous_outputs(tmp_path):
+    run_pipeline(RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "out"))
+    before = read_outputs(tmp_path / "out", skip=())
+    pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path, seed=7), out_override=tmp_path / "out"))
+    pipe.structure()
+    pipe.matching_results()
+    kind, produce = pipe.outputs["segments_candidate.geojson"]
+
+    def failing():
+        for i, feature in enumerate(produce()):
+            if i == 5:  # partway through the layer
+                raise ValueError("bad feature")
+            yield feature
+
+    pipe.outputs["segments_candidate.geojson"] = (kind, failing)
+    with pytest.raises(PipelineError) as err:
+        pipe.write_outputs()
+    assert err.value.stage == "write"
+    assert "segments_candidate.geojson" in str(err.value)
+    assert "bad feature" in str(err.value)
+    assert read_outputs(tmp_path / "out", skip=()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+
+
+def test_outputs_hold_producers_bound_to_their_role(tmp_path):
+    pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path)))
+    for stage in (pipe.density, pipe.structure, pipe.matching_results, pipe.tag_shares, pipe.autocorr):
+        stage()
+        for name, (kind, payload) in pipe.outputs.items():
+            if name.endswith(".geojson"):
+                assert kind == "fc" and callable(payload) and not isinstance(payload, list), name
+            else:
+                assert kind == "csv", name
+    graphs = pipe.graphs()
+    for role in Pipeline.ROLES:
+        edge_ids = set(graphs[role].edges)
+        segments = list(pipe.outputs[f"segments_{role}.geojson"][1]())
+        assert segments == list(pipe.outputs[f"segments_{role}.geojson"][1]())  # a fresh iterable per call
+        assert {f["properties"]["edge_id"] for f in segments} == edge_ids
+        components = pipe.outputs[f"components_{role}.geojson"][1]()
+        assert [f["id"] for f in components] == list(graphs[role].edges)
+        for f in pipe.outputs[f"undershoots_{role}.geojson"][1]():
+            assert f["properties"]["nearest_edge_id"] in edge_ids
+
+
+def test_structure_finds_components_once_per_role(tmp_path, monkeypatch):
+    calls = []
+    real = graph.connected_components
+
+    def counting(g, policy=None):
+        calls.append(g)
+        return real(g, policy)
+
+    monkeypatch.setattr(graph, "connected_components", counting)
+    pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path)))
+    pipe.structure()
+    graphs = pipe.graphs()
+    assert len(calls) == 2
+    assert calls[0] is graphs["candidate"] and calls[1] is graphs["reference"]
+
+
+def parsed_digest(path: Path) -> str:
+    """SHA-256 of a JSON file's parsed content, or of any other file's bytes."""
+    if path.suffix in (".json", ".geojson"):
+        data = json.dumps(json.loads(path.read_text(encoding="utf-8")), sort_keys=True).encode()
+    else:
+        data = path.read_bytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_demo_outputs_reproduce_the_recorded_parsed_content(tmp_path, monkeypatch):
+    # run from a copy with a relative config path, so the input paths echoed
+    # into summary.json do not depend on where the repository lives; the two
+    # roles and every LISA metric hold different data, so a layer bound to
+    # the wrong loop value changes a digest
+    work = tmp_path / "demo"
+    work.mkdir()
+    for p in DEMO.iterdir():
+        if p.is_file():
+            shutil.copy(p, work / p.name)
+    monkeypatch.chdir(work)
+    assert cli_main(["full", "--config", "config.json", "--out", str(tmp_path / "out")]) == 0
+    got = {p.name: parsed_digest(p) for p in sorted((tmp_path / "out").iterdir()) if p.name != "run_info.json"}
+    assert got == json.loads(DEMO_DIGESTS.read_text(encoding="utf-8"))
 
 
 def test_full_run_clips_each_geometry_once(tmp_path, monkeypatch):
