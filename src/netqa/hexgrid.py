@@ -32,6 +32,9 @@ _SQRT3 = math.sqrt(3.0)
 _HEX_NORMALS = tuple(
     (math.cos(math.radians(30.0 + 60.0 * k)), math.sin(math.radians(30.0 + 60.0 * k))) for k in range(6)
 )
+# A piece whose ends both lie within this fraction of the apothem of a
+# side's line lies on that side.
+_SIDE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,9 @@ class HexGrid:
         """Length of the polyline inside each retained cell.
 
         Exact parametric clipping of each straight piece against the
-        hexagon's six half-planes. Only cells receiving positive length
-        appear in the result, in the order the pieces first meet them.
+        hexagon's six half-planes (a piece on a shared side counts in one
+        cell only). Only cells receiving positive length appear in the
+        result, in the order the pieces first meet them.
         """
         out: dict[tuple[int, int], float] = {}
         for a, b in zip(p.vertices, p.vertices[1:]):
@@ -167,17 +171,29 @@ def edge_length_for_area(cell_area: float) -> float:
 
 
 def _clip_piece_to_hex(ax, ay, bx, by, cx, cy, apothem) -> float:
-    """Length of segment AB inside the hexagon centered at C."""
+    """Length of segment AB inside the hexagon centered at C.
+
+    Sides are half-open: a piece lying on a side counts only where the
+    side's outward normal points up (its three upper sides), so of the two
+    cells sharing a side exactly one gets the piece.
+    """
     dx = bx - ax
     dy = by - ay
+    tol = _SIDE_EPS * apothem
+    near = 2.0 * tol  # a piece on a side moves at most this far across its line
     t0, t1 = 0.0, 1.0
     for nx, ny in _HEX_NORMALS:
         pa = nx * (ax - cx) + ny * (ay - cy)
         pd = nx * dx + ny * dy
-        if pd == 0.0:
-            if pa > apothem:
+        if -near <= pd <= near:
+            if abs(pa - apothem) <= tol and abs(pa + pd - apothem) <= tol:
+                if ny > 0.0:
+                    continue
                 return 0.0
-            continue
+            if pd == 0.0:
+                if pa > apothem:
+                    return 0.0
+                continue
         t = (apothem - pa) / pd
         if pd > 0.0:
             if t < t1:

@@ -8,25 +8,35 @@ three, the best match minimizes an explicit composite score, so results
 are reproducible; ties break on segment id. Matching runs independently
 in both directions, and the two directions may disagree: one network can
 cover most of the other while the reverse holds for only a fraction.
+
+Segments and match results are held as columns (``SegmentTable``,
+``MatchTable``) from segmentation to the summary; ``Segment`` and
+``MatchRecord`` lists are views built from them for API callers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError
-from .geometry import Segment, segmentize
+from .errors import ConfigError, GeometryError
+from .geometry import _LENGTH_EPS, _REMAINDER_MERGE_FRACTION, Point2D, Segment
 
 __all__ = [
     "MatchConfig",
     "MatchRecord",
     "MatchCounts",
     "MatchSummary",
+    "MatchTable",
+    "SegmentTable",
+    "segment_table",
     "segmentize_dataset",
+    "match_tables",
     "match_datasets",
+    "summarize",
     "match_summary",
 ]
 
@@ -68,12 +78,114 @@ class MatchRecord:
         return self.matched.segment_id if self.matched is not None else None
 
 
+@dataclass(frozen=True, eq=False)
+class SegmentTable:
+    """A dataset's matching segments as columns, in segmentation order
+    (edge order, then position along the edge).
+
+    Row k is piece ``index[k]`` of the edge at position ``edge[k]`` of the
+    dataset, whose id is ``edge_ids[edge[k]]``. Its chord runs from
+    (``ends[k, 0]``, ``ends[k, 1]``) to (``ends[k, 2]``, ``ends[k, 3]``)
+    and covers the arc from ``offset[k]`` to ``offset[k] + length[k]``
+    along the edge, as a ``geometry.Segment`` does.
+    """
+
+    edge_ids: list
+    edge: np.ndarray
+    index: np.ndarray
+    ends: np.ndarray
+    offset: np.ndarray
+    length: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.edge)
+
+    def segments(self) -> list[Segment]:
+        """The rows as ``Segment`` objects."""
+        return [
+            Segment(Point2D(x1, y1), Point2D(x2, y2), self.edge_ids[e], offset, length, index)
+            for (x1, y1, x2, y2), e, offset, length, index in zip(
+                self.ends.tolist(),
+                self.edge.tolist(),
+                self.offset.tolist(),
+                self.length.tolist(),
+                self.index.tolist(),
+            )
+        ]
+
+
+def segment_table(dataset, seg_len: float) -> SegmentTable:
+    """All edges of a dataset cut into matching segments, as columns.
+
+    The cuts, pieces and floats are those of ``geometry.segmentize`` on
+    each edge, bit for bit: the cumulative lengths are the same sequential
+    sums of ``math.hypot``, and the rest is array arithmetic whose IEEE
+    results equal the scalar code's.
+    """
+    if seg_len <= 0:
+        raise GeometryError(f"seg_len must be > 0, got {seg_len}")
+    edges = dataset.edges
+    xy = np.array([(v.x, v.y) for e in edges for v in e.geometry.vertices], dtype=float).reshape(-1, 2)
+    x, y = xy[:, 0], xy[:, 1]
+    n_vertices = np.array([len(e.geometry.vertices) for e in edges], dtype=np.intp)
+    last = np.cumsum(n_vertices) - 1
+    first = last - (n_vertices - 1)
+    steps = list(map(math.hypot, np.diff(x).tolist(), np.diff(y).tolist()))
+    cum = np.array(
+        [c for lo, hi in zip(first.tolist(), last.tolist()) for c in accumulate(steps[lo:hi], initial=0.0)],
+        dtype=float,
+    )
+
+    # pieces per edge: segmentize's n_full and remainder rules
+    total = cum[last]
+    n_full = np.floor(total / seg_len + 1e-12)
+    remainder = total - n_full * seg_len
+    merged = (remainder <= _LENGTH_EPS) | (remainder < seg_len * _REMAINDER_MERGE_FRACTION)
+    pieces = np.where(total <= seg_len, 1, np.where(merged, n_full, n_full + 1)).astype(np.intp)
+
+    # cut j of an edge lies at j * seg_len, its last cut at the edge's end
+    cut_edge = np.repeat(np.arange(len(edges)), pieces + 1)
+    j = np.arange(len(cut_edge)) - np.repeat(np.cumsum(pieces + 1) - (pieces + 1), pieces + 1)
+    d = np.where(j == pieces[cut_edge], total[cut_edge], j * seg_len)
+    cx, cy = _points_at(x, y, cum, first[cut_edge], last[cut_edge], d)
+
+    # segment k of edge e runs from cut k + e to cut k + e + 1
+    edge = np.repeat(np.arange(len(edges)), pieces)
+    lo = np.arange(len(edge)) + edge
+    ends = np.stack([cx[lo], cy[lo], cx[lo + 1], cy[lo + 1]], axis=1)
+    degenerate = np.flatnonzero((ends[:, 0] == ends[:, 2]) & (ends[:, 1] == ends[:, 3]))
+    if len(degenerate):
+        raise GeometryError(f"degenerate segment on edge {edges[edge[degenerate[0]]].id}")
+    return SegmentTable([e.id for e in edges], edge, j[lo], ends, d[lo], d[lo + 1] - d[lo])
+
+
+def _points_at(x, y, cum, first, last, d):
+    """Points at arc distances ``d`` along polylines whose vertices are
+    ``first`` to ``last`` of (``x``, ``y``), by ``geometry._point_at``."""
+    px = np.where(d <= 0, x[first], x[last])
+    py = np.where(d <= 0, y[first], y[last])
+    inner = np.flatnonzero((d > 0) & (d < cum[last]))
+    d = d[inner]
+    lo, hi = first[inner], last[inner]
+    # _point_at's bisection: lo ends at the last vertex with cum <= d,
+    # also where zero-length steps repeat a cum value
+    while True:
+        open_ = np.flatnonzero(hi - lo > 1)
+        if not len(open_):
+            break
+        mid = (lo[open_] + hi[open_]) // 2
+        below = cum[mid] <= d[open_]
+        lo[open_[below]] = mid[below]
+        hi[open_[~below]] = mid[~below]
+    t = (d - cum[lo]) / (cum[lo + 1] - cum[lo])
+    px[inner] = x[lo] + t * (x[lo + 1] - x[lo])
+    py[inner] = y[lo] + t * (y[lo + 1] - y[lo])
+    return px, py
+
+
 def segmentize_dataset(dataset, seg_len: float) -> list[Segment]:
     """All edges of a dataset cut into matching segments, edge order kept."""
-    segments = []
-    for edge in dataset.edges:
-        segments.extend(segmentize(edge.geometry, seg_len, edge.id))
-    return segments
+    return segment_table(dataset, seg_len).segments()
 
 
 # Source segments matched per block, which bounds the candidate-pair arrays
@@ -105,11 +217,6 @@ class MatchCounts:
     rejected_angle: int
     accepted_pairs: int
     matched_segments: int
-
-
-def _endpoints(segments: list[Segment]) -> np.ndarray:
-    """(n, 4) array of start x, start y, end x, end y."""
-    return np.array([(s.start.x, s.start.y, s.end.x, s.end.y) for s in segments], dtype=float).reshape(-1, 4)
 
 
 def _midpoints(ends: np.ndarray):
@@ -236,28 +343,80 @@ def _match_block(src_ends, src_mid, join, dst_ends, dst_mid, dst_rank, cfg):
     return (s[win], t[win], md[win], h[win], ang[win]), counts
 
 
-def _match_direction(src, src_ends, dst, dst_ends, cfg: MatchConfig):
+def _segment_ranks(table: SegmentTable) -> np.ndarray:
+    """Rank of each row in segment-id order (edge id string, then index);
+    rows with equal ids keep table order."""
+    names = sorted(set(table.edge_ids))
+    position = dict(zip(names, range(len(names))))
+    edge_rank = np.array([position[name] for name in table.edge_ids], dtype=np.intp)
+    order = np.lexsort((table.index, edge_rank[table.edge]))
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rank
+
+
+@dataclass(frozen=True, eq=False)
+class MatchTable:
+    """One matching direction as columns.
+
+    Row k of ``segments`` matched row ``target[k]`` of ``targets`` (-1:
+    no match), at midpoint distance ``midpoint_dist[k]``, Hausdorff
+    distance ``hausdorff[k]`` and angle ``angle[k]`` (all 0.0 where
+    unmatched).
+    """
+
+    segments: SegmentTable
+    targets: SegmentTable
+    target: np.ndarray
+    midpoint_dist: np.ndarray
+    hausdorff: np.ndarray
+    angle: np.ndarray
+    counts: MatchCounts
+
+    def records(self) -> list[MatchRecord]:
+        """The rows as ``MatchRecord`` objects."""
+        targets = self.targets.segments()
+        return [
+            MatchRecord(segment=seg, matched=None)
+            if j < 0
+            else MatchRecord(segment=seg, matched=targets[j], midpoint_dist=m, hausdorff=h, angle=a)
+            for seg, j, m, h, a in zip(
+                self.segments.segments(),
+                self.target.tolist(),
+                self.midpoint_dist.tolist(),
+                self.hausdorff.tolist(),
+                self.angle.tolist(),
+            )
+        ]
+
+
+def _match_direction(src: SegmentTable, dst: SegmentTable, cfg: MatchConfig) -> MatchTable:
     match = np.full(len(src), -1)
     md, h, ang = np.zeros(len(src)), np.zeros(len(src)), np.zeros(len(src))
     totals = [0, 0, 0, 0]
-    if src and dst:
-        # rank of each target in segment-id order; equal ids keep list order
-        dst_rank = np.empty(len(dst), dtype=np.int64)
-        dst_rank[sorted(range(len(dst)), key=lambda j: dst[j].segment_id)] = np.arange(len(dst))
-        dst_mid = _midpoints(dst_ends)
+    if len(src) and len(dst):
+        dst_rank = _segment_ranks(dst)
+        dst_mid = _midpoints(dst.ends)
         join = _BucketJoin(*dst_mid, cfg.max_dist * (1.0 + _SLACK))
         for lo in range(0, len(src), _BLOCK_SOURCES):
-            ends = src_ends[lo : lo + _BLOCK_SOURCES]
-            (i, *winners), counts = _match_block(ends, _midpoints(ends), join, dst_ends, dst_mid, dst_rank, cfg)
+            ends = src.ends[lo : lo + _BLOCK_SOURCES]
+            (i, *winners), counts = _match_block(ends, _midpoints(ends), join, dst.ends, dst_mid, dst_rank, cfg)
             match[lo + i], md[lo + i], h[lo + i], ang[lo + i] = winners
             totals = [a + b for a, b in zip(totals, counts)]
-    records = [
-        MatchRecord(segment=seg, matched=None)
-        if j < 0
-        else MatchRecord(segment=seg, matched=dst[j], midpoint_dist=m, hausdorff=hd, angle=a)
-        for seg, j, m, hd, a in zip(src, match.tolist(), md.tolist(), h.tolist(), ang.tolist())
-    ]
-    return records, MatchCounts(len(src), *totals, int((match >= 0).sum()))
+    counts = MatchCounts(len(src), *totals, int((match >= 0).sum()))
+    return MatchTable(src, dst, match, md, h, ang, counts)
+
+
+def match_tables(a, b, cfg: MatchConfig = MatchConfig()) -> tuple[MatchTable, MatchTable]:
+    """Match dataset a against b and b against a, as columns.
+
+    Returns (a against b, b against a), each with one row per segment of
+    its source dataset in segmentation order. The relation is not forced
+    symmetric.
+    """
+    table_a = segment_table(a, cfg.seg_len)
+    table_b = segment_table(b, cfg.seg_len)
+    return _match_direction(table_a, table_b, cfg), _match_direction(table_b, table_a, cfg)
 
 
 def match_datasets(a, b, cfg: MatchConfig = MatchConfig(), counts: list | None = None):
@@ -268,15 +427,10 @@ def match_datasets(a, b, cfg: MatchConfig = MatchConfig(), counts: list | None =
     If ``counts`` is a list, the ``MatchCounts`` of a against b and then
     of b against a are appended to it.
     """
-    segs_a = segmentize_dataset(a, cfg.seg_len)
-    segs_b = segmentize_dataset(b, cfg.seg_len)
-    ends_a = _endpoints(segs_a)
-    ends_b = _endpoints(segs_b)
-    records_a, counts_a = _match_direction(segs_a, ends_a, segs_b, ends_b, cfg)
-    records_b, counts_b = _match_direction(segs_b, ends_b, segs_a, ends_a, cfg)
+    forward, backward = match_tables(a, b, cfg)
     if counts is not None:
-        counts.extend((counts_a, counts_b))
-    return records_a, records_b
+        counts.extend((forward.counts, backward.counts))
+    return forward.records(), backward.records()
 
 
 @dataclass(frozen=True)
@@ -293,17 +447,28 @@ class MatchSummary:
     local_avg_pct: float | None
 
 
+def summarize(table: MatchTable, grid) -> MatchSummary:
+    """Global and per-cell matching statistics of one direction."""
+    return _summary(table.segments.ends, table.segments.length, table.target >= 0, grid)
+
+
 def match_summary(records: list[MatchRecord], grid) -> MatchSummary:
     """Global and per-cell matching statistics for one direction.
 
     Per-cell percentages weight by segment length among segments whose
     midpoint falls in the cell; cells without segments are absent.
     """
-    length = np.array([r.segment.arc_length for r in records], dtype=float)
+    segments = [r.segment for r in records]
+    ends = np.array([(s.start.x, s.start.y, s.end.x, s.end.y) for s in segments], dtype=float).reshape(-1, 4)
+    length = np.array([s.arc_length for s in segments], dtype=float)
     matched = np.array([r.matched is not None for r in records], dtype=bool)
+    return _summary(ends, length, matched, grid)
+
+
+def _summary(ends, length, matched, grid) -> MatchSummary:
     total_len = sum(length.tolist())
     matched_len = sum(length[matched].tolist())
-    at = grid.cells_at(*_midpoints(_endpoints([r.segment for r in records])))
+    at = grid.cells_at(*_midpoints(ends))
     inside = at >= 0
     cell_total = grid.sum_by_cell(at[inside], length[inside])
     cell_matched = grid.sum_by_cell(at[inside & matched], length[inside & matched])
@@ -312,12 +477,13 @@ def match_summary(records: list[MatchRecord], grid) -> MatchSummary:
         for cell in sorted(cell_total)
     }
     pcts = list(per_cell.values())
+    n, n_matched = len(length), int(matched.sum())
     return MatchSummary(
-        total_segments=len(records),
-        matched_segments=int(matched.sum()),
+        total_segments=n,
+        matched_segments=n_matched,
         total_length_m=total_len,
         matched_length_m=matched_len,
-        pct_matched_count=100.0 * int(matched.sum()) / len(records) if records else 0.0,
+        pct_matched_count=100.0 * n_matched / n if n else 0.0,
         pct_matched_length=100.0 * matched_len / total_len if total_len > 0 else 0.0,
         per_cell_pct=per_cell,
         local_min_pct=min(pcts) if pcts else None,

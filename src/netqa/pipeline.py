@@ -321,21 +321,34 @@ def _component_features(g):
         )
 
 
-def _segment_features(records):
-    for r in records:
-        s, m = r.segment, r.matched
+def _segment_features(table):
+    segs, targets = table.segments, table.targets
+    edge_ids, target_edge_ids = segs.edge_ids, targets.edge_ids
+    target_edge, target_index = targets.edge.tolist(), targets.index.tolist()
+    rows = zip(
+        segs.ends.tolist(),
+        segs.edge.tolist(),
+        segs.index.tolist(),
+        segs.length.tolist(),
+        table.target.tolist(),
+        table.midpoint_dist.tolist(),
+        table.hausdorff.tolist(),
+        table.angle.tolist(),
+    )
+    for (x1, y1, x2, y2), edge, index, length, j, md, h, ang in rows:
+        matched = j >= 0
         yield featureio.line_feature(
-            [[round(s.start.x, 6), round(s.start.y, 6)], [round(s.end.x, 6), round(s.end.y, 6)]],
+            [[round(x1, 6), round(y1, 6)], [round(x2, 6), round(y2, 6)]],
             {
-                "edge_id": s.parent_edge_id,
-                "segment_index": s.index,
-                "length_m": _r(s.arc_length),
-                "matched": m is not None,
-                "matched_edge_id": m.parent_edge_id if m else None,
-                "matched_segment_index": m.index if m else None,
-                "midpoint_dist_m": _r(r.midpoint_dist),
-                "hausdorff_m": _r(r.hausdorff),
-                "angle_deg": _r(r.angle),
+                "edge_id": edge_ids[edge],
+                "segment_index": index,
+                "length_m": _r(length),
+                "matched": matched,
+                "matched_edge_id": target_edge_ids[target_edge[j]] if matched else None,
+                "matched_segment_index": target_index[j] if matched else None,
+                "midpoint_dist_m": _r(md) if matched else None,
+                "hausdorff_m": _r(h) if matched else None,
+                "angle_deg": _r(ang) if matched else None,
             },
         )
 
@@ -401,6 +414,8 @@ class Pipeline:
         self.stage_seconds: dict[str, float] = {}
         # per-direction matching work (role -> MatchCounts); run_info.json
         self.match_counts: dict[str, matching.MatchCounts] = {}
+        # scheme -> [{"cells", "nnz"} of each weights build]; run_info.json
+        self.weights_builds: dict[str, list[dict]] = {}
 
     def _run(self, stage, fn):
         if stage not in self._cache:
@@ -596,21 +611,17 @@ class Pipeline:
         def build():
             datasets = self.datasets()
             grid = self.grid()
-            counts = []
-            records_cand, records_ref = matching.match_datasets(
-                datasets["candidate"], datasets["reference"], self.cfg.match_config, counts
-            )
-            for role, c in zip(self.ROLES, counts):
-                self.match_counts[role] = c
+            tables = matching.match_tables(datasets["candidate"], datasets["reference"], self.cfg.match_config)
+            result = {}
+            for role, table in zip(self.ROLES, tables):
+                self.match_counts[role] = table.counts
                 log.debug(
                     "match %s: %d segments, %d pairs within max_dist, %d rejected by Hausdorff, "
                     "%d rejected by angle, %d accepted, %d matched",
-                    role, *astuple(c),
+                    role, *astuple(table.counts),
                 )
-            result = {}
-            for role, records in (("candidate", records_cand), ("reference", records_ref)):
-                summ = matching.match_summary(records, grid)
-                result[role] = {"records": records, "summary": summ}
+                summ = matching.summarize(table, grid)
+                result[role] = {"table": table, "summary": summ}
                 self.summary.setdefault("matching", {})[role] = {
                     "segments": summ.total_segments,
                     "matched_segments": summ.matched_segments,
@@ -623,7 +634,7 @@ class Pipeline:
                     "local_avg_pct": _r(summ.local_avg_pct, 6),
                 }
                 self._add_grid_field(f"pct_matched_{role}", summ.per_cell_pct)
-                self.outputs[f"segments_{role}.geojson"] = ("fc", partial(_segment_features, records))
+                self.outputs[f"segments_{role}.geojson"] = ("fc", partial(_segment_features, table))
             return result
 
         return self._run("match", build)
@@ -674,6 +685,8 @@ class Pipeline:
                         if w is None:
                             centroids = {cell: grid.cells[cell].center for cell in cells}
                             w = weights_by_cells[cells] = spatial.build_weights(centroids, scheme_obj)
+                            nnz = sum(len(row) for row in w.neighbors)
+                            self.weights_builds.setdefault(w.scheme, []).append({"cells": w.n, "nnz": nnz})
                         moran = spatial.global_moran(values, w, cfg.n_permutations, cfg.seed)
                         lisa = spatial.local_moran(values, w, cfg.n_permutations, cfg.seed, cfg.alpha)
                     except (WeightsError, ZeroVarianceError) as exc:
@@ -819,8 +832,9 @@ class Pipeline:
         return written
 
     def _work(self) -> dict:
-        """Sizes of what the run computed: grid cells and, per role, edges,
-        clip index rows and, when matching ran, segments."""
+        """Sizes of what the run computed: grid cells; per role, edges, clip
+        index rows and, when matching ran, segments; and, when the autocorr
+        stage ran, the cells and neighbour count (nnz) of each weights build."""
         work = {"grid_cells": len(self.grid().cells)}
         for role, ds in self.datasets().items():
             work[role] = {"edges": len(ds.edges)}
@@ -828,6 +842,8 @@ class Pipeline:
                 work[role]["clips"] = len(self._cache[("clip", role)].edge)
             if role in self.match_counts:
                 work[role]["segments"] = self.match_counts[role].segments
+        if self.weights_builds:
+            work["weights"] = self.weights_builds
         log.debug("work: %s", json.dumps(work, sort_keys=True))
         return work
 

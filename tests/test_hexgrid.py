@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netqa.errors import GeometryError
-from netqa.geometry import Point2D, polyline_length
+from netqa.geometry import Point2D, Polyline, polyline_length
 from netqa import hexgrid
 from netqa.hexgrid import assign_lengths, build_grid, edge_length_for_area
 from netqa.polygons import point_in_rings, ring_signed_area
@@ -185,6 +185,26 @@ def test_conservation(rng):
     total_in = sum(totals.values()) + outside
     total_edges = sum(polyline_length(e.geometry) for e in edges)
     assert total_in == pytest.approx(total_edges, rel=1e-3)
+
+
+@pytest.mark.parametrize("x0, y0", [(0.0, 0.0), (400000.0, 5800000.0)])
+def test_each_shared_side_is_attributed_to_one_cell(x0, y0):
+    # a line along a side shared by two cells lies on the boundary of both;
+    # it must count once, in one of them
+    grid = build_grid(rect_polygon(x0, y0, 10000, 10000), 740000.0)
+    sides = {}
+    for cell in grid.cells.values():
+        ring = cell.polygon
+        for k in range(6):
+            a, b = ring[k], ring[(k + 1) % 6]
+            key = tuple(sorted(((round(a.x, 3), round(a.y, 3)), (round(b.x, 3), round(b.y, 3)))))
+            sides.setdefault(key, []).append((a, b))
+    shared = [pair[0] for pair in sides.values() if len(pair) == 2]
+    assert len(shared) > 400
+    for a, b in shared:
+        for line in (Polyline((a, b)), Polyline((b, a))):
+            length = polyline_length(line)
+            assert math.isclose(sum(grid.clip_polyline(line).values()), length, rel_tol=1e-9), (a, b)
 
 
 def test_assign_lengths_multiplier_and_outside(caplog):

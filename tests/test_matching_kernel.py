@@ -1,10 +1,13 @@
-"""The columnar matcher against the scalar reference, bit for bit."""
+"""The columnar segmentation and matcher against the scalar references, bit for bit."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netqa import matching
-from netqa.matching import MatchConfig, match_datasets, segmentize_dataset
+from netqa.errors import GeometryError
+from netqa.geometry import _LENGTH_EPS, _cumulative_lengths, segmentize
+from netqa.matching import MatchConfig, match_datasets, segment_table, segmentize_dataset
 
 from conftest import make_dataset, reference_match
 
@@ -132,3 +135,99 @@ def test_block_of_one_source_gives_identical_records(monkeypatch):
     assert match_datasets(a, b, MatchConfig(), counts_one) == records
     assert counts_one == counts
     assert sum(r.matched is not None for r in records[0]) > 0
+
+
+# ------------------------------------------------- segmentation as columns
+
+
+def _segment_bits(segments):
+    return [
+        (s.parent_edge_id, s.index, *(v.hex() for v in (s.start.x, s.start.y, s.end.x, s.end.y, s.offset, s.arc_length)))
+        for s in segments
+    ]
+
+
+def _reference_segments(dataset, seg_len):
+    return [s for e in dataset.edges for s in segmentize(e.geometry, seg_len, e.id)]
+
+
+@st.composite
+def segmentation_case(draw):
+    """Edges whose lengths sit on segmentize's rules (at most ``seg_len``,
+    exact multiples, remainders of exactly half or within _LENGTH_EPS) and
+    chains that revisit vertices or take steps too small to change the
+    cumulative length, so its bisection meets repeated values."""
+    seg_len = draw(st.sampled_from([0.1, 1.0, 2.5, 7.3, 10.0]))
+    x0, y0 = draw(st.sampled_from([(0.0, 0.0), (400000.0, 5800000.0), (-12.5, 3.75)]))
+    specs = []
+    for n in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 5))
+            rest = draw(
+                st.sampled_from(
+                    [0.0, seg_len / 2, seg_len / 2 * (1 - 1e-15), 0.3 * seg_len, seg_len, _LENGTH_EPS, _LENGTH_EPS / 2]
+                )
+            )
+            length = k * seg_len + rest or seg_len
+            ux, uy = draw(st.sampled_from([(1.0, 0.0), (0.0, -1.0), (0.6, 0.8)]))
+            start = (x0, y0 + 3.0 * n)
+            coords = [start, (start[0] + ux * length, start[1] + uy * length)]
+        else:
+            coords = [(x0, y0)]
+            for step in draw(st.lists(st.sampled_from(["leg", "back", "tiny"]), min_size=1, max_size=8)):
+                x, y = coords[-1]
+                if step == "leg":
+                    (dx, dy), m = draw(st.sampled_from(DIRECTIONS)), draw(st.integers(1, 9))
+                    nxt = (x + dx * m * seg_len / 4, y + dy * m * seg_len / 4)
+                elif step == "back" and len(coords) > 1:
+                    nxt = coords[-2]
+                else:
+                    nxt = (x + draw(st.sampled_from([1e-300, 5e-15, 1e-9])), y)
+                if nxt != coords[-1]:
+                    coords.append(nxt)
+            if len(coords) < 2:
+                coords.append((x0 + seg_len, y0))
+        specs.append((f"e{n}", coords))
+    return make_dataset("d", specs), seg_len
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=segmentation_case())
+def test_segment_table_equals_segmentize_bit_for_bit(case):
+    dataset, seg_len = case
+    try:
+        expected = _segment_bits(_reference_segments(dataset, seg_len))
+    except GeometryError:  # a loop cut into one piece is degenerate
+        with pytest.raises(GeometryError):
+            segment_table(dataset, seg_len)
+        return
+    table = segment_table(dataset, seg_len)
+    assert _segment_bits(table.segments()) == expected
+    assert [dataset.edges[e].id for e in table.edge.tolist()] == [s.parent_edge_id for s in table.segments()]
+
+
+def test_segment_table_where_a_step_vanishes_in_the_cumulative_length():
+    # back to the origin after 200 m, then a step of 5e-15 m: the
+    # cumulative length repeats 200.0, and a cut at exactly 200 m must take
+    # the last vertex at that length, as _point_at's bisection does
+    coords = [(0.0, 0.0), (100.0, 0.0), (0.0, 0.0), (5e-15, 0.0), (5e-15, 35.0)]
+    dataset = make_dataset("d", [("e", coords)])
+    cum = _cumulative_lengths(dataset.edges[0].geometry)
+    assert cum[2] == cum[3] == 200.0
+    for seg_len in (10.0, 20.0, 25.0, 50.0, 100.0):
+        table = segment_table(dataset, seg_len)
+        assert _segment_bits(table.segments()) == _segment_bits(_reference_segments(dataset, seg_len))
+
+
+def test_segment_table_rejects_a_degenerate_segment_like_segmentize():
+    # a closed loop merged into one piece starts and ends at the same point
+    dataset = make_dataset("d", [("ok", [(0, 0), (50, 0)]), ("loop", [(0, 0), (3, 0), (3, 3), (0, 0)])])
+    with pytest.raises(GeometryError, match="loop"):
+        _reference_segments(dataset, 10.0)
+    with pytest.raises(GeometryError, match="loop"):
+        segment_table(dataset, 10.0)
+
+
+def test_segment_table_of_an_empty_dataset():
+    table = segment_table(make_dataset("d", []), 10.0)
+    assert len(table) == 0 and table.ends.shape == (0, 4) and table.segments() == []

@@ -1,15 +1,24 @@
 import hashlib
 import json
 import logging
+import math
 import shutil
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from netqa import featureio, graph, hexgrid, spatial
+from netqa import featureio, graph, hexgrid, pipeline, spatial
 from netqa.cli import main as cli_main
 from netqa.errors import ConfigError, PipelineError
+from netqa.geometry import Point2D, Segment
+from netqa.matching import MatchConfig, MatchRecord, match_datasets, match_tables
 from netqa.pipeline import Pipeline, RunConfig, run_pipeline
+
+from conftest import make_dataset
 
 DEMO = Path(__file__).parent / "data" / "demo"
 # SHA-256 of each demo output's parsed content (see parsed_digest), recorded
@@ -374,6 +383,169 @@ def test_demo_outputs_reproduce_the_recorded_parsed_content(tmp_path, monkeypatc
     assert cli_main(["full", "--config", "config.json", "--out", str(tmp_path / "out")]) == 0
     got = {p.name: parsed_digest(p) for p in sorted((tmp_path / "out").iterdir()) if p.name != "run_info.json"}
     assert got == json.loads(DEMO_DIGESTS.read_text(encoding="utf-8"))
+
+
+def test_full_run_builds_no_per_segment_objects(tmp_path, monkeypatch):
+    built = Counter()
+
+    def count(cls):
+        real = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    for cls in (Segment, MatchRecord, Point2D):
+        count(cls)
+    pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "out"))
+    pipe.datasets()
+    pipe.grid()
+    built.clear()  # vertices and cell centers are Point2Ds
+    pipe.matching_results()
+    for role in Pipeline.ROLES:
+        assert sum(1 for _ in pipe.outputs[f"segments_{role}.geojson"][1]()) > 0
+    assert built == Counter()
+    pipe.run_stage("full")
+    assert built["Segment"] == built["MatchRecord"] == 0
+    # the counters see the record views
+    match_datasets(pipe.datasets()["candidate"], pipe.datasets()["reference"], pipe.cfg.match_config)
+    assert built["Segment"] > 0 and built["MatchRecord"] > 0 and built["Point2D"] > 0
+
+
+def _reference_segment_features(records):
+    # the layer as built from MatchRecord attributes
+    for r in records:
+        s, m = r.segment, r.matched
+        yield featureio.line_feature(
+            [[round(s.start.x, 6), round(s.start.y, 6)], [round(s.end.x, 6), round(s.end.y, 6)]],
+            {
+                "edge_id": s.parent_edge_id,
+                "segment_index": s.index,
+                "length_m": featureio.round_metric(s.arc_length),
+                "matched": m is not None,
+                "matched_edge_id": m.parent_edge_id if m else None,
+                "matched_segment_index": m.index if m else None,
+                "midpoint_dist_m": featureio.round_metric(r.midpoint_dist),
+                "hausdorff_m": featureio.round_metric(r.hausdorff),
+                "angle_deg": featureio.round_metric(r.angle),
+            },
+        )
+
+
+def test_segment_layer_from_columns_equals_the_layer_from_records():
+    # streets and slanted, shifted partners, so distances, Hausdorff
+    # distances and angles all differ; some segments stay unmatched
+    specs_a = [(f"a{i}", [(0, 40 * i), (150, 40 * i + 3), (300, 40 * i)]) for i in range(6)]
+    specs_b = [(f"b{i}", [(2.5 + 3 * j, 40 * i - 1.5 + j) for j in (0, 40)]) for i in range(6)]
+    tables = match_tables(make_dataset("a", specs_a), make_dataset("b", specs_b), MatchConfig())
+    for table in tables:
+        records = table.records()
+        assert 0 < sum(r.matched is not None for r in records) < len(records)
+        assert any(r.matched and r.midpoint_dist != r.hausdorff for r in records)
+        assert list(pipeline._segment_features(table)) == list(_reference_segment_features(records))
+
+
+def test_run_info_records_each_weights_build(tmp_path, caplog):
+    base = ["--config", str(DEMO / "config.json"), "--out"]
+    with caplog.at_level(logging.DEBUG, logger="netqa.pipeline"):
+        assert cli_main(["-v", "full"] + base + [str(tmp_path / "full")]) == 0
+    assert not any(b'"nnz"' in data for data in read_outputs(tmp_path / "full").values())
+    work = json.loads((tmp_path / "full" / "run_info.json").read_text())["work"]
+    assert f"work: {json.dumps(work, sort_keys=True)}" in caplog.text
+    pipe = Pipeline(RunConfig.from_file(DEMO / "config.json"))
+    builds = {}  # weights objects in build order
+    for result in pipe.autocorr().values():
+        w = result["weights"]
+        builds.setdefault(id(w), {"cells": w.n, "nnz": sum(len(row) for row in w.neighbors)})
+    assert work["weights"] == {"knn6": list(builds.values())}
+    assert all(b["nnz"] >= 6 * b["cells"] for b in builds.values())
+    assert cli_main(["structure"] + base + [str(tmp_path / "s")]) == 0
+    assert "weights" not in json.loads((tmp_path / "s" / "run_info.json").read_text())["work"]
+
+
+def _shifted(doc, dx, dy):
+    def shift(c):
+        return [c[0] + dx, c[1] + dy] if isinstance(c[0], (int, float)) else [shift(part) for part in c]
+
+    for feature in doc["features"]:
+        feature["geometry"]["coordinates"] = shift(feature["geometry"]["coordinates"])
+    return doc
+
+
+def _metrics(work: Path, dx: float, dy: float):
+    """Density, structure, matching and tag results of the demo with every
+    input, the study area included, translated by (dx, dy)."""
+    work.mkdir()
+    for name in ("candidate.geojson", "reference.geojson", "study_area.geojson", "districts.geojson"):
+        doc = _shifted(json.loads((DEMO / name).read_text()), dx, dy)
+        (work / name).write_text(json.dumps(doc))
+    shutil.copy(DEMO / "rules.json", work / "rules.json")
+    doc = json.loads((DEMO / "config.json").read_text())
+    del doc["population"]  # keyed by cell id, which translation keeps
+    (work / "config.json").write_text(json.dumps(doc))
+    pipe = Pipeline(RunConfig.from_file(work / "config.json"))
+    pipe.density()
+    pipe.structure()
+    pipe.matching_results()
+    pipe.tag_shares()
+    summaries = {key: pipe.summary[key] for key in ("density", "structure", "matching", "tags")}
+    return summaries, pipe.grid_fields, pipe.grid()
+
+
+def _assert_close(a, b, path=""):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            _assert_close(a[key], b[key], f"{path}/{key}")
+    elif isinstance(a, float) or isinstance(b, float):
+        # summaries round to 6 decimals, so a value may move by one unit there
+        assert math.isclose(a, b, rel_tol=1e-9, abs_tol=2e-6), (path, a, b)
+    else:
+        assert a == b, (path, a, b)
+
+
+@pytest.fixture(scope="module")
+def untranslated_metrics(tmp_path_factory):
+    return _metrics(tmp_path_factory.mktemp("demo") / "in", 0.0, 0.0)
+
+
+def _outside_study_area(cell, dx, dy, tol=1e-6):
+    # the demo's study area is the rectangle (0, 0)-(2000, 1000)
+    xs = [v.x - dx for v in cell.polygon]
+    ys = [v.y - dy for v in cell.polygon]
+    return max(ys) <= tol or min(ys) >= 1000.0 - tol or max(xs) <= tol or min(xs) >= 2000.0 - tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(dx=st.floats(-1e6, 1e6), dy=st.floats(-1e6, 1e6))
+@example(dx=0.0, dy=1.563990435803101e-91)  # drops the row of cells touching the bottom side
+def test_translating_every_input_keeps_the_metrics(untranslated_metrics, dx, dy):
+    base, base_fields, base_grid = untranslated_metrics
+    with tempfile.TemporaryDirectory() as tmp:
+        got, fields, grid = _metrics(Path(tmp) / "in", dx, dy)
+    # Three counts follow rounding, not the data. The lattice is anchored at
+    # the study area's corner, so a row of hexagons touches its bottom side
+    # exactly, and whether such a cell counts as intersecting depends on the
+    # last bit: these cells may come and go, and only they.
+    for q_r in set(base_grid.cells) ^ set(grid.cells):
+        cell = base_grid.cells[q_r] if q_r in base_grid.cells else grid.cells[q_r]
+        assert _outside_study_area(cell, *((0.0, 0.0) if q_r in base_grid.cells else (dx, dy))), q_r
+    assert abs(got["density"].pop("grid_cells_total") - base["density"]["grid_cells_total"]) <= len(
+        set(base_grid.cells) ^ set(grid.cells)
+    )
+    # A cell whose two densities agree up to rounding has a difference of
+    # either sign, or none, so it may move between these two counts.
+    ties = sum(
+        1
+        for cell, v in base_fields["density_difference"].items()
+        if abs(v) <= 1e-9 or abs(fields["density_difference"].get(cell, 0.0)) <= 1e-9
+    )
+    for key in ("cells_more_candidate", "cells_more_reference"):
+        assert abs(got["density"].pop(key) - base["density"][key]) <= ties, key
+    _assert_close({**base, "density": {k: v for k, v in base["density"].items() if k in got["density"]}}, got)
+    _assert_close(base_fields, fields)
 
 
 def test_full_run_clips_each_geometry_once(tmp_path, monkeypatch):
