@@ -10,11 +10,20 @@ the C encoder of the standard library does the work. A feature collection
 is streamed from any iterable of features: the ``{"features":[`` header
 line, one feature per line (the line layout of RFC 8142 GeoJSON text
 sequences, inside one RFC 7946 ``FeatureCollection``), then the footer
-line, so a layer is never held in memory whole.
+line, so a layer is never held in memory whole. ``write_feature_lines`` is
+that one framing loop; it takes features already encoded, one line each,
+so a producer that formats its lines itself (the segment layer, from
+columns) writes the same bytes as ``encode`` of its features would.
+
+CSV tables go through the ``csv`` module with ``\\n`` line ends and minimal
+quoting (RFC 4180): a field holding a comma, a quote or a line break is
+quoted, ``None`` is an empty field, and every other field is written as
+``str`` of its value.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -24,6 +33,8 @@ __all__ = [
     "line_feature",
     "point_feature",
     "polygon_feature",
+    "encode",
+    "write_feature_lines",
     "write_feature_collection",
     "write_json",
     "write_csv",
@@ -68,7 +79,7 @@ def polygon_feature(rings, properties) -> dict:
 
 
 # compact separators and no indent: ``encode`` runs the C encoder
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _open(path):
@@ -76,25 +87,29 @@ def _open(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def write_feature_collection(path, features) -> None:
-    """Stream ``features`` (any iterable, consumed once) as a FeatureCollection."""
-    encode = _ENCODER.encode
+def write_feature_lines(path, lines) -> None:
+    """Stream ``lines`` (encoded features, any iterable, consumed once) as a FeatureCollection."""
     with _open(path) as fh:
         fh.write('{"features":[')
         sep = "\n"
-        for feature in features:
-            fh.write(sep + encode(feature))
+        for line in lines:
+            fh.write(sep + line)
             sep = ",\n"
         fh.write('\n],"type":"FeatureCollection"}\n')
 
 
+def write_feature_collection(path, features) -> None:
+    """Stream ``features`` (any iterable, consumed once) as a FeatureCollection."""
+    write_feature_lines(path, map(encode, features))
+
+
 def write_json(path, obj) -> None:
     with _open(path) as fh:
-        fh.write(_ENCODER.encode(obj) + "\n")
+        fh.write(encode(obj) + "\n")
 
 
 def write_csv(path, header, rows) -> None:
     with _open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)

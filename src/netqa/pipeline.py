@@ -4,14 +4,16 @@ Stages run in dependency order (ingest, graph, grid, density, structure,
 matching, tags, autocorrelation); each subcommand executes only its stage
 plus prerequisites. A stage registers each output layer as a producer: a
 zero-argument callable returning an iterable of features, built from the
-stage's results. All files are written together at the end (the ``write``
-stage), each layer streamed from its producer while its file is written,
-so no layer is held in memory whole. They go into a temporary directory
-beside the output directory and are moved into place only once all of them
-are written, so neither a failing stage nor a failed write leaves partial
-files behind or destroys a previous run's results. Output files carry no
-timestamps; run metadata (stage timings including ``write``, peak RSS,
-work sizes) lives in ``run_info.json``, excluded from golden comparisons.
+stage's results, or of encoded feature lines (the segment layer, formatted
+from the match columns). All files are written together at the end (the
+``write`` stage), each layer streamed from its producer while its file is
+written, so no layer is held in memory whole. They go into a temporary
+directory beside the output directory and are moved into place only once
+all of them are written, so neither a failing stage nor a failed write
+leaves partial files behind or destroys a previous run's results. Output
+files carry no timestamps; run metadata (stage timings including
+``write``, peak RSS, work sizes) lives in ``run_info.json``, excluded from
+golden comparisons.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import tempfile
 import time
 from dataclasses import asdict, astuple, dataclass, field
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from . import completeness, featureio, graph, hexgrid, ingest, matching, spatial, tags
@@ -321,35 +324,74 @@ def _component_features(g):
         )
 
 
-def _segment_features(table):
+# The two lines of the segment layer: the encoded feature (keys sorted,
+# compact) with its fixed parts in place, for a matched and an unmatched row.
+_MATCHED_SEGMENT = (
+    '{"geometry":{"coordinates":[%s,%s],"type":"LineString"},"properties":{"angle_deg":%s,"edge_id":%s,'
+    '"hausdorff_m":%s,"length_m":%s,"matched":true,"matched_edge_id":%s,"matched_segment_index":%d,'
+    '"midpoint_dist_m":%s,"segment_index":%d},"type":"Feature"}'
+)
+_UNMATCHED_SEGMENT = (
+    '{"geometry":{"coordinates":[%s,%s],"type":"LineString"},"properties":{"angle_deg":null,"edge_id":%s,'
+    '"hausdorff_m":null,"length_m":%s,"matched":false,"matched_edge_id":null,"matched_segment_index":null,'
+    '"midpoint_dist_m":null,"segment_index":%d},"type":"Feature"}'
+)
+
+# Rows of a segment layer turned into Python values at a time. As Python
+# objects a row takes about 400 bytes: converting a whole table at once
+# would set the peak memory of a run that matches many segments.
+_LINE_BLOCK = 1024
+
+_sign = partial(math.copysign, 1.0)
+
+
+def _float_text(v: float, decimals: int) -> str:
+    """``featureio.encode(round(v, decimals))``: for a finite float that is
+    ``float.__repr__``, which the encoder calls, at a third of the cost."""
+    v = round(v, decimals)
+    return repr(v) if math.isfinite(v) else featureio.encode(v)
+
+
+def _segment_lines(table):
+    """The segment layer of a ``MatchTable``, one encoded feature per row.
+
+    Each line is ``featureio.encode`` of the row's feature, byte for byte,
+    without building the feature: the edge ids are encoded once each, and
+    a float is rounded and encoded only where it differs from the previous
+    row's (signed zeros included). A segment's start is then mostly the
+    previous segment's end, the cut point they share, and a run of full
+    segments shares one length.
+    """
     segs, targets = table.segments, table.targets
-    edge_ids, target_edge_ids = segs.edge_ids, targets.edge_ids
+    ids = [featureio.encode(i) for i in segs.edge_ids]
+    target_ids = [featureio.encode(i) for i in targets.edge_ids]
     target_edge, target_index = targets.edge.tolist(), targets.index.tolist()
-    rows = zip(
-        segs.ends.tolist(),
-        segs.edge.tolist(),
-        segs.index.tolist(),
-        segs.length.tolist(),
-        table.target.tolist(),
-        table.midpoint_dist.tolist(),
-        table.hausdorff.tolist(),
-        table.angle.tolist(),
+    columns = (
+        segs.ends, segs.edge, segs.index, segs.length, table.target, table.midpoint_dist, table.hausdorff, table.angle
     )
+    rows = chain.from_iterable(
+        zip(*(c[lo : lo + _LINE_BLOCK].tolist() for c in columns)) for lo in range(0, len(segs), _LINE_BLOCK)
+    )
+    px = py = p_len = p_md = p_h = p_ang = None  # the values behind end, s_len, s_md, s_h, s_ang
     for (x1, y1, x2, y2), edge, index, length, j, md, h, ang in rows:
-        matched = j >= 0
-        yield featureio.line_feature(
-            [[round(x1, 6), round(y1, 6)], [round(x2, 6), round(y2, 6)]],
-            {
-                "edge_id": edge_ids[edge],
-                "segment_index": index,
-                "length_m": _r(length),
-                "matched": matched,
-                "matched_edge_id": target_edge_ids[target_edge[j]] if matched else None,
-                "matched_segment_index": target_index[j] if matched else None,
-                "midpoint_dist_m": _r(md) if matched else None,
-                "hausdorff_m": _r(h) if matched else None,
-                "angle_deg": _r(ang) if matched else None,
-            },
+        if x1 == px and y1 == py and (x1 and y1 or (_sign(x1), _sign(y1)) == (_sign(px), _sign(py))):
+            start = end
+        else:
+            start = "[%s,%s]" % (_float_text(x1, 6), _float_text(y1, 6))
+        end, px, py = "[%s,%s]" % (_float_text(x2, 6), _float_text(y2, 6)), x2, y2
+        if length != p_len or not length and _sign(length) != _sign(p_len):
+            s_len, p_len = _float_text(length, 9), length
+        if j < 0:
+            yield _UNMATCHED_SEGMENT % (start, end, ids[edge], s_len, index)
+            continue
+        if md != p_md or not md and _sign(md) != _sign(p_md):
+            s_md, p_md = _float_text(md, 9), md
+        if h != p_h or not h and _sign(h) != _sign(p_h):
+            s_h, p_h = _float_text(h, 9), h
+        if ang != p_ang or not ang and _sign(ang) != _sign(p_ang):
+            s_ang, p_ang = _float_text(ang, 9), ang
+        yield _MATCHED_SEGMENT % (
+            start, end, s_ang, ids[edge], s_h, s_len, target_ids[target_edge[j]], target_index[j], s_md, index
         )
 
 
@@ -380,6 +422,8 @@ def _grid_features(grid, grid_fields):
 def _write_file(path, kind: str, payload) -> None:
     if kind == "fc":
         featureio.write_feature_collection(path, payload())
+    elif kind == "lines":
+        featureio.write_feature_lines(path, payload())
     elif kind == "csv":
         featureio.write_csv(path, *payload)
     elif kind == "json":
@@ -407,7 +451,8 @@ class Pipeline:
         self._cache = {}
         self.grid_fields: dict[str, dict] = {}  # field name -> {cell_id: value}
         self.summary: dict = {"configuration": cfg.resolved()}
-        # file name -> ("fc", feature producer) or ("csv", (header, rows))
+        # file name -> ("fc", feature producer), ("lines", encoded-line
+        # producer) or ("csv", (header, rows))
         self.outputs: dict[str, tuple] = {}
         # wall seconds of each stage's first computation, including any
         # prerequisite it computed first; recorded in run_info.json
@@ -495,6 +540,9 @@ class Pipeline:
             }
             cells_cand = set(surfaces["candidate"].values)
             cells_ref = set(surfaces["reference"].values)
+            # signs of the differences as grid_metrics.geojson writes them,
+            # so a difference that rounds to zero counts on neither side
+            written_diff = [_r(v, 9) for v in diff.values()]
             summary = {
                 "totals": {
                     role: {
@@ -511,8 +559,8 @@ class Pipeline:
                     "reference": len(cells_ref),
                     "either": len(cells_cand | cells_ref),
                 },
-                "cells_more_candidate": sum(1 for v in diff.values() if v < 0),
-                "cells_more_reference": sum(1 for v in diff.values() if v > 0),
+                "cells_more_candidate": sum(1 for v in written_diff if v < 0),
+                "cells_more_reference": sum(1 for v in written_diff if v > 0),
                 "outside_grid_m": {
                     role: _r(surfaces[role].outside_m) for role in self.ROLES
                 },
@@ -634,7 +682,7 @@ class Pipeline:
                     "local_avg_pct": _r(summ.local_avg_pct, 6),
                 }
                 self._add_grid_field(f"pct_matched_{role}", summ.per_cell_pct)
-                self.outputs[f"segments_{role}.geojson"] = ("fc", partial(_segment_features, table))
+                self.outputs[f"segments_{role}.geojson"] = ("lines", partial(_segment_lines, table))
             return result
 
         return self._run("match", build)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 from netqa import featureio
@@ -63,3 +64,15 @@ def test_parsed_content_equals_the_indented_encoding(tmp_path):
     with open(tmp_path / "doc.json", encoding="utf-8") as fh:
         assert json.load(fh) == indented
     assert lines_of(tmp_path / "doc.json") == [json.dumps(obj, sort_keys=True, separators=(",", ":"))]
+
+
+def test_csv_quotes_only_the_fields_that_need_it(tmp_path):
+    rows = [['Mitte, "Nord"', 1.0, -0.035448949], ["Ost\nSüd", 2, None], ["west", 0.1234, True]]
+    path = tmp_path / "table.csv"
+    featureio.write_csv(path, ["name", "a", "b"], rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        back = list(csv.reader(fh))
+    assert back == [["name", "a", "b"], ['Mitte, "Nord"', "1.0", "-0.035448949"], ["Ost\nSüd", "2", ""], ["west", "0.1234", "True"]]
+    text = path.read_text(encoding="utf-8")
+    assert "\r" not in text
+    assert text.endswith("\nwest,0.1234,True\n")  # plain rows as str() of each value

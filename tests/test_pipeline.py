@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import logging
@@ -6,16 +7,26 @@ import shutil
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netqa import featureio, graph, hexgrid, pipeline, spatial
+from netqa import completeness, featureio, graph, hexgrid, pipeline, spatial
 from netqa.cli import main as cli_main
 from netqa.errors import ConfigError, PipelineError
 from netqa.geometry import Point2D, Segment
-from netqa.matching import MatchConfig, MatchRecord, match_datasets, match_tables
+from netqa.matching import (
+    MatchConfig,
+    MatchCounts,
+    MatchRecord,
+    MatchTable,
+    SegmentTable,
+    match_datasets,
+    match_tables,
+)
 from netqa.pipeline import Pipeline, RunConfig, run_pipeline
 
 from conftest import make_dataset
@@ -24,6 +35,9 @@ DEMO = Path(__file__).parent / "data" / "demo"
 # SHA-256 of each demo output's parsed content (see parsed_digest), recorded
 # from the indented writer that preceded the compact one
 DEMO_DIGESTS = Path(__file__).parent / "data" / "demo_parsed_sha256.json"
+# SHA-256 of each demo output's bytes; CI holds the installed console script
+# to them too
+DEMO_RAW_DIGESTS = Path(__file__).parent / "data" / "demo_raw_sha256.json"
 
 
 def demo_config(tmp_path, out_name="out", **overrides):
@@ -329,7 +343,9 @@ def test_outputs_hold_producers_bound_to_their_role(tmp_path):
         stage()
         for name, (kind, payload) in pipe.outputs.items():
             if name.endswith(".geojson"):
-                assert kind == "fc" and callable(payload) and not isinstance(payload, list), name
+                # the segment layers are produced as encoded lines
+                assert kind == ("lines" if name.startswith("segments_") else "fc"), name
+                assert callable(payload) and not isinstance(payload, list), name
             else:
                 assert kind == "csv", name
     graphs = pipe.graphs()
@@ -337,7 +353,7 @@ def test_outputs_hold_producers_bound_to_their_role(tmp_path):
         edge_ids = set(graphs[role].edges)
         segments = list(pipe.outputs[f"segments_{role}.geojson"][1]())
         assert segments == list(pipe.outputs[f"segments_{role}.geojson"][1]())  # a fresh iterable per call
-        assert {f["properties"]["edge_id"] for f in segments} == edge_ids
+        assert {json.loads(line)["properties"]["edge_id"] for line in segments} == edge_ids
         components = pipe.outputs[f"components_{role}.geojson"][1]()
         assert [f["id"] for f in components] == list(graphs[role].edges)
         for f in pipe.outputs[f"undershoots_{role}.geojson"][1]():
@@ -369,11 +385,12 @@ def parsed_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_demo_outputs_reproduce_the_recorded_parsed_content(tmp_path, monkeypatch):
-    # run from a copy with a relative config path, so the input paths echoed
-    # into summary.json do not depend on where the repository lives; the two
-    # roles and every LISA metric hold different data, so a layer bound to
-    # the wrong loop value changes a digest
+def run_demo_from_copy(tmp_path, monkeypatch) -> Path:
+    """Run ``netqa full`` on a copy of the demo; returns the output directory.
+
+    The copy is run with a relative config path, so the input paths echoed
+    into summary.json do not depend on where the repository lives.
+    """
     work = tmp_path / "demo"
     work.mkdir()
     for p in DEMO.iterdir():
@@ -381,8 +398,23 @@ def test_demo_outputs_reproduce_the_recorded_parsed_content(tmp_path, monkeypatc
             shutil.copy(p, work / p.name)
     monkeypatch.chdir(work)
     assert cli_main(["full", "--config", "config.json", "--out", str(tmp_path / "out")]) == 0
-    got = {p.name: parsed_digest(p) for p in sorted((tmp_path / "out").iterdir()) if p.name != "run_info.json"}
+    return tmp_path / "out"
+
+
+def test_demo_outputs_reproduce_the_recorded_parsed_content(tmp_path, monkeypatch):
+    # the two roles and every LISA metric hold different data, so a layer
+    # bound to the wrong loop value changes a digest
+    out = run_demo_from_copy(tmp_path, monkeypatch)
+    got = {p.name: parsed_digest(p) for p in sorted(out.iterdir()) if p.name != "run_info.json"}
     assert got == json.loads(DEMO_DIGESTS.read_text(encoding="utf-8"))
+
+
+def test_demo_outputs_reproduce_the_recorded_bytes(tmp_path, monkeypatch):
+    # the parsed digests miss a change of spelling (a float's digits, key
+    # order, whitespace, CSV quoting); these hold every byte
+    out = run_demo_from_copy(tmp_path, monkeypatch)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir()) if p.name != "run_info.json"}
+    assert got == json.loads(DEMO_RAW_DIGESTS.read_text(encoding="utf-8"))
 
 
 def test_full_run_builds_no_per_segment_objects(tmp_path, monkeypatch):
@@ -444,7 +476,184 @@ def test_segment_layer_from_columns_equals_the_layer_from_records():
         records = table.records()
         assert 0 < sum(r.matched is not None for r in records) < len(records)
         assert any(r.matched and r.midpoint_dist != r.hausdorff for r in records)
-        assert list(pipeline._segment_features(table)) == list(_reference_segment_features(records))
+        encoded = [featureio.encode(f) for f in _reference_segment_features(records)]
+        assert list(pipeline._segment_lines(table)) == encoded
+
+
+def _column_segment_features(table):
+    # the layer as feature dicts built from the columns, one per row
+    segs, targets = table.segments, table.targets
+    for k, (x1, y1, x2, y2) in enumerate(segs.ends.tolist()):
+        j = int(table.target[k])
+        matched = j >= 0
+        yield featureio.line_feature(
+            [[round(x1, 6), round(y1, 6)], [round(x2, 6), round(y2, 6)]],
+            {
+                "edge_id": segs.edge_ids[segs.edge[k]],
+                "segment_index": int(segs.index[k]),
+                "length_m": featureio.round_metric(segs.length[k]),
+                "matched": matched,
+                "matched_edge_id": targets.edge_ids[targets.edge[j]] if matched else None,
+                "matched_segment_index": int(targets.index[j]) if matched else None,
+                "midpoint_dist_m": featureio.round_metric(table.midpoint_dist[k]) if matched else None,
+                "hausdorff_m": featureio.round_metric(table.hausdorff[k]) if matched else None,
+                "angle_deg": featureio.round_metric(table.angle[k]) if matched else None,
+            },
+        )
+
+
+# edge ids the encoder must escape: quotes, backslashes, line breaks,
+# control and non-ASCII characters
+EDGE_ID = st.text(alphabet='ab"\\\n\x01\u00e9\u8857\u2028', min_size=1, max_size=4)
+
+
+@st.composite
+def jittered_networks(draw):
+    # polylines running east, and a copy with every vertex moved by up to
+    # 2 m, where some polylines are missing (their partners stay unmatched)
+    x0, y0 = draw(st.sampled_from([(0.0, 0.0), (400000.0, 5800000.0), (-12.5, 3.75)]))
+    step = st.tuples(st.floats(5.0, 40.0), st.floats(-40.0, 40.0))
+    lines = draw(st.lists(st.lists(step, min_size=1, max_size=4), min_size=1, max_size=5))
+    ids = draw(st.lists(EDGE_ID, min_size=2 * len(lines), max_size=2 * len(lines), unique=True))
+    jitter = st.floats(-2.0, 2.0)
+    specs_a, specs_b = [], []
+    for i, steps in enumerate(lines):
+        x, y = x0, y0 + 30.0 * i
+        coords = [(x, y)]
+        for dx, dy in steps:
+            x, y = x + dx, y + dy
+            coords.append((x, y))
+        specs_a.append((ids[i], coords))
+        if draw(st.booleans()):
+            specs_b.append((ids[len(lines) + i], [(x + draw(jitter), y + draw(jitter)) for x, y in coords]))
+    seg_len = draw(st.sampled_from([2.5, 7.3, 10.0]))
+    return make_dataset("a", specs_a), make_dataset("b", specs_b), MatchConfig(seg_len=seg_len)
+
+
+def segment_lines_by_blocks(table):
+    # the layer with the default block of rows, and with blocks of 2 rows,
+    # so the reuse of strings crosses block boundaries
+    lines = "\n".join(pipeline._segment_lines(table))
+    with mock.patch.object(pipeline, "_LINE_BLOCK", 2):
+        assert "\n".join(pipeline._segment_lines(table)) == lines
+    return lines
+
+
+@given(case=jittered_networks())
+@settings(deadline=None)
+def test_segment_lines_equal_the_encoded_features_of_matched_networks(case):
+    for table in match_tables(*case):
+        encoded = [featureio.encode(f) for f in _reference_segment_features(table.records())]
+        assert segment_lines_by_blocks(table) == "\n".join(encoded)
+
+
+# floats whose spelling is easy to get wrong: signed zeros, exponent reprs
+# below 1e-4, half-way cases at 6 and 9 decimals, values at and above 1e16
+# (where round returns its argument), and the non-finite values
+AWKWARD = st.sampled_from(
+    [
+        0.0, -0.0, 5e-05, -3.4e-05, 5e-07, -5e-07, 1.5e-06, 2.5e-07, 5e-10, 1.5e-09, -2.5e-09,
+        0.1234565, 1.0000005, 2.0000000005, 12.3456785, 400000.1234565, 1e16, -1e16, 2.5e17,
+        1.2345678901234567e20, math.nan, math.inf, -math.inf,
+    ]
+) | st.floats()
+
+
+@st.composite
+def awkward_tables(draw):
+    # a few values per table, both zeros among them, so rows repeat a value
+    # or switch the sign of a zero; a start is drawn, or the previous end,
+    # or that end with the signs of its zeros switched
+    value = st.sampled_from(draw(st.lists(AWKWARD, max_size=3)) + [0.0, -0.0])
+    ids = draw(st.lists(EDGE_ID, min_size=1, max_size=3))
+    n = draw(st.integers(1, 12))
+    ends, columns = [], []
+    for k in range(n):
+        start = draw(st.sampled_from(["drawn", "shared", "zeros switched"])) if k else "drawn"
+        if start == "drawn":
+            x1, y1 = draw(value), draw(value)
+        else:
+            x1, y1 = (-v if v == 0.0 and start == "zeros switched" else v for v in ends[-1][2:])
+        ends.append((x1, y1, draw(value), draw(value)))
+        columns.append(
+            (
+                draw(st.integers(0, len(ids) - 1)),
+                draw(st.integers(0, 10**6)),
+                draw(st.integers(-1, n - 1)),
+                *(draw(value) for _ in range(4)),
+            )
+        )
+    edge, index, target, length, md, h, ang = (np.array(c) for c in zip(*columns))
+    segs = SegmentTable(ids, edge, index, np.array(ends, dtype=float), np.zeros(n), length.astype(float))
+    counts = MatchCounts(n, 0, 0, 0, 0, int((target >= 0).sum()))
+    return MatchTable(segs, segs, target, md.astype(float), h.astype(float), ang.astype(float), counts)
+
+
+@given(table=awkward_tables())
+def test_segment_lines_equal_the_encoder_on_awkward_floats(table):
+    encoded = [featureio.encode(f) for f in _column_segment_features(table)]
+    assert segment_lines_by_blocks(table) == "\n".join(encoded)
+
+
+def test_match_run_builds_no_segment_feature_dicts(tmp_path, monkeypatch):
+    calls = Counter()
+    real = featureio.line_feature
+
+    def counting(*args, **kwargs):
+        calls["line_feature"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(featureio, "line_feature", counting)
+    config = str(demo_config(tmp_path))
+    assert cli_main(["match", "--config", config, "--out", str(tmp_path / "match")]) == 0
+    assert (tmp_path / "match" / "segments_candidate.geojson").stat().st_size > 10**5
+    assert calls["line_feature"] == 0
+    # the counter sees the layers that still build features
+    assert cli_main(["structure", "--config", config, "--out", str(tmp_path / "structure")]) == 0
+    assert calls["line_feature"] > 0
+
+
+@pytest.mark.parametrize("tiny", [1e-15, -1e-15, 4e-10])
+def test_a_difference_that_rounds_to_zero_counts_on_neither_side(tmp_path, monkeypatch, tiny):
+    def counts(value):
+        real = completeness.density_difference
+
+        def set_first_cell(a, b):
+            diff = real(a, b)
+            diff[next(iter(diff))] = value
+            return diff
+
+        with monkeypatch.context() as m:
+            m.setattr(completeness, "density_difference", set_first_cell)
+            pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "out"))
+            pipe.run_stage("density")
+        summary = pipe.summary["density"]
+        written = [
+            f["properties"]["density_difference"]
+            for f in json.loads((tmp_path / "out" / "grid_metrics.geojson").read_text())["features"]
+        ]
+        assert summary["cells_more_candidate"] == sum(1 for v in written if v is not None and v < 0)
+        assert summary["cells_more_reference"] == sum(1 for v in written if v is not None and v > 0)
+        return summary["cells_more_candidate"], summary["cells_more_reference"]
+
+    assert counts(tiny) == counts(0.0)
+    more_candidate, more_reference = counts(0.0)
+    assert counts(1.0) == (more_candidate, more_reference + 1)
+
+
+def test_polygon_names_with_commas_quotes_and_line_breaks_round_trip(tmp_path):
+    doc = json.loads((DEMO / "districts.geojson").read_text())
+    names = ['Mitte, "Nord"', "Ost\nSüd"]
+    for feature, name in zip(doc["features"], names):
+        feature["properties"]["name"] = name
+    districts = tmp_path / "districts.geojson"
+    districts.write_text(json.dumps(doc))
+    cfg = RunConfig.from_file(demo_config(tmp_path, polygons=str(districts)), out_override=tmp_path / "out")
+    Pipeline(cfg).run_stage("density")
+    with open(tmp_path / "out" / "polygons.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(header) == 7 and all(len(row) == 7 for row in rows)
+    assert sorted(row[0] for row in rows) == sorted(names)
 
 
 def test_run_info_records_each_weights_build(tmp_path, caplog):
