@@ -356,11 +356,12 @@ def _segment_lines(table):
     """The segment layer of a ``MatchTable``, one encoded feature per row.
 
     Each line is ``featureio.encode`` of the row's feature, byte for byte,
-    without building the feature: the edge ids are encoded once each, and
-    a float is rounded and encoded only where it differs from the previous
-    row's (signed zeros included). A segment's start is then mostly the
-    previous segment's end, the cut point they share, and a run of full
-    segments shares one length.
+    without building the feature: the edge ids are encoded once each. Two
+    values repeat on any input, and their text is reused while equal to the
+    previous row's (signed zeros told apart): a segment's start is the
+    previous segment's end within an edge, the cut point they share, and
+    the full segments of an edge share one length. The match metrics are
+    formatted on every matched row.
     """
     segs, targets = table.segments, table.targets
     ids = [featureio.encode(i) for i in segs.edge_ids]
@@ -372,26 +373,30 @@ def _segment_lines(table):
     rows = chain.from_iterable(
         zip(*(c[lo : lo + _LINE_BLOCK].tolist() for c in columns)) for lo in range(0, len(segs), _LINE_BLOCK)
     )
-    px = py = p_len = p_md = p_h = p_ang = None  # the values behind end, s_len, s_md, s_h, s_ang
+    coord, metric = featureio.COORD_DECIMALS, featureio.METRIC_DECIMALS
+    px = py = p_len = None  # the values behind end and s_len
     for (x1, y1, x2, y2), edge, index, length, j, md, h, ang in rows:
         if x1 == px and y1 == py and (x1 and y1 or (_sign(x1), _sign(y1)) == (_sign(px), _sign(py))):
             start = end
         else:
-            start = "[%s,%s]" % (_float_text(x1, 6), _float_text(y1, 6))
-        end, px, py = "[%s,%s]" % (_float_text(x2, 6), _float_text(y2, 6)), x2, y2
+            start = "[%s,%s]" % (_float_text(x1, coord), _float_text(y1, coord))
+        end, px, py = "[%s,%s]" % (_float_text(x2, coord), _float_text(y2, coord)), x2, y2
         if length != p_len or not length and _sign(length) != _sign(p_len):
-            s_len, p_len = _float_text(length, 9), length
+            s_len, p_len = _float_text(length, metric), length
         if j < 0:
             yield _UNMATCHED_SEGMENT % (start, end, ids[edge], s_len, index)
             continue
-        if md != p_md or not md and _sign(md) != _sign(p_md):
-            s_md, p_md = _float_text(md, 9), md
-        if h != p_h or not h and _sign(h) != _sign(p_h):
-            s_h, p_h = _float_text(h, 9), h
-        if ang != p_ang or not ang and _sign(ang) != _sign(p_ang):
-            s_ang, p_ang = _float_text(ang, 9), ang
         yield _MATCHED_SEGMENT % (
-            start, end, s_ang, ids[edge], s_h, s_len, target_ids[target_edge[j]], target_index[j], s_md, index
+            start,
+            end,
+            _float_text(ang, metric),
+            ids[edge],
+            _float_text(h, metric),
+            s_len,
+            target_ids[target_edge[j]],
+            target_index[j],
+            _float_text(md, metric),
+            index,
         )
 
 
