@@ -14,7 +14,7 @@ import argparse
 import logging
 import sys
 
-from .errors import ConfigError, NetqaError, PipelineError
+from .errors import ConfigError, NetqaError
 from .pipeline import STAGES, Pipeline, RunConfig
 
 
@@ -65,9 +65,6 @@ def main(argv=None) -> int:
                 print(f"problem: {problem}", file=sys.stderr)
             return 2
         written = pipe.run_stage(args.stage)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NetqaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

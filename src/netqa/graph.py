@@ -94,28 +94,15 @@ class _NodeTable:
 
     A node keeps the location of the first endpoint that created it; later
     endpoints within the tolerance reuse it without moving it. With zero
-    tolerance only exact coordinate matches share a node.
+    tolerance only equal coordinates share a node (-0.0 equals 0.0).
     """
 
     def __init__(self, tolerance: float):
         self.tolerance = tolerance
         self.nodes: dict[int, NetworkNode] = {}
-        if tolerance == 0.0:
-            self._exact: dict[tuple[float, float], int] = {}
-            self._index = None
-        else:
-            self._exact = None
-            self._index = GridIndex(cell_size=max(tolerance * 4.0, 1e-9))
+        self._index = GridIndex(cell_size=max(tolerance * 4.0, 1e-9))
 
     def node_for(self, pt: Point2D) -> int:
-        if self._exact is not None:
-            key = (pt.x, pt.y)
-            nid = self._exact.get(key)
-            if nid is None:
-                nid = len(self.nodes)
-                self.nodes[nid] = NetworkNode(nid, pt)
-                self._exact[key] = nid
-            return nid
         best = None
         for nid in self._index.query_point(pt.x, pt.y, self.tolerance):
             d = self.nodes[nid].location.distance_to(pt)

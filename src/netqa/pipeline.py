@@ -52,7 +52,6 @@ _DEFAULTS = {
     "cell_area_m2": hexgrid.DEFAULT_CELL_AREA,
     "n_permutations": 999,
     "alpha": 0.05,
-    "weights": [{"scheme": "knn", "k": 6}],
 }
 
 
@@ -109,15 +108,16 @@ class RunConfig:
             raise ConfigError(f"config key 'seed' must be an integer >= 0, got {doc['seed']!r}")
 
         match_doc = _object(doc.get("match", {}), "match")
+        match_default = matching.MatchConfig()
 
         def threshold(key, default):
             return _number(match_doc.get(key, default), f"match.{key}", *_POSITIVE)
 
         match_cfg = matching.MatchConfig(
-            seg_len=threshold("seg_len_m", 10.0),
-            max_dist=threshold("max_dist_m", 15.0),
-            max_hausdorff=threshold("max_hausdorff_m", 17.0),
-            max_angle=threshold("max_angle_deg", 30.0),
+            seg_len=threshold("seg_len_m", match_default.seg_len),
+            max_dist=threshold("max_dist_m", match_default.max_dist),
+            max_hausdorff=threshold("max_hausdorff_m", match_default.max_hausdorff),
+            max_angle=threshold("max_angle_deg", match_default.max_angle),
         )
 
         policy = completeness.LengthPolicy.default()
@@ -138,7 +138,7 @@ class RunConfig:
             if repeated:
                 raise ConfigError(f"config key 'tags' names a tag more than once: {', '.join(repeated)}")
 
-        weights_schemes = tuple(_list(doc.get("weights", _DEFAULTS["weights"]), "weights"))
+        weights_schemes = tuple(_list(doc.get("weights", list(cls.weights_schemes)), "weights"))
         for i, scheme in enumerate(weights_schemes):
             kind = _object(scheme, f"weights[{i}]").get("scheme")
             if kind == "knn":
@@ -723,12 +723,8 @@ class Pipeline:
 
             results = {}
             for scheme in cfg.weights_schemes:
-                if scheme["scheme"] == "knn":
-                    scheme_obj = spatial.knn_scheme(scheme["k"])
-                    label = f"knn{scheme['k']}"
-                else:
-                    scheme_obj = spatial.distance_band_scheme(scheme["distance_m"])
-                    label = f"band{scheme['distance_m']:g}"
+                label = spatial.scheme_label(scheme)
+                entries = self.summary.setdefault("spatial_autocorrelation", {}).setdefault(label, {})
                 weights_by_cells = {}  # metrics over the same cells share weights
                 for metric in metrics:
                     values = self.grid_fields.get(metric, {})
@@ -737,20 +733,15 @@ class Pipeline:
                         w = weights_by_cells.get(cells)
                         if w is None:
                             centroids = {cell: grid.cells[cell].center for cell in cells}
-                            w = weights_by_cells[cells] = spatial.build_weights(centroids, scheme_obj)
-                            nnz = sum(len(row) for row in w.neighbors)
-                            self.weights_builds.setdefault(w.scheme, []).append({"cells": w.n, "nnz": nnz})
+                            w = weights_by_cells[cells] = spatial.build_weights(centroids, scheme)
+                            self.weights_builds.setdefault(label, []).append({"cells": w.n, "nnz": len(w.col)})
                         moran = spatial.global_moran(values, w, cfg.n_permutations, cfg.seed)
                         lisa = spatial.local_moran(values, w, cfg.n_permutations, cfg.seed, cfg.alpha)
                     except (WeightsError, ZeroVarianceError) as exc:
-                        self.summary.setdefault("spatial_autocorrelation", {}).setdefault(label, {})[
-                            metric
-                        ] = {"skipped": str(exc)}
+                        entries[metric] = {"skipped": str(exc)}
                         continue
-                    results[(w.scheme, metric)] = {"weights": w, "global": moran, "lisa": lisa}
-                    self.summary.setdefault("spatial_autocorrelation", {}).setdefault(w.scheme, {})[
-                        metric
-                    ] = {
+                    results[(label, metric)] = {"weights": w, "global": moran, "lisa": lisa}
+                    entries[metric] = {
                         "moran_i": _r(moran.i, 12),
                         "expected_i": _r(moran.expected_i, 12),
                         "pseudo_p": _r(moran.pseudo_p, 6),
@@ -758,7 +749,7 @@ class Pipeline:
                         "n_permutations": moran.n_permutations,
                         "significant_cells": sum(1 for v in lisa.significant.values() if v),
                     }
-                    self.outputs[f"lisa_{w.scheme}_{metric}.geojson"] = ("fc", partial(_lisa_features, grid, lisa))
+                    self.outputs[f"lisa_{label}_{metric}.geojson"] = ("fc", partial(_lisa_features, grid, lisa))
             if cfg.population_path is not None:
                 self._population_correlations()
             return results
@@ -822,10 +813,6 @@ class Pipeline:
         if problems:
             return report
         try:
-            rules = ingest.load_rules(self.cfg.rules_path)
-            for role in self.ROLES:
-                if role not in rules:
-                    problems.append(f"rules file has no entry for role {role!r}")
             self.datasets()
             self.grid()
         except NetqaError as exc:

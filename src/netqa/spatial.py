@@ -26,6 +26,7 @@ __all__ = [
     "LisaResult",
     "knn_scheme",
     "distance_band_scheme",
+    "scheme_label",
     "build_weights",
     "global_moran",
     "local_moran",
@@ -33,52 +34,72 @@ __all__ = [
 
 
 def knn_scheme(k: int) -> dict:
-    return {"kind": "knn", "k": int(k)}
+    return {"scheme": "knn", "k": int(k)}
 
 
 def distance_band_scheme(distance_m: float) -> dict:
-    return {"kind": "distance_band", "distance_m": float(distance_m)}
+    return {"scheme": "distance_band", "distance_m": float(distance_m)}
 
 
-@dataclass(frozen=True)
+def scheme_label(scheme: dict) -> str:
+    """The name a weights scheme goes by in outputs: ``knn6``, ``band250``."""
+    kind = scheme.get("scheme")
+    if kind == "knn":
+        return f"knn{scheme['k']}"
+    if kind == "distance_band":
+        return f"band{scheme['distance_m']:g}"
+    raise WeightsError(f"unknown weights scheme {kind!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class SpatialWeights:
     """Row-standardized neighbor structure over an ordered cell list.
 
-    ``ids`` is the canonical (sorted) cell order; ``neighbors[i]`` holds
-    indices into that order. Row weights are uniform within each row
-    (1/degree), which is what row-standardizing a binary neighbor
-    relation produces. ``islands`` lists cells with no neighbors.
+    ``ids`` is the canonical (sorted) cell order. Entry e links cell
+    ``row[e]`` to neighbor ``col[e]`` (indices into ``ids``) with weight
+    ``weight[e]``, 1/degree of its row: what row-standardizing a binary
+    neighbor relation produces. Entries are grouped by row, each row in the
+    scheme's neighbor order. ``neighbors``, ``weights``, ``islands`` (cells
+    with no neighbors) and ``s0`` are derived from the arrays when read.
     """
 
     ids: tuple
-    neighbors: tuple
-    weights: tuple
     scheme: str
-    islands: tuple = ()
+    row: np.ndarray
+    col: np.ndarray
+    weight: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
     @property
+    def degrees(self) -> np.ndarray:
+        return np.bincount(self.row, minlength=self.n)
+
+    def _by_row(self, flat: np.ndarray) -> tuple:
+        return tuple(tuple(part.tolist()) for part in np.split(flat, np.cumsum(self.degrees)[:-1]))
+
+    @property
+    def neighbors(self) -> tuple:
+        return self._by_row(self.col)
+
+    @property
+    def weights(self) -> tuple:
+        return self._by_row(self.weight)
+
+    @property
+    def islands(self) -> tuple:
+        return tuple(self.ids[i] for i in np.flatnonzero(self.degrees == 0).tolist())
+
+    @property
     def s0(self) -> float:
-        return float(sum(sum(row) for row in self.weights))
+        # the sum of the row sums, each row's 1/degree added degree times
+        row_sum = {d: sum([1.0 / d] * d) for d in set(self.degrees.tolist()) - {0}}
+        return float(sum(row_sum.get(d, 0) for d in self.degrees.tolist()))
 
     def lag(self, z: np.ndarray) -> np.ndarray:
-        row_idx, col_idx, wdata = self._flat()
-        return np.bincount(row_idx, weights=wdata * z[col_idx], minlength=len(z))
-
-    def _flat(self):
-        cached = self.__dict__.get("_flat_arrays")
-        if cached is None:
-            row_idx = np.array(
-                [i for i, nbrs in enumerate(self.neighbors) for _ in nbrs], dtype=np.intp
-            )
-            col_idx = np.array([j for nbrs in self.neighbors for j in nbrs], dtype=np.intp)
-            wdata = np.array([x for row in self.weights for x in row], dtype=float)
-            cached = (row_idx, col_idx, wdata)
-            object.__setattr__(self, "_flat_arrays", cached)
-        return cached
+        return np.bincount(self.row, weights=self.weight * z[self.col], minlength=len(z))
 
 
 def build_weights(centroids: dict, scheme: dict) -> SpatialWeights:
@@ -91,53 +112,54 @@ def build_weights(centroids: dict, scheme: dict) -> SpatialWeights:
         cells that actually carry the metric belong here; callers exclude
         empty cells before the neighbor search.
     scheme : dict
-        ``knn_scheme(k)`` or ``distance_band_scheme(d)``. KNN ties at
-        equal distance break on cell id.
+        ``knn_scheme(k)``, ``distance_band_scheme(d)`` or the same dict from
+        a run config. KNN ties at equal distance break on cell id.
+
+    Distances are computed one row at a time: memory is O(n + nnz).
     """
     if not centroids:
         raise WeightsError("no cells to build weights over")
+    label = scheme_label(scheme)
     ids = tuple(sorted(centroids))
     n = len(ids)
     pts = [centroids[i] for i in ids]
     coords = np.array(
         [(p.x, p.y) if hasattr(p, "x") else (p[0], p[1]) for p in pts], dtype=float
     )
-    diff = coords[:, None, :] - coords[None, :, :]
-    dists = np.sqrt((diff * diff).sum(axis=2))
 
-    kind = scheme.get("kind")
-    neighbors: list[tuple[int, ...]] = []
-    if kind == "knn":
+    k = d = None
+    if scheme["scheme"] == "knn":
         k = scheme["k"]
         if k < 1:
             raise WeightsError("knn needs k >= 1")
         if n <= k:
             raise WeightsError(f"knn with k={k} needs more than {k} cells, got {n}")
-        order_idx = np.arange(n)
-        for i in range(n):
-            row = dists[i].copy()
-            row[i] = np.inf
-            picked = order_idx[np.lexsort((order_idx, row))][:k]
-            neighbors.append(tuple(int(j) for j in picked))
-        label = f"knn{k}"
-    elif kind == "distance_band":
+    else:
         d = scheme["distance_m"]
         if d <= 0:
             raise WeightsError("distance band must be > 0")
-        for i in range(n):
-            within = np.nonzero((dists[i] <= d) & (np.arange(n) != i))[0]
-            neighbors.append(tuple(int(j) for j in within))
-        label = f"band{d:g}"
-    else:
-        raise WeightsError(f"unknown weights scheme {kind!r}")
 
-    weights = tuple(
-        tuple(1.0 / len(nbrs) for _ in nbrs) if nbrs else () for nbrs in neighbors
-    )
-    islands = tuple(ids[i] for i, nbrs in enumerate(neighbors) if not nbrs)
+    rows = []
+    for i in range(n):
+        diff = coords[i] - coords
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        if k is None:
+            within = dist <= d
+            within[i] = False
+            rows.append(np.flatnonzero(within))
+        else:
+            dist[i] = np.inf
+            # the k least (distance, index) pairs lie within the k-th smallest
+            # distance; a stable sort of those keeps index order on ties
+            cand = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])
+            rows.append(cand[np.argsort(dist[cand], kind="stable")[:k]])
+    degrees = np.array([len(r) for r in rows], dtype=np.intp)
+    row = np.repeat(np.arange(n, dtype=np.intp), degrees)
+    col = np.concatenate(rows)
+    islands = int((degrees == 0).sum())
     if islands:
-        log.warning("%d cell(s) have no neighbors under scheme %s", len(islands), label)
-    return SpatialWeights(ids=ids, neighbors=tuple(neighbors), weights=weights, scheme=label, islands=islands)
+        log.warning("%d cell(s) have no neighbors under scheme %s", islands, label)
+    return SpatialWeights(ids=ids, scheme=label, row=row, col=col, weight=1.0 / degrees[row])
 
 
 @dataclass(frozen=True)
@@ -286,7 +308,7 @@ def local_moran(
     lag = w.lag(z)
     local = (n - 1) * z * lag / den
 
-    degrees = np.array([len(nbrs) for nbrs in w.neighbors], dtype=np.intp)
+    degrees = w.degrees
     pvals = np.ones(n)
     for degree in sorted(set(degrees.tolist()) - {0}):
         cells = np.nonzero(degrees == degree)[0]

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
 import numpy as np
 import pytest
 
+from netqa.errors import WeightsError
 from netqa.geometry import Point2D, Polyline, hausdorff_distance, polyline_length, segment_angle_deg
 from netqa.graph import ComponentStats, NetworkEdge
 from netqa.hexgrid import _SQRT3
@@ -284,6 +286,75 @@ def reference_match_summary(records, grid):
         local_max_pct=max(pcts) if pcts else None,
         local_avg_pct=sum(pcts) / len(pcts) if pcts else None,
     )
+
+
+@dataclass(frozen=True)
+class ReferenceWeights:
+    """Weights as the dense builder stored them: one tuple per row, with
+    ``s0`` and ``lag`` computed from those tuples."""
+
+    ids: tuple
+    neighbors: tuple
+    weights: tuple
+    scheme: str
+    islands: tuple = ()
+
+    @property
+    def s0(self) -> float:
+        return float(sum(sum(row) for row in self.weights))
+
+    def lag(self, z: np.ndarray) -> np.ndarray:
+        row_idx = np.array([i for i, nbrs in enumerate(self.neighbors) for _ in nbrs], dtype=np.intp)
+        col_idx = np.array([j for nbrs in self.neighbors for j in nbrs], dtype=np.intp)
+        wdata = np.array([x for row in self.weights for x in row], dtype=float)
+        return np.bincount(row_idx, weights=wdata * z[col_idx], minlength=len(z))
+
+
+def reference_build_weights(centroids: dict, scheme: dict) -> ReferenceWeights:
+    """``spatial.build_weights`` over the full n×n distance matrix: one
+    ``lexsort((index, dist))`` per row for KNN, one mask per row for a band."""
+    if not centroids:
+        raise WeightsError("no cells to build weights over")
+    ids = tuple(sorted(centroids))
+    n = len(ids)
+    pts = [centroids[i] for i in ids]
+    coords = np.array(
+        [(p.x, p.y) if hasattr(p, "x") else (p[0], p[1]) for p in pts], dtype=float
+    )
+    diff = coords[:, None, :] - coords[None, :, :]
+    dists = np.sqrt((diff * diff).sum(axis=2))
+
+    kind = scheme.get("scheme")
+    neighbors: list[tuple[int, ...]] = []
+    if kind == "knn":
+        k = scheme["k"]
+        if k < 1:
+            raise WeightsError("knn needs k >= 1")
+        if n <= k:
+            raise WeightsError(f"knn with k={k} needs more than {k} cells, got {n}")
+        order_idx = np.arange(n)
+        for i in range(n):
+            row = dists[i].copy()
+            row[i] = np.inf
+            picked = order_idx[np.lexsort((order_idx, row))][:k]
+            neighbors.append(tuple(int(j) for j in picked))
+        label = f"knn{k}"
+    elif kind == "distance_band":
+        d = scheme["distance_m"]
+        if d <= 0:
+            raise WeightsError("distance band must be > 0")
+        for i in range(n):
+            within = np.nonzero((dists[i] <= d) & (np.arange(n) != i))[0]
+            neighbors.append(tuple(int(j) for j in within))
+        label = f"band{d:g}"
+    else:
+        raise WeightsError(f"unknown weights scheme {kind!r}")
+
+    weights = tuple(
+        tuple(1.0 / len(nbrs) for _ in nbrs) if nbrs else () for nbrs in neighbors
+    )
+    islands = tuple(ids[i] for i, nbrs in enumerate(neighbors) if not nbrs)
+    return ReferenceWeights(ids=ids, neighbors=tuple(neighbors), weights=weights, scheme=label, islands=islands)
 
 
 def random_polyline(rng: np.random.Generator, n_vertices: int, scale=100.0) -> Polyline:

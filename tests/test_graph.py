@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from netqa.geometry import point_to_polyline_distance
@@ -119,6 +121,17 @@ def test_exact_snap_matches_endpoint_grouping_oracle(rng):
         if i == j:
             continue
         specs.append((f"e{e}", [nodes[i], nodes[j]]))
+    # a signed zero is the same coordinate; near 10^7 m, neighbouring
+    # doubles (about 2e-9 m apart) are not
+    far = 1.0e7
+    step = math.ulp(far)
+    specs += [
+        ("z0", [(0.0, -0.0), (5.0, 0.0)]),
+        ("z1", [(-0.0, 0.0), (0.0, 5.0)]),
+        ("f0", [(far, far), (far + 10.0, far)]),
+        ("f1", [(far + step, far), (far, far + 10.0)]),
+        ("f2", [(far, far), (far, far - step)]),
+    ]
     g = graph_of(specs, snap=0.0)
     used = set()
     for spec in specs:

@@ -38,6 +38,8 @@ DEMO_DIGESTS = Path(__file__).parent / "data" / "demo_parsed_sha256.json"
 # SHA-256 of each demo output's bytes; CI holds the installed console script
 # to them too
 DEMO_RAW_DIGESTS = Path(__file__).parent / "data" / "demo_raw_sha256.json"
+# the same for the demo with a distance band added to its weights
+DEMO_BAND_RAW_DIGESTS = Path(__file__).parent / "data" / "demo_band_raw_sha256.json"
 
 
 def demo_config(tmp_path, out_name="out", **overrides):
@@ -82,6 +84,16 @@ def test_config_defaults_resolved(tmp_path):
     assert echo["undershoot_threshold_m"] == 3.0
     assert echo["grid"]["orientation"] == "flat-top"
     assert echo["length_policy"]["centerline,bidirectional"] == 2.0
+
+
+def test_config_defaults_come_from_their_owners(tmp_path):
+    path = demo_config(tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["match"], doc["weights"]
+    path.write_text(json.dumps(doc))
+    cfg = RunConfig.from_file(path)
+    assert cfg.match_config == MatchConfig()
+    assert cfg.weights_schemes == RunConfig.weights_schemes == ({"scheme": "knn", "k": 6},)
 
 
 @pytest.mark.parametrize(
@@ -385,17 +397,22 @@ def parsed_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_demo_from_copy(tmp_path, monkeypatch) -> Path:
+def run_demo_from_copy(tmp_path, monkeypatch, extra_weights=()) -> Path:
     """Run ``netqa full`` on a copy of the demo; returns the output directory.
 
     The copy is run with a relative config path, so the input paths echoed
     into summary.json do not depend on where the repository lives.
+    ``extra_weights`` are appended to the config's weights schemes.
     """
     work = tmp_path / "demo"
     work.mkdir()
     for p in DEMO.iterdir():
         if p.is_file():
             shutil.copy(p, work / p.name)
+    if extra_weights:
+        doc = json.loads((work / "config.json").read_text(encoding="utf-8"))
+        doc["weights"] += list(extra_weights)
+        (work / "config.json").write_text(json.dumps(doc), encoding="utf-8")
     monkeypatch.chdir(work)
     assert cli_main(["full", "--config", "config.json", "--out", str(tmp_path / "out")]) == 0
     return tmp_path / "out"
@@ -415,6 +432,13 @@ def test_demo_outputs_reproduce_the_recorded_bytes(tmp_path, monkeypatch):
     out = run_demo_from_copy(tmp_path, monkeypatch)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir()) if p.name != "run_info.json"}
     assert got == json.loads(DEMO_RAW_DIGESTS.read_text(encoding="utf-8"))
+
+
+def test_demo_band_outputs_reproduce_the_recorded_bytes(tmp_path, monkeypatch):
+    # at 280 m a cell has up to 12 neighbours (the first two hexagon rings)
+    out = run_demo_from_copy(tmp_path, monkeypatch, [{"scheme": "distance_band", "distance_m": 280.0}])
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir()) if p.name != "run_info.json"}
+    assert got == json.loads(DEMO_BAND_RAW_DIGESTS.read_text(encoding="utf-8"))
 
 
 def test_full_run_builds_no_per_segment_objects(tmp_path, monkeypatch):
@@ -790,6 +814,19 @@ def test_cli_validate_missing_file(tmp_path, capsys):
     cfg_path = demo_config(tmp_path, candidate={"name": "x", "path": "gone.geojson"})
     assert cli_main(["validate", "--config", str(cfg_path)]) == 2
     assert "gone.geojson" in capsys.readouterr().err
+
+
+def test_cli_validate_reports_a_missing_rules_role_once(tmp_path, capsys):
+    rules = json.loads((DEMO / "rules.json").read_text())
+    del rules["reference"]
+    (tmp_path / "rules.json").write_text(json.dumps(rules))
+    cfg_path = demo_config(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    doc["rules"] = str(tmp_path / "rules.json")
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+    problems = capsys.readouterr().err.splitlines()
+    assert problems == ["problem: stage 'ingest' failed: rules file has no entry for role 'reference'"]
 
 
 def test_cli_unknown_subcommand_exits_with_usage():
