@@ -466,6 +466,8 @@ class Pipeline:
         self.match_counts: dict[str, matching.MatchCounts] = {}
         # scheme -> [{"cells", "nnz"} of each weights build]; run_info.json
         self.weights_builds: dict[str, list[dict]] = {}
+        # scheme -> [the metrics evaluated on each weights build]; run_info.json
+        self.autocorr_groups: dict[str, list[list[str]]] = {}
 
     def _run(self, stage, fn):
         if stage not in self._cache:
@@ -725,21 +727,36 @@ class Pipeline:
             for scheme in cfg.weights_schemes:
                 label = spatial.scheme_label(scheme)
                 entries = self.summary.setdefault("spatial_autocorrelation", {}).setdefault(label, {})
-                weights_by_cells = {}  # metrics over the same cells share weights
+                # metrics over the same cells share one weights build and one
+                # set of permutation draws; builds follow first appearance
+                groups: dict[tuple, list[str]] = {}
                 for metric in metrics:
-                    values = self.grid_fields.get(metric, {})
+                    groups.setdefault(tuple(sorted(self.grid_fields.get(metric, {}))), []).append(metric)
+                outcome = {}  # metric -> (weights, MoranResult, LisaResult) or why it was skipped
+                for cells, group in groups.items():
                     try:
-                        cells = tuple(sorted(values))
-                        w = weights_by_cells.get(cells)
-                        if w is None:
-                            centroids = {cell: grid.cells[cell].center for cell in cells}
-                            w = weights_by_cells[cells] = spatial.build_weights(centroids, scheme)
-                            self.weights_builds.setdefault(label, []).append({"cells": w.n, "nnz": len(w.col)})
-                        moran = spatial.global_moran(values, w, cfg.n_permutations, cfg.seed)
-                        lisa = spatial.local_moran(values, w, cfg.n_permutations, cfg.seed, cfg.alpha)
-                    except (WeightsError, ZeroVarianceError) as exc:
-                        entries[metric] = {"skipped": str(exc)}
+                        w = spatial.build_weights({cell: grid.cells[cell].center for cell in cells}, scheme)
+                    except WeightsError as exc:
+                        outcome.update(dict.fromkeys(group, exc))
                         continue
+                    self.weights_builds.setdefault(label, []).append({"cells": w.n, "nnz": len(w.col)})
+                    batch = spatial.moran_batch(
+                        [self.grid_fields.get(metric, {}) for metric in group],
+                        w,
+                        cfg.n_permutations,
+                        cfg.seed,
+                        cfg.alpha,
+                    )
+                    for metric, res in zip(group, batch):
+                        outcome[metric] = res if isinstance(res, Exception) else (w, *res)
+                    self.autocorr_groups.setdefault(label, []).append(
+                        [metric for metric, res in zip(group, batch) if not isinstance(res, Exception)]
+                    )
+                for metric in metrics:
+                    if isinstance(outcome[metric], Exception):
+                        entries[metric] = {"skipped": str(outcome[metric])}
+                        continue
+                    w, moran, lisa = outcome[metric]
                     results[(label, metric)] = {"weights": w, "global": moran, "lisa": lisa}
                     entries[metric] = {
                         "moran_i": _r(moran.i, 12),
@@ -874,7 +891,8 @@ class Pipeline:
     def _work(self) -> dict:
         """Sizes of what the run computed: grid cells; per role, edges, clip
         index rows and, when matching ran, segments; and, when the autocorr
-        stage ran, the cells and neighbour count (nnz) of each weights build."""
+        stage ran, the cells and neighbour count (nnz) of each weights build
+        and the metrics evaluated on its one set of permutation draws."""
         work = {"grid_cells": len(self.grid().cells)}
         for role, ds in self.datasets().items():
             work[role] = {"edges": len(ds.edges)}
@@ -884,6 +902,7 @@ class Pipeline:
                 work[role]["segments"] = self.match_counts[role].segments
         if self.weights_builds:
             work["weights"] = self.weights_builds
+            work["autocorr"] = self.autocorr_groups
         log.debug("work: %s", json.dumps(work, sort_keys=True))
         return work
 

@@ -6,7 +6,10 @@ based: the global statistic permutes values across all cells, the local
 statistics use conditional permutation (each cell's own value held fixed,
 the rest shuffled). Every cell draws from its own random stream derived
 from the run seed and the cell's position in the canonical cell order, so
-results are bit-identical no matter how the work is scheduled.
+results are bit-identical no matter how the work is scheduled. The draws
+depend on the weights, the seed and the permutation count only, so
+``moran_batch`` evaluates every metric over one weights build on one set
+of them.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "build_weights",
     "global_moran",
     "local_moran",
+    "moran_batch",
 ]
 
 
@@ -99,7 +103,8 @@ class SpatialWeights:
         return float(sum(row_sum.get(d, 0) for d in self.degrees.tolist()))
 
     def lag(self, z: np.ndarray) -> np.ndarray:
-        return np.bincount(self.row, weights=self.weight * z[self.col], minlength=len(z))
+        # np.bincount over no entries (every cell an island) gives int64
+        return np.bincount(self.row, weights=self.weight * z[self.col], minlength=len(z)).astype(float, copy=False)
 
 
 def build_weights(centroids: dict, scheme: dict) -> SpatialWeights:
@@ -180,9 +185,102 @@ def _aligned_values(values: dict, w: SpatialWeights) -> np.ndarray:
     return np.array([values[i] for i in w.ids], dtype=float)
 
 
-def _moran_i(z: np.ndarray, lag: np.ndarray, s0: float) -> float:
-    den = float((z * z).sum())
-    return float(len(z) / s0 * (z * lag).sum() / den)
+def _centered(kind: str, values: dict, w: SpatialWeights) -> np.ndarray:
+    """The values in cell order minus their mean; raises when the
+    statistic is undefined: fewer than 3 cells, then constant values."""
+    v = _aligned_values(values, w)
+    if len(v) < 3:
+        raise WeightsError(f"{kind} autocorrelation needs >= 3 cells, got {len(v)}")
+    z = v - v.mean()
+    if float((z * z).sum()) == 0.0:
+        raise ZeroVarianceError("autocorrelation undefined for constant values")
+    return z
+
+
+def _check_n_perm(kind: str, n_perm: int) -> None:
+    if n_perm < 1:
+        raise ValueError(f"{kind} autocorrelation needs n_perm >= 1, got {n_perm}")
+
+
+def _check_s0(s0: float) -> None:
+    if s0 == 0.0:
+        raise WeightsError("every cell is an island; no autocorrelation structure")
+
+
+# Upper bound on the elements the arrays of one block of draws hold
+# together: a local block's uniforms and drawn cells, or a global block's
+# permutations, permuted values, lags and lag terms. It caps transient
+# memory and does not change results.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _slots(w: SpatialWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor slot s of every row: ``nbr[s]`` the cells, ``wt[s]`` the
+    weights, each of shape (max degree, n); a row with fewer neighbors is
+    padded with cell 0 at weight 0.0."""
+    degrees = w.degrees
+    slot = np.arange(len(w.col)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    nbr = np.zeros((int(degrees.max(initial=0)), w.n), dtype=np.intp)
+    wt = np.zeros(nbr.shape)
+    nbr[slot, w.row] = w.col
+    wt[slot, w.row] = w.weight
+    return nbr, wt
+
+
+def _moran_rows(zp: np.ndarray, nbr: np.ndarray, wt: np.ndarray, s0: float) -> np.ndarray:
+    """Moran's I of each row of ``zp``, a C-contiguous array of value rows
+    in cell order.
+
+    Each lag is summed slot by slot from 0.0 in row-entry order, as
+    ``SpatialWeights.lag`` sums it, so it has the same bits; a padded slot
+    adds ±0.0, which changes no sum that starts from +0.0. Row sums of a
+    C-contiguous array have the bits of the 1-D sums of its rows.
+    """
+    lag = np.zeros(zp.shape)
+    term = np.empty(zp.shape)
+    for cells, weights in zip(nbr, wt):
+        np.take(zp, cells, axis=1, out=term)
+        term *= weights
+        lag += term
+    num = np.multiply(zp, lag, out=lag).sum(axis=1)
+    return zp.shape[1] / s0 * num / np.multiply(zp, zp, out=term).sum(axis=1)
+
+
+def _global_batch(zs: list, w: SpatialWeights, s0: float, n_perm: int, seed: int) -> list:
+    """MoranResult of each centered metric in ``zs``.
+
+    Permutation j relabels every metric by the same ``rng.permutation(n)``:
+    ``z[perm]`` has the bits of ``rng.permutation(z)`` from the same state.
+    Permutations are drawn in blocks; a block's permutations, permuted
+    values, lags and lag terms hold at most ``_BLOCK_ELEMENTS`` elements.
+    """
+    if not zs:
+        return []
+    n = w.n
+    nbr, wt = _slots(w)
+    expected = -1.0 / (n - 1)
+    observed = [float(_moran_rows(z[None, :], nbr, wt, s0)[0]) for z in zs]
+    thresholds = [abs(i - expected) for i in observed]
+    extreme = [0] * len(zs)
+    rng = np.random.default_rng(seed)
+    block = max(1, _BLOCK_ELEMENTS // (4 * n))
+    for lo in range(0, n_perm, block):
+        perms = np.array([rng.permutation(n) for _ in range(min(block, n_perm - lo))])
+        for m, z in enumerate(zs):
+            sims = _moran_rows(z[perms], nbr, wt, s0)
+            extreme[m] += int((np.abs(sims - expected) >= thresholds[m]).sum())
+    return [
+        MoranResult(
+            i=i,
+            expected_i=expected,
+            pseudo_p=(e + 1.0) / (n_perm + 1.0),
+            n_permutations=n_perm,
+            seed=seed,
+            n=n,
+            scheme=w.scheme,
+        )
+        for i, e in zip(observed, extreme)
+    ]
 
 
 def global_moran(values: dict, w: SpatialWeights, n_perm: int = 999, seed: int = 0) -> MoranResult:
@@ -192,37 +290,11 @@ def global_moran(values: dict, w: SpatialWeights, n_perm: int = 999, seed: int =
     statistic deviates from the expected value -1/(n-1) at least as much
     as the observed one (two-sided), with the +1/(n_perm+1) correction.
     """
-    v = _aligned_values(values, w)
-    n = len(v)
-    if n < 3:
-        raise WeightsError(f"global autocorrelation needs >= 3 cells, got {n}")
-    z = v - v.mean()
-    if float((z * z).sum()) == 0.0:
-        raise ZeroVarianceError("autocorrelation undefined for constant values")
+    _check_n_perm("global", n_perm)
+    z = _centered("global", values, w)
     s0 = w.s0
-    if s0 == 0.0:
-        raise WeightsError("every cell is an island; no autocorrelation structure")
-    observed = _moran_i(z, w.lag(z), s0)
-    expected = -1.0 / (n - 1)
-
-    rng = np.random.default_rng(seed)
-    extreme = 0
-    threshold = abs(observed - expected)
-    for _ in range(n_perm):
-        zp = rng.permutation(z)
-        sim = _moran_i(zp, w.lag(zp), s0)
-        if abs(sim - expected) >= threshold:
-            extreme += 1
-    pseudo_p = (extreme + 1.0) / (n_perm + 1.0)
-    return MoranResult(
-        i=observed,
-        expected_i=expected,
-        pseudo_p=pseudo_p,
-        n_permutations=n_perm,
-        seed=seed,
-        n=n,
-        scheme=w.scheme,
-    )
+    _check_s0(s0)
+    return _global_batch([z], w, s0, n_perm, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -265,9 +337,61 @@ def _sample_others(u: np.ndarray, n: int, cells: np.ndarray) -> np.ndarray:
     return picks
 
 
-# Upper bound on the uniforms drawn for one block of cells in local_moran;
-# it caps transient memory and does not change results.
-_BLOCK_ELEMENTS = 1 << 16
+def _cell_stream(seed: int, i: int) -> np.random.Generator:
+    """Cell i's own random stream for its local permutations."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+
+
+def _local_batch(zs: list, w: SpatialWeights, n_perm: int, seed: int, alpha: float) -> list:
+    """LisaResult of each centered metric in ``zs``.
+
+    The draws of a block of cells serve every metric before the next
+    block is drawn, so each cell's stream is built once per call.
+    """
+    if not zs:
+        return []
+    n = w.n
+    degrees = w.degrees
+    lags = [w.lag(z) for z in zs]
+    dens = [float((z * z).sum()) for z in zs]
+    locals_ = [(n - 1) * z * lag / den for z, lag, den in zip(zs, lags, dens)]
+    pvals = [np.ones(n) for _ in zs]
+    for degree in sorted(set(degrees.tolist()) - {0}):
+        cells = np.nonzero(degrees == degree)[0]
+        block = max(1, _BLOCK_ELEMENTS // (2 * n_perm * degree))
+        for lo in range(0, len(cells), block):
+            idx = cells[lo : lo + block]
+            u = np.empty((len(idx), degree, n_perm))
+            for row, i in zip(u, idx):
+                _cell_stream(seed, int(i)).random(out=row)
+            draw = _sample_others(u.transpose(1, 0, 2), n, idx)
+            for z, den, local, p in zip(zs, dens, locals_, pvals):
+                # row weights are uniform (see SpatialWeights), so the
+                # simulated lag is the mean of the drawn values, summed in
+                # draw order
+                sim_lag = z[draw[0]]
+                for picked in draw[1:]:
+                    sim_lag += z[picked]
+                sim_lag /= degree
+                sims = (n - 1) * z[idx, None] * sim_lag / den
+                tail = (sims >= local[idx, None]).sum(axis=1)
+                tail = np.minimum(tail, n_perm - tail)
+                p[idx] = (tail + 1.0) / (n_perm + 1.0)
+
+    ids = w.ids
+    return [
+        LisaResult(
+            local_i={ids[i]: float(local[i]) for i in range(n)},
+            quadrant={ids[i]: _quadrant(z[i], lag[i]) for i in range(n)},
+            pseudo_p={ids[i]: float(p[i]) for i in range(n)},
+            significant={ids[i]: bool(p[i] < alpha and degrees[i] > 0) for i in range(n)},
+            alpha=alpha,
+            n_permutations=n_perm,
+            seed=seed,
+            scheme=w.scheme,
+        )
+        for z, lag, local, p in zip(zs, lags, locals_, pvals)
+    ]
 
 
 def local_moran(
@@ -295,50 +419,40 @@ def local_moran(
     O(n²·n_perm). Cells are processed in blocks of equal degree; results
     do not depend on the block size.
     """
-    if n_perm < 1:
-        raise ValueError(f"local autocorrelation needs n_perm >= 1, got {n_perm}")
-    v = _aligned_values(values, w)
-    n = len(v)
-    if n < 3:
-        raise WeightsError(f"local autocorrelation needs >= 3 cells, got {n}")
-    z = v - v.mean()
-    den = float((z * z).sum())
-    if den == 0.0:
-        raise ZeroVarianceError("autocorrelation undefined for constant values")
-    lag = w.lag(z)
-    local = (n - 1) * z * lag / den
+    _check_n_perm("local", n_perm)
+    z = _centered("local", values, w)
+    return _local_batch([z], w, n_perm, seed, alpha)[0]
 
-    degrees = w.degrees
-    pvals = np.ones(n)
-    for degree in sorted(set(degrees.tolist()) - {0}):
-        cells = np.nonzero(degrees == degree)[0]
-        block = max(1, _BLOCK_ELEMENTS // (n_perm * degree))
-        for lo in range(0, len(cells), block):
-            idx = cells[lo : lo + block]
-            u = np.empty((len(idx), degree, n_perm))
-            for row, i in zip(u, idx):
-                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(i),)))
-                rng.random(out=row)
-            draw = _sample_others(u.transpose(1, 0, 2), n, idx)
-            # row weights are uniform (see SpatialWeights), so the simulated
-            # lag is the mean of the drawn values, summed in draw order
-            sim_lag = z[draw[0]]
-            for picked in draw[1:]:
-                sim_lag += z[picked]
-            sim_lag /= degree
-            sims = (n - 1) * z[idx, None] * sim_lag / den
-            tail = (sims >= local[idx, None]).sum(axis=1)
-            tail = np.minimum(tail, n_perm - tail)
-            pvals[idx] = (tail + 1.0) / (n_perm + 1.0)
 
-    ids = w.ids
-    return LisaResult(
-        local_i={ids[i]: float(local[i]) for i in range(n)},
-        quadrant={ids[i]: _quadrant(z[i], lag[i]) for i in range(n)},
-        pseudo_p={ids[i]: float(pvals[i]) for i in range(n)},
-        significant={ids[i]: bool(pvals[i] < alpha and degrees[i] > 0) for i in range(n)},
-        alpha=alpha,
-        n_permutations=n_perm,
-        seed=seed,
-        scheme=w.scheme,
-    )
+def moran_batch(
+    values_list: list,
+    w: SpatialWeights,
+    n_perm: int = 999,
+    seed: int = 0,
+    alpha: float = 0.05,
+) -> list:
+    """Global and local Moran of several metrics over one weights build.
+
+    The draws depend on the weights, ``seed`` and ``n_perm`` only, never
+    on the values, so all metrics are evaluated over one set of them:
+    each metric's results have the bits ``global_moran`` and
+    ``local_moran`` give it alone. Returns, per entry of ``values_list``,
+    a ``(MoranResult, LisaResult)`` pair, or the ``WeightsError`` or
+    ``ZeroVarianceError`` that ``global_moran`` raises for it (checked in
+    its order: fewer than 3 cells, constant values, every cell an island).
+    """
+    _check_n_perm("global", n_perm)
+    s0 = w.s0
+    out = []
+    zs = []
+    for values in values_list:
+        try:
+            z = _centered("global", values, w)
+            _check_s0(s0)
+        except (WeightsError, ZeroVarianceError) as exc:
+            out.append(exc)
+        else:
+            out.append(None)
+            zs.append(z)
+    pairs = iter(zip(_global_batch(zs, w, s0, n_perm, seed), _local_batch(zs, w, n_perm, seed, alpha)))
+    return [next(pairs) if res is None else res for res in out]

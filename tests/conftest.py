@@ -10,13 +10,14 @@ from operator import add
 import numpy as np
 import pytest
 
-from netqa.errors import WeightsError
+from netqa.errors import WeightsError, ZeroVarianceError
 from netqa.geometry import Point2D, Polyline, hausdorff_distance, polyline_length, segment_angle_deg
 from netqa.graph import ComponentStats, NetworkEdge
 from netqa.hexgrid import _SQRT3
 from netqa.ingest import Dataset
 from netqa.matching import MatchSummary
 from netqa.polygons import _PARAM_EPS, PolygonArea, _crossing_param, _segments_cross, point_in_rings
+from netqa.spatial import LisaResult, MoranResult
 from netqa.tags import TagShare, tag_presence
 
 
@@ -355,6 +356,127 @@ def reference_build_weights(centroids: dict, scheme: dict) -> ReferenceWeights:
     )
     islands = tuple(ids[i] for i, nbrs in enumerate(neighbors) if not nbrs)
     return ReferenceWeights(ids=ids, neighbors=tuple(neighbors), weights=weights, scheme=label, islands=islands)
+
+
+# ``global_moran`` and ``local_moran`` as they were before the metrics that
+# share one weights build were evaluated over one set of draws: one metric a
+# call, one ``rng.permutation`` and one ``lag`` per global permutation, one
+# stream and one Floyd draw per cell and call. Their helpers are copied too,
+# so the copies do not move with spatial.py.
+
+_REFERENCE_BLOCK_ELEMENTS = 1 << 16
+
+
+def _reference_aligned_values(values, w):
+    missing = [i for i in w.ids if i not in values]
+    if missing:
+        raise WeightsError(f"values missing for {len(missing)} cell(s), e.g. {missing[0]!r}")
+    return np.array([values[i] for i in w.ids], dtype=float)
+
+
+def _reference_moran_i(z, lag, s0):
+    den = float((z * z).sum())
+    return float(len(z) / s0 * (z * lag).sum() / den)
+
+
+def reference_global_moran(values, w, n_perm=999, seed=0) -> MoranResult:
+    v = _reference_aligned_values(values, w)
+    n = len(v)
+    if n < 3:
+        raise WeightsError(f"global autocorrelation needs >= 3 cells, got {n}")
+    z = v - v.mean()
+    if float((z * z).sum()) == 0.0:
+        raise ZeroVarianceError("autocorrelation undefined for constant values")
+    s0 = w.s0
+    if s0 == 0.0:
+        raise WeightsError("every cell is an island; no autocorrelation structure")
+    observed = _reference_moran_i(z, w.lag(z), s0)
+    expected = -1.0 / (n - 1)
+
+    rng = np.random.default_rng(seed)
+    extreme = 0
+    threshold = abs(observed - expected)
+    for _ in range(n_perm):
+        zp = rng.permutation(z)
+        sim = _reference_moran_i(zp, w.lag(zp), s0)
+        if abs(sim - expected) >= threshold:
+            extreme += 1
+    pseudo_p = (extreme + 1.0) / (n_perm + 1.0)
+    return MoranResult(
+        i=observed,
+        expected_i=expected,
+        pseudo_p=pseudo_p,
+        n_permutations=n_perm,
+        seed=seed,
+        n=n,
+        scheme=w.scheme,
+    )
+
+
+def _reference_quadrant(z_i, lag_i):
+    if z_i > 0:
+        return "HH" if lag_i > 0 else "HL"
+    return "LH" if lag_i > 0 else "LL"
+
+
+def _reference_sample_others(u, n, cells):
+    k = len(u)
+    picks = np.empty(u.shape, dtype=np.intp)
+    for s in range(k):
+        top = n - 1 - k + s
+        t = (u[s] * (top + 1)).astype(np.intp)
+        taken = (picks[:s] == t).any(axis=0)
+        picks[s] = np.where(taken, top, t)
+    picks += picks >= cells[:, None]
+    return picks
+
+
+def reference_local_moran(values, w, n_perm=999, seed=0, alpha=0.05) -> LisaResult:
+    if n_perm < 1:
+        raise ValueError(f"local autocorrelation needs n_perm >= 1, got {n_perm}")
+    v = _reference_aligned_values(values, w)
+    n = len(v)
+    if n < 3:
+        raise WeightsError(f"local autocorrelation needs >= 3 cells, got {n}")
+    z = v - v.mean()
+    den = float((z * z).sum())
+    if den == 0.0:
+        raise ZeroVarianceError("autocorrelation undefined for constant values")
+    lag = w.lag(z)
+    local = (n - 1) * z * lag / den
+
+    degrees = w.degrees
+    pvals = np.ones(n)
+    for degree in sorted(set(degrees.tolist()) - {0}):
+        cells = np.nonzero(degrees == degree)[0]
+        block = max(1, _REFERENCE_BLOCK_ELEMENTS // (n_perm * degree))
+        for lo in range(0, len(cells), block):
+            idx = cells[lo : lo + block]
+            u = np.empty((len(idx), degree, n_perm))
+            for row, i in zip(u, idx):
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(i),)))
+                rng.random(out=row)
+            draw = _reference_sample_others(u.transpose(1, 0, 2), n, idx)
+            sim_lag = z[draw[0]]
+            for picked in draw[1:]:
+                sim_lag += z[picked]
+            sim_lag /= degree
+            sims = (n - 1) * z[idx, None] * sim_lag / den
+            tail = (sims >= local[idx, None]).sum(axis=1)
+            tail = np.minimum(tail, n_perm - tail)
+            pvals[idx] = (tail + 1.0) / (n_perm + 1.0)
+
+    ids = w.ids
+    return LisaResult(
+        local_i={ids[i]: float(local[i]) for i in range(n)},
+        quadrant={ids[i]: _reference_quadrant(z[i], lag[i]) for i in range(n)},
+        pseudo_p={ids[i]: float(pvals[i]) for i in range(n)},
+        significant={ids[i]: bool(pvals[i] < alpha and degrees[i] > 0) for i in range(n)},
+        alpha=alpha,
+        n_permutations=n_perm,
+        seed=seed,
+        scheme=w.scheme,
+    )
 
 
 def random_polyline(rng: np.random.Generator, n_vertices: int, scale=100.0) -> Polyline:

@@ -698,6 +698,25 @@ def test_run_info_records_each_weights_build(tmp_path, caplog):
     assert "weights" not in json.loads((tmp_path / "s" / "run_info.json").read_text())["work"]
 
 
+def test_run_info_records_the_metrics_of_each_weights_build(tmp_path, monkeypatch, caplog):
+    with caplog.at_level(logging.DEBUG, logger="netqa.pipeline"):
+        out = run_demo_from_copy(tmp_path, monkeypatch, [{"scheme": "distance_band", "distance_m": 280.0}])
+    work = json.loads((out / "run_info.json").read_text())["work"]
+    assert f"work: {json.dumps(work, sort_keys=True)}" in caplog.text
+    pipe = Pipeline(RunConfig.from_file(tmp_path / "demo" / "config.json"))
+    groups = {}  # scheme -> weights object -> metrics, in build order
+    for (label, metric), result in pipe.autocorr().items():
+        groups.setdefault(label, {}).setdefault(id(result["weights"]), []).append(metric)
+    assert work["autocorr"] == {label: list(builds.values()) for label, builds in groups.items()}
+    # one list per weights build, in the order of work.weights
+    assert {label: len(lists) for label, lists in work["autocorr"].items()} == {
+        label: len(builds) for label, builds in work["weights"].items()
+    }
+    assert any(len(metrics) > 1 for lists in work["autocorr"].values() for metrics in lists)
+    assert cli_main(["structure", "--config", str(DEMO / "config.json"), "--out", str(tmp_path / "s")]) == 0
+    assert "autocorr" not in json.loads((tmp_path / "s" / "run_info.json").read_text())["work"]
+
+
 def _shifted(doc, dx, dy):
     def shift(c):
         return [c[0] + dx, c[1] + dy] if isinstance(c[0], (int, float)) else [shift(part) for part in c]

@@ -67,9 +67,18 @@ def test_weights_equal_the_dense_builder(data):
     assert len(w.col) == sum(len(row) for row in ref.neighbors)
     z = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=w.n, max_size=w.n)))
     lag, ref_lag = w.lag(z), ref.lag(z)
-    # all islands: np.bincount of no entries gives integer zeros on both sides
-    assert lag.dtype == ref_lag.dtype
+    # all islands: the dense builder's np.bincount of no entries gives
+    # integer zeros; the lag is float whatever the weights
+    assert lag.dtype == np.float64
     assert [float(x).hex() for x in lag.tolist()] == [float(x).hex() for x in ref_lag.tolist()]
+
+
+def test_lag_of_all_islands_is_float_zeros():
+    w = build_weights({i: (100.0 * i, 0.0) for i in range(4)}, distance_band_scheme(50.0))
+    assert w.n == 4 and len(w.col) == 0
+    lag = w.lag(np.array([1.0, -2.0, 3.0, 0.5]))
+    assert lag.dtype == np.float64
+    assert [x.hex() for x in lag.tolist()] == [(0.0).hex()] * 4
 
 
 def test_weights_hold_flat_arrays_only():
