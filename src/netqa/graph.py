@@ -9,12 +9,13 @@ must be able to see, not a defect to repair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Point2D, Polyline, point_to_polyline_distance, polyline_length
-from .spindex import GridIndex
+from .spindex import SLACK, BucketJoin
 
 __all__ = [
     "NetworkNode",
@@ -89,39 +90,58 @@ class ComponentStats:
     length_m: float
 
 
-class _NodeTable:
-    """Snaps endpoint coordinates into node ids.
+def _snap(ends: list[Point2D], tolerance: float):
+    """Node of each endpoint, and the endpoint that opened each node.
 
-    A node keeps the location of the first endpoint that created it; later
-    endpoints within the tolerance reuse it without moving it. With zero
-    tolerance only equal coordinates share a node (-0.0 equals 0.0).
+    Endpoints are taken in order. One joins the node with the least
+    (distance, id) within ``tolerance``, or opens a node where it lies.
+    Distinct coordinates (-0.0 equals 0.0) are joined against each other;
+    one with no earlier coordinate in reach opens a node at its first
+    endpoint and keeps it, and only the endpoints of the others go
+    through the rule one by one.
     """
+    # distinct coordinates, numbered in order of first endpoint, so each
+    # first occurs where the running maximum reaches it
+    number: dict[tuple[float, float], int] = {}
+    coord = np.array([number.setdefault((p.x, p.y), len(number)) for p in ends], dtype=np.intp)
+    first = np.searchsorted(np.maximum.accumulate(coord), np.arange(len(number)))
+    ux, uy = np.array(list(number), dtype=float).reshape(-1, 2).T
 
-    def __init__(self, tolerance: float):
-        self.tolerance = tolerance
-        self.nodes: dict[int, NetworkNode] = {}
-        self._index = GridIndex(cell_size=max(tolerance * 4.0, 1e-9))
+    near: dict[int, list] = {}
+    contested = np.zeros(len(first), dtype=bool)
+    if tolerance > 0:
+        r = tolerance * (1.0 + SLACK)
+        q, p = BucketJoin(ux, uy, r).pairs(ux - r, uy - r, ux + r, uy + r)
+        d = np.array(list(map(math.hypot, (ux[p] - ux[q]).tolist(), (uy[p] - uy[q]).tolist())))
+        within = d <= tolerance
+        contested[q[within & (p < q)]] = True
+        for u, v, dv in zip(q[within].tolist(), p[within].tolist(), d[within].tolist()):
+            if contested[u]:
+                near.setdefault(u, []).append((dv, v))
 
-    def node_for(self, pt: Point2D) -> int:
-        best = None
-        for nid in self._index.query_point(pt.x, pt.y, self.tolerance):
-            d = self.nodes[nid].location.distance_to(pt)
-            if d <= self.tolerance and (best is None or (d, nid) < best):
-                best = (d, nid)
-        if best is not None:
-            return best[1]
-        nid = len(self.nodes)
-        self.nodes[nid] = NetworkNode(nid, pt)
-        self._index.insert(nid, (pt.x, pt.y, pt.x, pt.y))
-        return nid
+    # the first-come rule. Every node in reach opened before the endpoint,
+    # and once a coordinate opens a node no other is in its reach. Node ids
+    # follow the openers' first endpoints.
+    opens = ~contested
+    joins = coord.copy()
+    for i in np.flatnonzero(contested[coord]).tolist():
+        u = int(coord[i])
+        best = min(((dv, v) for dv, v in near[u] if opens[v]), default=None)
+        if best is None:
+            opens[u] = True
+        else:
+            joins[i] = best[1]
+    node = np.cumsum(opens) - 1
+    return node[joins], first[opens]
 
 
 def build_graph(dataset, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> Graph:
     """Build the topology graph for a classified dataset.
 
-    Endpoints within ``snap_tolerance`` of an existing node share it.
-    Component ids are assigned densely from 0 in first-edge order. Edge
-    objects are annotated in place with their node and component ids.
+    Endpoints within ``snap_tolerance`` of an existing node share it; a
+    node keeps the location of the endpoint that opened it. Component ids
+    are assigned densely from 0 in first-edge order. Edge objects are
+    annotated in place with their node and component ids.
 
     Parameters
     ----------
@@ -131,25 +151,25 @@ def build_graph(dataset, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> Grap
         default: aggressive snapping would repair exactly the gaps this
         module is meant to measure.
     """
-    if snap_tolerance < 0:
-        raise ValueError("snap_tolerance must be >= 0")
-    table = _NodeTable(snap_tolerance)
+    if not (snap_tolerance >= 0 and math.isfinite(snap_tolerance)):
+        raise ValueError(f"snap_tolerance must be finite and >= 0, got {snap_tolerance}")
+    ends = [p for edge in dataset.edges for p in (edge.geometry.vertices[0], edge.geometry.vertices[-1])]
+    node_of, opener = _snap(ends, snap_tolerance)
+    degree = np.bincount(node_of, minlength=len(opener)).tolist()
+    nodes = {nid: NetworkNode(nid, ends[i], degree[nid]) for nid, i in enumerate(opener.tolist())}
+    node_of = node_of.tolist()
     edges: dict[str, NetworkEdge] = {}
     adjacency: dict[int, list[str]] = {}
-    for edge in dataset.edges:
-        a = table.node_for(edge.geometry.vertices[0])
-        b = table.node_for(edge.geometry.vertices[-1])
+    for edge, a, b in zip(dataset.edges, node_of[0::2], node_of[1::2]):
         edge.from_node = a
         edge.to_node = b
-        table.nodes[a].degree += 1
-        table.nodes[b].degree += 1
         edges[edge.id] = edge
         adjacency.setdefault(a, []).append(edge.id)
         if b != a:
             adjacency.setdefault(b, []).append(edge.id)
 
     # union-find over nodes, then dense component ids in first-edge order
-    parent = list(range(len(table.nodes)))
+    parent = list(range(len(nodes)))
 
     def find(i):
         while parent[i] != i:
@@ -170,7 +190,7 @@ def build_graph(dataset, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> Grap
         edge.component_id = cid
         component_index.setdefault(cid, []).append(edge.id)
 
-    return Graph(nodes=table.nodes, edges=edges, adjacency=adjacency, component_index=component_index)
+    return Graph(nodes=nodes, edges=edges, adjacency=adjacency, component_index=component_index)
 
 
 def connected_components(g: Graph, policy=None) -> list[ComponentStats]:
@@ -202,31 +222,36 @@ def detect_undershoots(g: Graph, threshold: float = DEFAULT_UNDERSHOOT_THRESHOLD
     geometry from being reported as a gap. The nearest qualifying edge
     wins, ties by edge id.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
-    if not g.edges:
+    if not (threshold > 0 and math.isfinite(threshold)):
+        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
+    dangling = dangling_nodes(g)
+    if not dangling:
         return []
-    mean_len = sum(polyline_length(e.geometry) for e in g.edges.values()) / len(g.edges)
-    index = GridIndex(cell_size=max(threshold * 4.0, mean_len, 1e-9))
-    for eid in g.edges:
-        index.insert(eid, g.edges[eid].geometry.bbox)
+    eids = list(g.edges)
+    box = np.array([g.edges[eid].geometry.bbox for eid in eids], dtype=float)
+    # each edge's bbox grown by the slackened threshold
+    r = threshold * (1.0 + SLACK)
+    xmin, ymin, xmax, ymax = box[:, 0] - r, box[:, 1] - r, box[:, 2] + r, box[:, 3] + r
+    px, py = np.array([(g.nodes[nid].location.x, g.nodes[nid].location.y) for nid in dangling]).T
+    # buckets as wide as a typical grown bbox, so a long edge meets many
+    # buckets rather than making one bucket hold every node
+    extent = np.sort(np.maximum(xmax - xmin, ymax - ymin))
+    side = float(extent[len(extent) // 2])
+    e, k = BucketJoin(px, py, side).pairs(xmin, ymin, xmax, ymax)
+    inside = (xmin[e] <= px[k]) & (px[k] <= xmax[e]) & (ymin[e] <= py[k]) & (py[k] <= ymax[e])
 
-    out = []
-    for nid in dangling_nodes(g):
-        node = g.nodes[nid]
-        excluded = set(g.incident_edges(nid))
-        for adj in g.adjacent_nodes(nid):
-            excluded.update(g.incident_edges(adj))
-        best = None
-        for eid in index.query_point(node.location.x, node.location.y, threshold):
-            if eid in excluded:
-                continue
-            d = point_to_polyline_distance(node.location, g.edges[eid].geometry)
-            if 0.0 < d <= threshold and (best is None or (d, eid) < best):
-                best = (d, eid)
-        if best is not None:
-            out.append(Undershoot(nid, best[1], best[0]))
-    return out
+    best: dict[int, tuple[float, str]] = {}
+    excluded: dict[int, set] = {}
+    for ei, ki in zip(e[inside].tolist(), k[inside].tolist()):
+        nid, eid = dangling[ki], eids[ei]
+        if nid not in excluded:
+            excluded[nid] = set(g.incident_edges(nid)).union(*map(g.incident_edges, g.adjacent_nodes(nid)))
+        if eid in excluded[nid]:
+            continue
+        d = point_to_polyline_distance(g.nodes[nid].location, g.edges[eid].geometry)
+        if 0.0 < d <= threshold and (d, eid) < best.get(nid, (math.inf, "")):
+            best[nid] = (d, eid)
+    return [Undershoot(nid, best[nid][1], best[nid][0]) for nid in dangling if nid in best]
 
 
 def component_zipf(components: list[ComponentStats]) -> list[tuple[int, float]]:

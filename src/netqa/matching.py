@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError
 from .geometry import _LENGTH_EPS, _REMAINDER_MERGE_FRACTION, Point2D, Segment
+from .spindex import SLACK, BucketJoin
 
 __all__ = [
     "MatchConfig",
@@ -53,8 +54,9 @@ class MatchConfig:
 
     def __post_init__(self):
         for name in ("seg_len", "max_dist", "max_hausdorff", "max_angle"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
         if self.max_hausdorff < self.max_dist:
             raise ConfigError("max_hausdorff must be >= max_dist")
 
@@ -192,13 +194,6 @@ def segmentize_dataset(dataset, seg_len: float) -> list[Segment]:
 # at any network size (a street lattice gives about 6 pairs per source).
 _BLOCK_SOURCES = 2048
 
-# Relative slack of the array-side distance tests (bucket side, squared
-# distance pre-filter) over max_dist. Far above rounding error, it keeps
-# every pair that passes the exact midpoint test, while coordinates stay
-# below about 10**9 * max_dist: such midpoints are at most one bucket apart
-# in each axis.
-_SLACK = 1e-6
-
 
 @dataclass(frozen=True)
 class MatchCounts:
@@ -222,54 +217,6 @@ class MatchCounts:
 def _midpoints(ends: np.ndarray):
     # the expression of Segment.midpoint
     return (ends[:, 0] + ends[:, 2]) / 2.0, (ends[:, 1] + ends[:, 3]) / 2.0
-
-
-def _distinct(sorted_values: np.ndarray) -> np.ndarray:
-    # np.unique would import numpy.ma, about 1.4 MB of peak RSS
-    keep = np.ones(len(sorted_values), dtype=bool)
-    keep[1:] = sorted_values[1:] != sorted_values[:-1]
-    return sorted_values[keep]
-
-
-class _BucketJoin:
-    """Target midpoints sorted by bucket, for 3 x 3 neighbourhood lookups.
-
-    Buckets are squares of side ``side``; a bucket's key combines the
-    ranks of its column and row among the occupied ones, so keys stay
-    small whatever the coordinates.
-    """
-
-    def __init__(self, mx: np.ndarray, my: np.ndarray, side: float):
-        self.side = side
-        cx = np.floor(mx / side)
-        cy = np.floor(my / side)
-        self.columns = _distinct(np.sort(cx))
-        self.rows = _distinct(np.sort(cy))
-        keys = np.searchsorted(self.columns, cx) * len(self.rows) + np.searchsorted(self.rows, cy)
-        self.order = np.argsort(keys, kind="stable")
-        self.keys = keys[self.order]
-
-    def pairs(self, mx: np.ndarray, my: np.ndarray):
-        """(source, target) index arrays: every target whose midpoint lies
-        in the 3 x 3 buckets around a query midpoint."""
-        cx = np.floor(mx / self.side)
-        cy = np.floor(my / self.side)
-        lo = np.searchsorted(self.rows, cy - 1.0, "left")
-        hi = np.searchsorted(self.rows, cy + 1.0, "right")
-        starts, stops = [], []
-        for dx in (-1.0, 0.0, 1.0):
-            col = np.minimum(np.searchsorted(self.columns, cx + dx), len(self.columns) - 1)
-            base = col * len(self.rows)
-            start = np.searchsorted(self.keys, base + lo)
-            stop = np.searchsorted(self.keys, base + hi)
-            starts.append(start)
-            stops.append(np.where(self.columns[col] == cx + dx, stop, start))
-        starts = np.stack(starts, axis=1).ravel()
-        counts = np.stack(stops, axis=1).ravel() - starts
-        src = np.repeat(np.arange(len(mx)).repeat(3), counts)
-        first = np.cumsum(counts) - counts
-        pos = np.arange(counts.sum()) - np.repeat(first - starts, counts)
-        return src, self.order[pos]
 
 
 def _foot_offsets(px, py, ax, ay, bx, by):
@@ -302,11 +249,13 @@ def _match_block(src_ends, src_mid, join, dst_ends, dst_mid, dst_rank, cfg):
     every distance and angle equals ``hausdorff_distance``,
     ``segment_angle_deg`` and the midpoint distance bit for bit.
     """
-    s, t = join.pairs(*src_mid)
+    # each midpoint's box of radius max_dist, slackened as the join's side
+    (mx, my), r = src_mid, join.side
+    s, t = join.pairs(mx - r, my - r, mx + r, my + r)
     dxm = src_mid[0][s] - dst_mid[0][t]
     dym = src_mid[1][s] - dst_mid[1][t]
     # squared distance with slack; the exact test follows on the survivors
-    near = dxm * dxm + dym * dym <= (cfg.max_dist * cfg.max_dist) * (1.0 + _SLACK)
+    near = dxm * dxm + dym * dym <= (cfg.max_dist * cfg.max_dist) * (1.0 + SLACK)
     s, t, dxm, dym = s[near], t[near], dxm[near], dym[near]
     md = np.array([(u**2 + v**2) ** 0.5 for u, v in zip(dxm.tolist(), dym.tolist())])
     keep = md <= cfg.max_dist
@@ -397,7 +346,7 @@ def _match_direction(src: SegmentTable, dst: SegmentTable, cfg: MatchConfig) -> 
     if len(src) and len(dst):
         dst_rank = _segment_ranks(dst)
         dst_mid = _midpoints(dst.ends)
-        join = _BucketJoin(*dst_mid, cfg.max_dist * (1.0 + _SLACK))
+        join = BucketJoin(*dst_mid, cfg.max_dist * (1.0 + SLACK))
         for lo in range(0, len(src), _BLOCK_SOURCES):
             ends = src.ends[lo : lo + _BLOCK_SOURCES]
             (i, *winners), counts = _match_block(ends, _midpoints(ends), join, dst.ends, dst_mid, dst_rank, cfg)

@@ -11,8 +11,15 @@ import numpy as np
 import pytest
 
 from netqa.errors import WeightsError, ZeroVarianceError
-from netqa.geometry import Point2D, Polyline, hausdorff_distance, polyline_length, segment_angle_deg
-from netqa.graph import ComponentStats, NetworkEdge
+from netqa.geometry import (
+    Point2D,
+    Polyline,
+    hausdorff_distance,
+    point_to_polyline_distance,
+    polyline_length,
+    segment_angle_deg,
+)
+from netqa.graph import ComponentStats, NetworkEdge, NetworkNode, Undershoot, dangling_nodes
 from netqa.hexgrid import _SQRT3
 from netqa.ingest import Dataset
 from netqa.matching import MatchSummary
@@ -255,6 +262,64 @@ def reference_connected_components(g, policy=None):
         stats.append(ComponentStats(cid, len(eids), length))
     stats.sort(key=lambda s: (-s.length_m, s.component_id))
     return stats
+
+
+class ReferenceNodeTable:
+    """Snaps endpoint coordinates into node ids, one endpoint at a time.
+
+    A node keeps the location of the first endpoint that created it; later
+    endpoints within the tolerance reuse the nearest, ties by node id,
+    without moving it. Scans every node instead of a spatial index.
+    """
+
+    def __init__(self, tolerance: float):
+        self.tolerance = tolerance
+        self.nodes: dict[int, NetworkNode] = {}
+
+    def node_for(self, pt: Point2D) -> int:
+        best = None
+        for nid, node in self.nodes.items():
+            d = node.location.distance_to(pt)
+            if d <= self.tolerance and (best is None or (d, nid) < best):
+                best = (d, nid)
+        if best is not None:
+            return best[1]
+        nid = len(self.nodes)
+        self.nodes[nid] = NetworkNode(nid, pt)
+        return nid
+
+
+def reference_snap(dataset, tolerance):
+    """(nodes, [(from node, to node) per edge]) of the reference table."""
+    table = ReferenceNodeTable(tolerance)
+    ends = []
+    for edge in dataset.edges:
+        a = table.node_for(edge.geometry.vertices[0])
+        b = table.node_for(edge.geometry.vertices[-1])
+        table.nodes[a].degree += 1
+        table.nodes[b].degree += 1
+        ends.append((a, b))
+    return table.nodes, ends
+
+
+def reference_detect_undershoots(g, threshold):
+    """Each dangling node against every edge."""
+    out = []
+    for nid in dangling_nodes(g):
+        node = g.nodes[nid]
+        excluded = set(g.incident_edges(nid))
+        for adj in g.adjacent_nodes(nid):
+            excluded.update(g.incident_edges(adj))
+        best = None
+        for eid in g.edges:
+            if eid in excluded:
+                continue
+            d = point_to_polyline_distance(node.location, g.edges[eid].geometry)
+            if 0.0 < d <= threshold and (best is None or (d, eid) < best):
+                best = (d, eid)
+        if best is not None:
+            out.append(Undershoot(nid, best[1], best[0]))
+    return out
 
 
 def reference_match_summary(records, grid):

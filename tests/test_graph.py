@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from netqa.geometry import point_to_polyline_distance
 from netqa.graph import (
@@ -13,7 +15,7 @@ from netqa.graph import (
 )
 from netqa.hexgrid import build_grid
 
-from conftest import make_dataset, rect_polygon
+from conftest import make_dataset, rect_polygon, reference_detect_undershoots, reference_snap
 
 
 def graph_of(edge_specs, snap=0.001):
@@ -35,6 +37,21 @@ def test_snapping_within_tolerance():
     assert len(g.component_index) == 1
 
 
+def test_snapping_is_first_come_then_nearest_then_lowest_id():
+    specs = [
+        ("a", [(0.0, 0.0), (0.0, 50.0)]),  # opens node 0 at x = 0
+        ("b", [(1.0, 0.0), (10.0, 50.0)]),  # joins node 0 at the tolerance
+        ("c", [(1.8, 0.0), (20.0, 50.0)]),  # near b's endpoint, which opened nothing
+        ("d", [(0.9, 0.0), (30.0, 50.0)]),  # 0.9 from nodes 0 and 3: the lower id
+        ("e", [(1.3, 0.0), (40.0, 50.0)]),  # only node 3 in reach
+    ]
+    g = graph_of(specs, snap=1.0)
+    assert [e.from_node for e in g.edges.values()] == [0, 0, 3, 0, 3]
+    assert (g.nodes[3].location.x, g.nodes[3].degree) == (1.8, 2)
+    nodes, ends = reference_snap(make_dataset("t", specs), 1.0)
+    assert [e.from_node for e in g.edges.values()] == [a for a, _ in ends]
+
+
 def test_no_snapping_beyond_tolerance():
     g = graph_of([("a", [(0, 0), (10, 0)]), ("b", [(10.01, 0), (20, 0)])], snap=0.001)
     assert len(g.nodes) == 4
@@ -48,9 +65,10 @@ def test_interior_crossing_does_not_connect():
     assert len(g.component_index) == 2
 
 
-def test_rejects_negative_tolerance():
-    with pytest.raises(ValueError):
-        graph_of([("a", [(0, 0), (1, 0)])], snap=-1)
+@pytest.mark.parametrize("snap", [-1, math.nan, math.inf])
+def test_rejects_negative_tolerance(snap):
+    with pytest.raises(ValueError, match="snap_tolerance"):
+        graph_of([("a", [(0, 0), (1, 0)])], snap=snap)
 
 
 # ------------------------------------------------------------- components
@@ -138,6 +156,43 @@ def test_exact_snap_matches_endpoint_grouping_oracle(rng):
         used.add(tuple(spec[1][0]))
         used.add(tuple(spec[1][-1]))
     assert len(g.nodes) == len(used)
+
+
+# offsets of an endpoint from its cluster centre: exact repeats, signed
+# zeros, and distances at, just inside and just beyond both tolerances
+_OFFSETS = [0.0, -0.0, 4e-4, -6e-4, 1e-3, -1e-3, 1.5e-3, 2.0, -3.5, 5.0, -5.0, 5.000001, 7.0]
+
+
+@st.composite
+def clustered_specs(draw):
+    base = draw(st.sampled_from([0.0, 400000.0, 5800000.0]))
+    centres = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4))
+    offset = st.tuples(st.sampled_from(_OFFSETS), st.sampled_from(_OFFSETS))
+
+    def endpoint():
+        (cx, cy), (dx, dy) = draw(st.sampled_from(centres)), draw(offset)
+        return (base + 8.0 * cx + dx, base + 8.0 * cy + dy)
+
+    specs = []
+    for e in range(draw(st.integers(1, 24))):
+        a, b = endpoint(), endpoint()
+        mid = (a[0] + 0.37, a[1] + 0.41)
+        assume(mid != a and mid != b)
+        specs.append((f"e{e:02d}", [a, mid, b]))
+    return specs
+
+
+def _located(node):
+    return (node.id, repr(node.location.x), repr(node.location.y), node.degree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=clustered_specs(), snap=st.sampled_from([0.0, 1e-3, 5.0]))
+def test_snapping_equals_the_one_at_a_time_reference(specs, snap):
+    g = graph_of(specs, snap=snap)
+    nodes, ends = reference_snap(make_dataset("t", specs), snap)
+    assert [_located(n) for n in g.nodes.values()] == [_located(n) for n in nodes.values()]
+    assert [(e.from_node, e.to_node) for e in g.edges.values()] == ends
 
 
 def test_component_lengths_and_order():
@@ -243,10 +298,40 @@ def test_undershoot_monotone_in_threshold(rng):
         assert abs(point_to_polyline_distance(node.location, g.edges[u.nearest_edge_id].geometry) - u.gap_distance) < 1e-9
 
 
-def test_undershoot_requires_positive_threshold():
+@pytest.mark.parametrize("threshold", [0.0, math.nan, math.inf])
+def test_undershoot_requires_positive_threshold(threshold):
     g = graph_of([("a", [(0, 0), (1, 0)])])
-    with pytest.raises(ValueError):
-        detect_undershoots(g, threshold=0.0)
+    with pytest.raises(ValueError, match="threshold"):
+        detect_undershoots(g, threshold=threshold)
+
+
+@st.composite
+def stubbed_specs(draw):
+    base = draw(st.sampled_from([0.0, 400000.0]))
+    specs = [
+        ("h", [(base, base), (base + 100.0, base)]),
+        ("v", [(base + 60.0, base - 40.0), (base + 60.0, base + 40.0)]),
+        ("d", [(base, base + 30.0), (base + 40.0, base + 70.0), (base + 90.0, base + 70.0)]),
+    ]
+    gaps = st.sampled_from([-3.0, -1.0, 0.0, 0.5, 1.0, 2.5, 3.0, 3.0000001, 4.0])
+    for i in range(draw(st.integers(0, 10))):
+        x = base + draw(st.integers(0, 100)) * 1.0
+        y = base + draw(gaps)
+        if draw(st.booleans()):
+            # a stub off the street's far end that bends back beside it:
+            # its free end is near an edge of its own adjacent node
+            specs.append((f"s{i}", [(base + 100.0, base), (base + 100.0, y + 20.0), (x, y)]))
+        else:
+            direction = draw(st.sampled_from([1.0, -1.0]))
+            specs.append((f"s{i}", [(x, y), (x + 1.0, y + direction * 20.0)]))
+    return specs
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=stubbed_specs(), threshold=st.sampled_from([0.5, 3.0, 7.5]), snap=st.sampled_from([1e-3, 5.0]))
+def test_undershoots_equal_the_every_edge_reference(specs, threshold, snap):
+    g = graph_of(specs, snap=snap)
+    assert detect_undershoots(g, threshold) == reference_detect_undershoots(g, threshold)
 
 
 def test_undershoots_vanish_as_threshold_approaches_zero():

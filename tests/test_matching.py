@@ -241,6 +241,15 @@ def test_config_validation():
         MatchConfig(max_angle=-1.0)
 
 
+@pytest.mark.parametrize("name", ["seg_len", "max_dist", "max_hausdorff", "max_angle"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_thresholds(name, value):
+    # a NaN threshold fails every comparison, so it would match nothing
+    # without an error; an infinite one would match everything
+    with pytest.raises(ConfigError, match=name):
+        MatchConfig(**{name: value})
+
+
 def test_empty_datasets():
     empty = make_dataset("a", [])
     other = make_dataset("b", [("e", [(0, 0), (50, 0)])])

@@ -40,6 +40,8 @@ DEMO_DIGESTS = Path(__file__).parent / "data" / "demo_parsed_sha256.json"
 DEMO_RAW_DIGESTS = Path(__file__).parent / "data" / "demo_raw_sha256.json"
 # the same for the demo with a distance band added to its weights
 DEMO_BAND_RAW_DIGESTS = Path(__file__).parent / "data" / "demo_band_raw_sha256.json"
+# the same for the demo at a 5 m snap tolerance
+DEMO_SNAP_RAW_DIGESTS = Path(__file__).parent / "data" / "demo_snap_raw_sha256.json"
 
 
 def demo_config(tmp_path, out_name="out", **overrides):
@@ -397,21 +399,23 @@ def parsed_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_demo_from_copy(tmp_path, monkeypatch, extra_weights=()) -> Path:
+def run_demo_from_copy(tmp_path, monkeypatch, extra_weights=(), **overrides) -> Path:
     """Run ``netqa full`` on a copy of the demo; returns the output directory.
 
     The copy is run with a relative config path, so the input paths echoed
     into summary.json do not depend on where the repository lives.
-    ``extra_weights`` are appended to the config's weights schemes.
+    ``extra_weights`` are appended to the config's weights schemes, and
+    ``overrides`` replace config keys.
     """
     work = tmp_path / "demo"
     work.mkdir()
     for p in DEMO.iterdir():
         if p.is_file():
             shutil.copy(p, work / p.name)
-    if extra_weights:
+    if extra_weights or overrides:
         doc = json.loads((work / "config.json").read_text(encoding="utf-8"))
         doc["weights"] += list(extra_weights)
+        doc.update(overrides)
         (work / "config.json").write_text(json.dumps(doc), encoding="utf-8")
     monkeypatch.chdir(work)
     assert cli_main(["full", "--config", "config.json", "--out", str(tmp_path / "out")]) == 0
@@ -439,6 +443,14 @@ def test_demo_band_outputs_reproduce_the_recorded_bytes(tmp_path, monkeypatch):
     out = run_demo_from_copy(tmp_path, monkeypatch, [{"scheme": "distance_band", "distance_m": 280.0}])
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir()) if p.name != "run_info.json"}
     assert got == json.loads(DEMO_BAND_RAW_DIGESTS.read_text(encoding="utf-8"))
+
+
+def test_demo_snap_outputs_reproduce_the_recorded_bytes(tmp_path, monkeypatch):
+    # at 5 m some endpoints snap onto a node opened by a nearby coordinate,
+    # so the first-come snapping rule decides nodes, undershoots and components
+    out = run_demo_from_copy(tmp_path, monkeypatch, snap_tolerance_m=5.0)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir()) if p.name != "run_info.json"}
+    assert got == json.loads(DEMO_SNAP_RAW_DIGESTS.read_text(encoding="utf-8"))
 
 
 def test_full_run_builds_no_per_segment_objects(tmp_path, monkeypatch):
