@@ -95,44 +95,34 @@ def _snap(ends: list[Point2D], tolerance: float):
 
     Endpoints are taken in order. One joins the node with the least
     (distance, id) within ``tolerance``, or opens a node where it lies.
-    Distinct coordinates (-0.0 equals 0.0) are joined against each other;
-    one with no earlier coordinate in reach opens a node at its first
-    endpoint and keeps it, and only the endpoints of the others go
-    through the rule one by one.
+    Endpoints at one coordinate (-0.0 equals 0.0) share their candidates,
+    so the distinct coordinates are joined against each other once.
     """
-    # distinct coordinates, numbered in order of first endpoint, so each
-    # first occurs where the running maximum reaches it
     number: dict[tuple[float, float], int] = {}
-    coord = np.array([number.setdefault((p.x, p.y), len(number)) for p in ends], dtype=np.intp)
-    first = np.searchsorted(np.maximum.accumulate(coord), np.arange(len(number)))
-    ux, uy = np.array(list(number), dtype=float).reshape(-1, 2).T
-
-    near: dict[int, list] = {}
-    contested = np.zeros(len(first), dtype=bool)
+    coord = [number.setdefault((p.x, p.y), len(number)) for p in ends]
+    # each coordinate's coordinates in reach, with distances; itself at 0
+    near = [[(0.0, u)] for u in range(len(number))]
     if tolerance > 0:
+        ux, uy = np.array(list(number), dtype=float).reshape(-1, 2).T
         r = tolerance * (1.0 + SLACK)
         q, p = BucketJoin(ux, uy, r).pairs(ux - r, uy - r, ux + r, uy + r)
         d = np.array(list(map(math.hypot, (ux[p] - ux[q]).tolist(), (uy[p] - uy[q]).tolist())))
-        within = d <= tolerance
-        contested[q[within & (p < q)]] = True
-        for u, v, dv in zip(q[within].tolist(), p[within].tolist(), d[within].tolist()):
-            if contested[u]:
-                near.setdefault(u, []).append((dv, v))
+        sel = (d <= tolerance) & (p != q)
+        for u, v, dv in zip(q[sel].tolist(), p[sel].tolist(), d[sel].tolist()):
+            near[u].append((dv, v))
 
-    # the first-come rule. Every node in reach opened before the endpoint,
-    # and once a coordinate opens a node no other is in its reach. Node ids
-    # follow the openers' first endpoints.
-    opens = ~contested
-    joins = coord.copy()
-    for i in np.flatnonzero(contested[coord]).tolist():
-        u = int(coord[i])
-        best = min(((dv, v) for dv, v in near[u] if opens[v]), default=None)
+    node_at: dict[int, int] = {}  # coordinate -> node opened there
+    node_of: list[int] = []
+    opener: list[int] = []
+    for i, u in enumerate(coord):
+        best = min(((dv, node_at[v]) for dv, v in near[u] if v in node_at), default=None)
         if best is None:
-            opens[u] = True
+            node_at[u] = len(opener)
+            opener.append(i)
+            node_of.append(node_at[u])
         else:
-            joins[i] = best[1]
-    node = np.cumsum(opens) - 1
-    return node[joins], first[opens]
+            node_of.append(best[1])
+    return node_of, opener
 
 
 def build_graph(dataset, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> Graph:
@@ -155,9 +145,8 @@ def build_graph(dataset, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> Grap
         raise ValueError(f"snap_tolerance must be finite and >= 0, got {snap_tolerance}")
     ends = [p for edge in dataset.edges for p in (edge.geometry.vertices[0], edge.geometry.vertices[-1])]
     node_of, opener = _snap(ends, snap_tolerance)
-    degree = np.bincount(node_of, minlength=len(opener)).tolist()
-    nodes = {nid: NetworkNode(nid, ends[i], degree[nid]) for nid, i in enumerate(opener.tolist())}
-    node_of = node_of.tolist()
+    degree = np.bincount(np.array(node_of, dtype=np.intp), minlength=len(opener)).tolist()
+    nodes = {nid: NetworkNode(nid, ends[i], degree[nid]) for nid, i in enumerate(opener)}
     edges: dict[str, NetworkEdge] = {}
     adjacency: dict[int, list[str]] = {}
     for edge, a, b in zip(dataset.edges, node_of[0::2], node_of[1::2]):

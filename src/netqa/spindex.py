@@ -3,7 +3,10 @@
 This is the cell method for fixed-radius near neighbours (Bentley, Stanat
 and Williams 1977). Queries return a superset of the true hits and callers
 apply exact geometry afterwards. Matching, endpoint snapping and undershoot
-detection all go through ``BucketJoin``.
+detection all go through ``BucketJoin``. ``GridIndex``, the old per-box
+dict index, has no caller left in netqa; it stays only because the traced
+benchmark run (perfbench/layers.py) patches ``GridIndex.query`` by name,
+and goes when that counter moves to ``BucketJoin.pairs``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 
-__all__ = ["BucketJoin", "SLACK"]
+__all__ = ["BucketJoin", "GridIndex", "SLACK"]
 
 # Relative padding callers add to a search radius. Far above rounding
 # error, it keeps every pair an exact distance test would pass while
@@ -70,3 +73,41 @@ class BucketJoin:
         first = np.cumsum(counts) - counts
         pos = np.arange(counts.sum()) - np.repeat(first - start, counts)
         return np.repeat(query, counts), self.order[pos]
+
+
+class GridIndex:
+    def __init__(self, cell_size: float):
+        if cell_size <= 0 or not math.isfinite(cell_size):
+            raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
+        self.cell_size = cell_size
+        self._cells: dict[tuple[int, int], list] = {}
+
+    def _span(self, bbox):
+        xmin, ymin, xmax, ymax = bbox
+        c = self.cell_size
+        return (
+            math.floor(xmin / c),
+            math.floor(ymin / c),
+            math.floor(xmax / c),
+            math.floor(ymax / c),
+        )
+
+    def insert(self, item_id, bbox) -> None:
+        i0, j0, i1, j1 = self._span(bbox)
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                self._cells.setdefault((i, j), []).append(item_id)
+
+    def query(self, bbox) -> list:
+        """Ids whose inserted boxes may intersect ``bbox``, sorted."""
+        i0, j0, i1, j1 = self._span(bbox)
+        found = set()
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                bucket = self._cells.get((i, j))
+                if bucket:
+                    found.update(bucket)
+        return sorted(found)
+
+    def query_point(self, x: float, y: float, radius: float) -> list:
+        return self.query((x - radius, y - radius, x + radius, y + radius))
