@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, ZeroVarianceError
-from .geometry import polyline_length
+from .geometry import VertexArrays, polyline_length, vertex_arrays
 from .hexgrid import EdgeCells, HexGrid, assign_lengths
-from .polygons import PolygonArea, clip_polyline_to_polygon
+from .polygons import PolygonArea, clip_lengths
 
 log = logging.getLogger(__name__)
 
@@ -77,8 +77,8 @@ def infrastructure_length(edge, policy: LengthPolicy) -> float:
 def dataset_length_totals(dataset, policy: LengthPolicy) -> dict:
     """Total, protected, and unprotected infrastructure length (meters)."""
     totals = {"total_m": 0.0, "protected_m": 0.0, "unprotected_m": 0.0}
-    for edge in dataset.edges:
-        length = infrastructure_length(edge, policy)
+    for edge, length_m in zip(dataset.edges, dataset.vertices.length.tolist()):
+        length = length_m * policy.factor_for(edge)
         totals["total_m"] += length
         totals[f"{edge.infra_category}_m"] += length
     return totals
@@ -126,48 +126,74 @@ class PolygonStats:
     relative_difference: float
 
 
-def polygon_aggregate(edges, polygons: list[PolygonArea], policy: LengthPolicy) -> dict:
+def polygon_aggregate(
+    edges, polygons: list[PolygonArea], policy: LengthPolicy, vertices: VertexArrays | None = None
+) -> dict:
     """Infrastructure length and density per named polygon.
 
     Multi-part polygons contribute under one name. Overlapping polygons
     double-count the shared length; that is detected per edge (clipped
-    total exceeding the edge length) and warned about once.
+    total exceeding the edge length) and warned about once. ``vertices``,
+    if given, are the edges' geometries as vertex arrays.
+
+    Each part is clipped against all edges at once; the (edge, part)
+    lengths then add up per name and per edge in edge order, then part
+    order, as a loop over edges and parts does.
     """
-    lengths: dict[str, float] = {}
+    if vertices is None:
+        vertices = vertex_arrays(e.geometry for e in edges)
     areas: dict[str, float] = {}
     for part in polygons:
         areas[part.name] = areas.get(part.name, 0.0) + part.area
-    overlap_detected = False
-    for edge in edges:
-        factor = policy.factor_for(edge)
-        clipped_total = 0.0
-        for part in polygons:
-            length = clip_polyline_to_polygon(edge.geometry, part)
-            if length > 0.0:
-                lengths[part.name] = lengths.get(part.name, 0.0) + length * factor
-                clipped_total += length
-        if clipped_total > polyline_length(edge.geometry) * (1.0 + 1e-6):
-            overlap_detected = True
-    if overlap_detected:
+    names = sorted(areas)
+    index = {name: i for i, name in enumerate(names)}
+    name_of = np.array([index[part.name] for part in polygons], dtype=np.intp)
+    # each part's edges of positive length, and their count per edge
+    hits = []
+    per_edge = np.zeros(len(vertices), dtype=np.intp)
+    for polygon in polygons:
+        clip = clip_lengths(vertices, polygon)
+        e = np.flatnonzero(clip > 0.0)
+        hits.append((e, clip[e]))
+        per_edge[e] += 1
+    # the rows (edge, part, length) in edge order, then part order
+    slot = np.cumsum(per_edge) - per_edge
+    edge = np.empty(int(per_edge.sum()), dtype=np.intp)
+    part, length = np.empty_like(edge), np.empty(len(edge))
+    for j, (e, clip) in enumerate(hits):
+        edge[slot[e]], part[slot[e]], length[slot[e]] = e, j, clip
+        slot[e] += 1
+    factors = np.array([policy.factor_for(e) for e in edges], dtype=float)
+    # bincount gives ints when there are no weights at all
+    lengths = np.bincount(name_of[part], length * factors[edge], minlength=len(names)).astype(float).tolist()
+    clipped_total = np.bincount(edge, length, minlength=len(vertices))
+    if np.count_nonzero(clipped_total > vertices.length * (1.0 + 1e-6)):
         log.warning("polygon layer overlaps itself; shared length is double-counted")
     return {
         name: {
-            "length_m": lengths.get(name, 0.0),
+            "length_m": length_m,
             "area_m2": areas[name],
-            "density_km_per_km2": 1000.0 * lengths.get(name, 0.0) / areas[name],
+            "density_km_per_km2": 1000.0 * length_m / areas[name],
         }
-        for name in sorted(areas)
+        for name, length_m in zip(names, lengths)
     }
 
 
-def polygon_compare(edges_a, edges_b, polygons: list[PolygonArea], policy: LengthPolicy) -> list[PolygonStats]:
+def polygon_compare(
+    edges_a,
+    edges_b,
+    polygons: list[PolygonArea],
+    policy: LengthPolicy,
+    vertices_a: VertexArrays | None = None,
+    vertices_b: VertexArrays | None = None,
+) -> list[PolygonStats]:
     """Side-by-side polygon totals with a bounded relative difference.
 
     The relative difference is (b - a) / max(a, b), which stays in
     [-1, 1]; it is 0 when both sides are empty.
     """
-    agg_a = polygon_aggregate(edges_a, polygons, policy)
-    agg_b = polygon_aggregate(edges_b, polygons, policy)
+    agg_a = polygon_aggregate(edges_a, polygons, policy, vertices_a)
+    agg_b = polygon_aggregate(edges_b, polygons, policy, vertices_b)
     out = []
     for name in sorted(agg_a):
         la = agg_a[name]["length_m"]

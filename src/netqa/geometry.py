@@ -8,7 +8,11 @@ function over immutable values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import GeometryError
 
@@ -16,6 +20,8 @@ __all__ = [
     "Point2D",
     "Polyline",
     "Segment",
+    "VertexArrays",
+    "vertex_arrays",
     "polyline_length",
     "segmentize",
     "hausdorff_distance",
@@ -28,6 +34,9 @@ __all__ = [
 # previous segment, as a fraction of the requested segment length.
 _REMAINDER_MERGE_FRACTION = 0.5
 _LENGTH_EPS = 1e-9
+# Vertices whose steps and arc distances one block of ``vertex_arrays``
+# holds as Python floats.
+_BLOCK_VERTICES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,97 @@ def polyline_length(p: Polyline) -> float:
     for a, b in zip(p.vertices, p.vertices[1:]):
         total += math.hypot(b.x - a.x, b.y - a.y)
     return total
+
+
+@dataclass(frozen=True, eq=False)
+class VertexArrays:
+    """The vertices of a list of polylines, end to end, as columns.
+
+    Polyline e holds vertices ``first[e]`` to ``last[e]`` of (``x``, ``y``).
+    Its pieces are k = ``first[e]`` to ``last[e] - 1``, each from vertex k
+    to vertex k + 1, and ``step[k]`` is that piece's ``math.hypot`` length
+    (the entries between two polylines are not pieces; nothing reads them).
+    ``cum`` is each vertex's arc distance from its polyline's start, the
+    steps summed one by one from 0.0, so ``length[e] = cum[last[e]]`` has
+    the bits of ``polyline_length``.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    step: np.ndarray
+    cum: np.ndarray
+    length: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """(polyline, start vertex) of every piece, in polyline order."""
+        owner = np.repeat(np.arange(len(self.first)), self.last - self.first)
+        # the pieces of polyline e start at vertices first[e] = (pieces before e) + e
+        return owner, np.arange(len(owner)) + owner
+
+
+def vertex_arrays(polylines) -> VertexArrays:
+    """The vertices of the polylines, in order, as a ``VertexArrays``."""
+    polylines = list(polylines)
+    n_vertices = np.array([len(p.vertices) for p in polylines], dtype=np.intp)
+    total = int(n_vertices.sum())
+    x = np.fromiter((v.x for p in polylines for v in p.vertices), dtype=float, count=total)
+    y = np.fromiter((v.y for p in polylines for v in p.vertices), dtype=float, count=total)
+    last = np.cumsum(n_vertices) - 1
+    first = last - (n_vertices - 1)
+    step = np.zeros(max(total - 1, 0))
+    cum = np.empty(total)
+    # a block of polylines at a time, so the Python floats stay few
+    for e0, e1 in _blocks(n_vertices, _BLOCK_VERTICES):
+        v0, v1 = int(first[e0]), int(last[e1 - 1]) + 1
+        steps = list(map(math.hypot, np.diff(x[v0:v1]).tolist(), np.diff(y[v0:v1]).tolist()))
+        step[v0 : v1 - 1] = steps
+        ranges = zip((first[e0:e1] - v0).tolist(), (last[e0:e1] - v0).tolist())
+        cum[v0:v1] = [c for lo, hi in ranges for c in accumulate(steps[lo:hi], initial=0.0)]
+    return VertexArrays(x, y, first, last, step, cum, cum[last])
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, position) of every element of the ranges ``start[i]`` to
+    ``start[i] + count[i] - 1``, range by range."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + np.repeat(start - (np.cumsum(count) - count), count)
+
+
+def _blocks(sizes: np.ndarray, cap: int):
+    """(lo, hi) runs of consecutive items whose sizes add up to at most
+    ``cap``; an item larger than ``cap`` forms a run alone."""
+    ends = np.cumsum(sizes).tolist()
+    lo = 0
+    while lo < len(ends):
+        done = ends[lo - 1] if lo else 0
+        hi = max(bisect_right(ends, done + cap), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _run_pairs(run: np.ndarray, earlier_only: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(row, other) index arrays pairing each row with every other row of
+    its run (with ``earlier_only``, every earlier one), row by row.
+
+    ``run`` numbers consecutive rows and does not decrease. Runs here are
+    the rows of one edge or one piece, which are few, so the pairs replace
+    a sort (whose code would add to peak memory).
+    """
+    n = len(run)
+    change = np.ones(n, dtype=bool)
+    change[1:] = run[1:] != run[:-1]
+    starts = np.flatnonzero(change)
+    first = starts[np.cumsum(change) - 1]  # each row's run start
+    if earlier_only:
+        return _ranges(first, np.arange(n) - first)
+    ends = np.append(starts[1:], n)[np.cumsum(change) - 1]
+    row, other = _ranges(first, ends - first)
+    return row[row != other], other[row != other]
 
 
 def _cumulative_lengths(p: Polyline) -> list[float]:

@@ -4,8 +4,10 @@ A self-contained flat-top hexagon lattice in axial (q, r) coordinates,
 anchored at the lower-left corner of the study area's bounding box. All
 cells are congruent regular hexagons with exactly the configured area, so
 per-cell densities are directly comparable. Line lengths are attributed to
-cells by exact segment-against-hexagon clipping, which keeps the summed
-per-cell lengths equal to the input lengths to floating-point precision.
+cells by exact segment-against-hexagon clipping (a Liang-Barsky parametric
+clip against six half-planes), which keeps the summed per-cell lengths
+equal to the input lengths to floating-point precision. The clip runs over
+arrays of (piece, candidate cell) rows.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import Point2D, Polyline, polyline_length
-from .polygons import PolygonArea, ring_intersects_polygon
+from .geometry import Point2D, Polyline, VertexArrays, _blocks, _ranges, _run_pairs, vertex_arrays
+from .polygons import PolygonArea, rings_intersect_polygon
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +37,9 @@ _HEX_NORMALS = tuple(
 # A piece whose ends both lie within this fraction of the apothem of a
 # side's line lies on that side.
 _SIDE_EPS = 1e-9
+# Upper bound on the (piece, candidate cell) rows one block of a clip
+# holds; it caps transient memory and does not change results.
+_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,15 @@ class HexGrid:
         self.apothem = self.edge_len * _SQRT3 / 2.0
         self.cells = cells
         self.cell_ids = sorted(cells)
-        self._position = {cell_id: i for i, cell_id in enumerate(self.cell_ids)}
+        # dense (q - q0, r - r0) -> position in cell_ids, -1 where no cell is retained
+        qs = [q for q, _ in self.cell_ids]
+        rs = [r for _, r in self.cell_ids]
+        self._q0, self._r0 = min(qs, default=0), min(rs, default=0)
+        shape = (max(qs, default=-1) + 1 - self._q0, max(rs, default=-1) + 1 - self._r0)
+        self._table = np.full(shape, -1, dtype=np.intp)
+        self._table[np.array(qs, dtype=np.intp) - self._q0, np.array(rs, dtype=np.intp) - self._r0] = range(len(qs))
+        self._center_x = np.array([cells[c].center.x for c in self.cell_ids], dtype=float)
+        self._center_y = np.array([cells[c].center.y for c in self.cell_ids], dtype=float)
 
     @property
     def signature(self) -> tuple:
@@ -98,8 +111,14 @@ class HexGrid:
         worst = np.argmax(np.abs(rounded - frac), axis=0)
         q = np.where(worst == 2, -r - s, q)
         r = np.where(worst == 0, -q - s, r)
-        ids = zip(q.astype(np.int64).tolist(), r.astype(np.int64).tolist())
-        return np.array([self._position.get(cell_id, -1) for cell_id in ids], dtype=np.intp)
+        # the retained cells' positions, from the dense table
+        q = q.astype(np.intp) - self._q0
+        r = r.astype(np.intp) - self._r0
+        nq, nr = self._table.shape
+        on = (q >= 0) & (q < nq) & (r >= 0) & (r < nr)
+        out = np.full(len(q), -1, dtype=np.intp)
+        out[on] = self._table[q[on], r[on]]
+        return out
 
     def sum_by_cell(self, cell: np.ndarray, weights: np.ndarray | None = None) -> dict:
         """{cell id: sum of its rows' positive weights, or count}, ascending; adds in row order."""
@@ -107,44 +126,122 @@ class HexGrid:
         touched = np.flatnonzero(sums).tolist()
         return dict(zip([self.cell_ids[i] for i in touched], sums[touched].tolist()))
 
-    def _candidate_cells(self, xmin, ymin, xmax, ymax):
+    def clip_polyline(self, p: Polyline) -> dict[tuple[int, int], float]:
+        """Length of the polyline inside each retained cell (``clip_edges``
+        of one polyline).
+
+        Only cells receiving positive length appear in the result, in the
+        order the pieces first meet them.
+        """
+        _, cell, length = self._clip(vertex_arrays([p]))
+        return dict(zip([self.cell_ids[c] for c in cell.tolist()], length.tolist()))
+
+    def clip_edges(self, edges, vertices: VertexArrays | None = None) -> EdgeCells:
+        """Clip each edge once, into the rows of an ``EdgeCells``.
+
+        ``vertices``, if given, are the edges' geometries as vertex arrays
+        (``Dataset.vertices``); otherwise they are built here.
+        """
+        if vertices is None:
+            vertices = vertex_arrays(e.geometry for e in edges)
+        return EdgeCells(self, len(vertices), *self._clip(vertices), vertices.length)
+
+    def _clip(self, v: VertexArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(edge, cell, length) rows of the polylines of ``v``, as ``EdgeCells``
+        holds them.
+
+        Each piece is clipped against every retained cell in the q and r
+        ranges of its bbox, q then r ascending, as one row each. A row's
+        length is ``(t1 - t0) * step`` of its piece. Positive rows add up per
+        (edge, cell) in row order, from 0.0, and the sums come out in the
+        order each edge's pieces first meet the cells.
+        """
+        owner, k = v.pieces()
+        rows = []
+        for lo in range(0, len(k), _BLOCK_ROWS):
+            rows += self._clip_pieces(v, owner[lo : lo + _BLOCK_ROWS], k[lo : lo + _BLOCK_ROWS])
+        if not rows:
+            return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, dtype=float)
+        edge, cell, length = (np.concatenate(col) for col in zip(*rows))
+        # one group per (edge, cell), numbered in order of its first row:
+        # a row that meets an earlier row of its edge's cell joins its group
+        row, earlier = _run_pairs(edge, earlier_only=True)
+        same = cell[row] == cell[earlier]
+        first = np.bincount(row[same], minlength=len(edge)) == 0
+        group = np.cumsum(first) - 1
+        joins = same & first[earlier]
+        group[row[joins]] = group[earlier[joins]]
+        first = np.flatnonzero(first)
+        # bincount gives ints when there are no weights at all
+        return edge[first], cell[first], np.bincount(group, length, minlength=len(first)).astype(float, copy=False)
+
+    def _clip_pieces(self, v, owner, k) -> list:
+        """Positive (edge, cell, length) rows of pieces ``k``, block by block."""
         s = self.edge_len
         x0, y0 = self.origin.x, self.origin.y
-        q_lo = math.floor((xmin - s - x0) / (1.5 * s))
-        q_hi = math.ceil((xmax + s - x0) / (1.5 * s))
-        for q in range(q_lo, q_hi + 1):
-            r_lo = math.floor((ymin - s - y0) / (_SQRT3 * s) - q / 2.0)
-            r_hi = math.ceil((ymax + s - y0) / (_SQRT3 * s) - q / 2.0)
-            for r in range(r_lo, r_hi + 1):
-                if (q, r) in self.cells:
-                    yield q, r
+        ax, ay, bx, by = v.x[k], v.y[k], v.x[k + 1], v.y[k + 1]
+        nq, nr = self._table.shape
+        # the candidate ranges, cut to the table's; cells outside it are not retained
+        q_lo = np.maximum(np.floor((np.minimum(ax, bx) - s - x0) / (1.5 * s)), self._q0)
+        q_hi = np.minimum(np.ceil((np.maximum(ax, bx) + s - x0) / (1.5 * s)), self._q0 + nq - 1)
+        r_base_lo = (np.minimum(ay, by) - s - y0) / (_SQRT3 * s)
+        r_base_hi = (np.maximum(ay, by) + s - y0) / (_SQRT3 * s)
+        n_q = np.maximum(q_hi - q_lo + 1, 0).astype(np.intp)
+        # a column's r range spans at most this many rows
+        bound = n_q * (np.minimum(np.maximum(r_base_hi - r_base_lo, 0.0), nr) + 3).astype(np.intp)
+        return [
+            self._clip_block(v, k[lo:hi], owner[lo:hi], q_lo[lo:hi], n_q[lo:hi], r_base_lo[lo:hi], r_base_hi[lo:hi])
+            for lo, hi in _blocks(bound, _BLOCK_ROWS)
+        ]
 
-    def clip_polyline(self, p: Polyline) -> dict[tuple[int, int], float]:
-        """Length of the polyline inside each retained cell.
+    def _clip_block(self, v, k, owner, q_lo, n_q, r_base_lo, r_base_hi):
+        """Positive (edge, cell, length) rows of pieces ``k``, in row order."""
+        nr = self._table.shape[1]
+        piece, q = _ranges(q_lo.astype(np.intp), n_q)
+        r_lo = np.maximum(np.floor(r_base_lo[piece] - q / 2.0), self._r0).astype(np.intp)
+        r_hi = np.minimum(np.ceil(r_base_hi[piece] - q / 2.0), self._r0 + nr - 1).astype(np.intp)
+        column, r = _ranges(r_lo, np.maximum(r_hi - r_lo + 1, 0))
+        piece, q = piece[column], q[column]
+        cell = self._table[q - self._q0, r - self._r0]
+        piece, cell = piece[cell >= 0], cell[cell >= 0]
+        t0, t1 = self._clip_rows(v, k[piece], cell)
+        length = (t1 - t0) * v.step[k[piece]]
+        keep = length > 0.0
+        return owner[piece[keep]], cell[keep], length[keep]
 
-        Exact parametric clipping of each straight piece against the
-        hexagon's six half-planes (a piece on a shared side counts in one
-        cell only). Only cells receiving positive length appear in the
-        result, in the order the pieces first meet them.
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def _clip_rows(self, v, k, cell):
+        """(t0, t1) of piece k of ``v`` inside each cell; t0 >= t1 where the
+        piece misses the cell.
+
+        Sides are half-open: a piece lying on a side counts only where the
+        side's outward normal points up (its three upper sides), so of the
+        two cells sharing a side exactly one gets the piece. Each row runs
+        the scalar clip's expressions; a row whose scalar clip would stop
+        early is set to (1, 0), and an overflow gives +-inf as Python's
+        floats do.
         """
-        out: dict[tuple[int, int], float] = {}
-        for a, b in zip(p.vertices, p.vertices[1:]):
-            xmin, xmax = min(a.x, b.x), max(a.x, b.x)
-            ymin, ymax = min(a.y, b.y), max(a.y, b.y)
-            for q, r in self._candidate_cells(xmin, ymin, xmax, ymax):
-                center = self.cells[(q, r)].center
-                piece = _clip_piece_to_hex(a.x, a.y, b.x, b.y, center.x, center.y, self.apothem)
-                if piece > 0.0:
-                    out[(q, r)] = out.get((q, r), 0.0) + piece
-        return out
-
-    def clip_edges(self, edges) -> EdgeCells:
-        """Clip each edge once, into the rows of an ``EdgeCells``."""
-        clips = [self.clip_polyline(e.geometry) for e in edges]
-        edge = np.repeat(np.arange(len(clips), dtype=np.intp), [len(clip) for clip in clips])
-        cell = np.array([self._position[c] for clip in clips for c in clip], dtype=np.intp)
-        length = np.array([v for clip in clips for v in clip.values()], dtype=float)
-        return EdgeCells(self, len(clips), edge, cell, length)
+        ex, ey = v.x[k] - self._center_x[cell], v.y[k] - self._center_y[cell]
+        dx, dy = v.x[k + 1] - v.x[k], v.y[k + 1] - v.y[k]
+        apothem = self.apothem
+        tol = _SIDE_EPS * apothem
+        near = 2.0 * tol  # a piece on a side moves at most this far across its line
+        t0, t1 = np.zeros(len(k)), np.ones(len(k))
+        for nx, ny in _HEX_NORMALS:
+            pa = nx * ex + ny * ey
+            pd = nx * dx + ny * dy
+            t = (apothem - pa) / pd
+            flat = np.flatnonzero(np.abs(pd) <= near)
+            if len(flat):
+                on_side = (np.abs(pa[flat] - apothem) <= tol) & (np.abs(pa[flat] + pd[flat] - apothem) <= tol)
+                parallel = ~on_side & (pd[flat] == 0.0)
+                # off the cell: on a lower side, or parallel outside a side
+                out = flat[(on_side & (ny <= 0.0)) | (parallel & (pa[flat] > apothem))]
+                t0[out], t1[out] = 1.0, 0.0
+                t[flat[on_side]] = np.nan  # cuts neither end
+            t1 = np.where((pd > 0.0) & (t < t1), t, t1)
+            t0 = np.where((pd < 0.0) & (t > t0), t, t0)
+        return t0, t1
 
 
 @dataclass(frozen=True)
@@ -158,6 +255,7 @@ class EdgeCells:
     edge: np.ndarray
     cell: np.ndarray
     length: np.ndarray
+    edge_length: np.ndarray  # each edge's whole length, as polyline_length gives it
 
     def check(self, edges) -> None:
         if len(edges) != self.n_edges:
@@ -168,42 +266,6 @@ def edge_length_for_area(cell_area: float) -> float:
     if cell_area <= 0 or not math.isfinite(cell_area):
         raise GeometryError(f"cell_area must be positive and finite, got {cell_area}")
     return math.sqrt(2.0 * cell_area / (3.0 * _SQRT3))
-
-
-def _clip_piece_to_hex(ax, ay, bx, by, cx, cy, apothem) -> float:
-    """Length of segment AB inside the hexagon centered at C.
-
-    Sides are half-open: a piece lying on a side counts only where the
-    side's outward normal points up (its three upper sides), so of the two
-    cells sharing a side exactly one gets the piece.
-    """
-    dx = bx - ax
-    dy = by - ay
-    tol = _SIDE_EPS * apothem
-    near = 2.0 * tol  # a piece on a side moves at most this far across its line
-    t0, t1 = 0.0, 1.0
-    for nx, ny in _HEX_NORMALS:
-        pa = nx * (ax - cx) + ny * (ay - cy)
-        pd = nx * dx + ny * dy
-        if -near <= pd <= near:
-            if abs(pa - apothem) <= tol and abs(pa + pd - apothem) <= tol:
-                if ny > 0.0:
-                    continue
-                return 0.0
-            if pd == 0.0:
-                if pa > apothem:
-                    return 0.0
-                continue
-        t = (apothem - pa) / pd
-        if pd > 0.0:
-            if t < t1:
-                t1 = t
-        else:
-            if t > t0:
-                t0 = t
-        if t0 >= t1:
-            return 0.0
-    return (t1 - t0) * math.hypot(dx, dy)
 
 
 def build_grid(study_area, cell_area: float = DEFAULT_CELL_AREA) -> HexGrid:
@@ -229,17 +291,25 @@ def build_grid(study_area, cell_area: float = DEFAULT_CELL_AREA) -> HexGrid:
 
     # probe one candidate row/column beyond the bbox so boundary-straddling
     # hexagons are not missed
-    proto = HexGrid(origin, cell_area, cells={})
-    q_lo = math.floor((xmin - s - xmin) / (1.5 * s)) - 1
-    q_hi = math.ceil((xmax + s - xmin) / (1.5 * s)) + 1
+    q = np.arange(math.floor((xmin - s - xmin) / (1.5 * s)) - 1, math.ceil((xmax + s - xmin) / (1.5 * s)) + 2)
+    r_lo = (np.floor((ymin - s - ymin) / (_SQRT3 * s) - q / 2.0) - 1).astype(np.intp)
+    r_hi = (np.ceil((ymax + s - ymin) / (_SQRT3 * s) - q / 2.0) + 1).astype(np.intp)
+    column, r = _ranges(r_lo, r_hi - r_lo + 1)
+    q = q[column]
+    # HexGrid.cell_center and cell_polygon, for every candidate at once
+    cx = origin.x + 1.5 * s * q
+    cy = origin.y + _SQRT3 * s * (r + q / 2.0)
+    ring_x = cx[:, None] + np.array([s * math.cos(math.radians(60.0 * k)) for k in range(6)])
+    ring_y = cy[:, None] + np.array([s * math.sin(math.radians(60.0 * k)) for k in range(6)])
+    keep = np.zeros(len(q), dtype=bool)
+    for part in parts:
+        open_ = np.flatnonzero(~keep)
+        keep[open_] = rings_intersect_polygon(ring_x[open_], ring_y[open_], part)
     cells: dict[tuple[int, int], HexCell] = {}
-    for q in range(q_lo, q_hi + 1):
-        r_lo = math.floor((ymin - s - ymin) / (_SQRT3 * s) - q / 2.0) - 1
-        r_hi = math.ceil((ymax + s - ymin) / (_SQRT3 * s) - q / 2.0) + 1
-        for r in range(r_lo, r_hi + 1):
-            ring = proto.cell_polygon(q, r)
-            if any(ring_intersects_polygon(ring, part) for part in parts):
-                cells[(q, r)] = HexCell(q=q, r=r, center=proto.cell_center(q, r), polygon=ring)
+    for i in np.flatnonzero(keep).tolist():
+        ring = tuple(map(Point2D, ring_x[i].tolist(), ring_y[i].tolist()))
+        qr = (int(q[i]), int(r[i]))
+        cells[qr] = HexCell(q=qr[0], r=qr[1], center=Point2D(float(cx[i]), float(cy[i])), polygon=ring)
     if not cells:
         raise GeometryError("study area produced no grid cells")
     return HexGrid(origin, cell_area, cells)
@@ -262,8 +332,8 @@ def assign_lengths(edges, cells: EdgeCells, policy=None) -> tuple[dict[tuple[int
     factors = [policy.factor_for(e) if policy is not None else 1.0 for e in edges]
     covered = np.bincount(cells.edge, cells.length, minlength=len(factors)).tolist()
     outside = 0.0
-    for edge, factor, covered_m in zip(edges, factors, covered):
-        gap = polyline_length(edge.geometry) - covered_m
+    for factor, length, covered_m in zip(factors, cells.edge_length.tolist(), covered):
+        gap = length - covered_m
         if gap > 0.0:
             outside += gap * factor
     if outside > 1e-6:

@@ -13,10 +13,11 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CrsError, ParseError, UnsupportedGeometryError
-from .geometry import GeometryError, Point2D, Polyline
+from .geometry import GeometryError, Point2D, Polyline, VertexArrays, vertex_arrays
 from .graph import NetworkEdge
 from .polygons import PolygonArea
 
@@ -115,6 +116,11 @@ def _eval_predicate(node, attributes) -> bool:
 class Dataset:
     name: str
     edges: list = field(default_factory=list)
+
+    @cached_property
+    def vertices(self) -> VertexArrays:
+        """The edges' geometries as vertex arrays, built on first use."""
+        return vertex_arrays(e.geometry for e in self.edges)
 
 
 def _load_json(path):

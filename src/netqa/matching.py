@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -120,26 +119,18 @@ def segment_table(dataset, seg_len: float) -> SegmentTable:
     """All edges of a dataset cut into matching segments, as columns.
 
     The cuts, pieces and floats are those of ``geometry.segmentize`` on
-    each edge, bit for bit: the cumulative lengths are the same sequential
-    sums of ``math.hypot``, and the rest is array arithmetic whose IEEE
-    results equal the scalar code's.
+    each edge, bit for bit: the cumulative lengths of ``dataset.vertices``
+    are the same sequential sums of ``math.hypot``, and the rest is array
+    arithmetic whose IEEE results equal the scalar code's.
     """
     if seg_len <= 0:
         raise GeometryError(f"seg_len must be > 0, got {seg_len}")
     edges = dataset.edges
-    xy = np.array([(v.x, v.y) for e in edges for v in e.geometry.vertices], dtype=float).reshape(-1, 2)
-    x, y = xy[:, 0], xy[:, 1]
-    n_vertices = np.array([len(e.geometry.vertices) for e in edges], dtype=np.intp)
-    last = np.cumsum(n_vertices) - 1
-    first = last - (n_vertices - 1)
-    steps = list(map(math.hypot, np.diff(x).tolist(), np.diff(y).tolist()))
-    cum = np.array(
-        [c for lo, hi in zip(first.tolist(), last.tolist()) for c in accumulate(steps[lo:hi], initial=0.0)],
-        dtype=float,
-    )
+    v = dataset.vertices
+    x, y, first, last, cum = v.x, v.y, v.first, v.last, v.cum
 
     # pieces per edge: segmentize's n_full and remainder rules
-    total = cum[last]
+    total = v.length
     n_full = np.floor(total / seg_len + 1e-12)
     remainder = total - n_full * seg_len
     merged = (remainder <= _LENGTH_EPS) | (remainder < seg_len * _REMAINDER_MERGE_FRACTION)

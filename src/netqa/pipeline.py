@@ -518,7 +518,8 @@ class Pipeline:
     def edge_cells(self, role: str) -> hexgrid.EdgeCells:
         """One role's edges clipped once; graph edges are the same objects in order."""
         if ("clip", role) not in self._cache:
-            self._cache[("clip", role)] = self.grid().clip_edges(self.datasets()[role].edges)
+            ds = self.datasets()[role]
+            self._cache[("clip", role)] = self.grid().clip_edges(ds.edges, ds.vertices)
         return self._cache[("clip", role)]
 
     def graphs(self):
@@ -575,8 +576,9 @@ class Pipeline:
             polygon_stats = None
             if cfg.polygons_path is not None:
                 polys = ingest.load_polygon_layer(cfg.polygons_path)
+                cand, ref = datasets["candidate"], datasets["reference"]
                 polygon_stats = completeness.polygon_compare(
-                    datasets["candidate"].edges, datasets["reference"].edges, polys, cfg.length_policy
+                    cand.edges, ref.edges, polys, cfg.length_policy, cand.vertices, ref.vertices
                 )
                 summary["polygons"] = {
                     "count": len({p.name for p in polygon_stats}),

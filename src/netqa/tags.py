@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import polyline_length
 from .hexgrid import EdgeCells
 
 __all__ = ["TagSpec", "TagShare", "DEFAULT_TAG_SPECS", "tag_presence", "tag_share"]
@@ -65,8 +64,8 @@ def tag_share(edges, spec: TagSpec, cells: EdgeCells, policy=None) -> TagShare:
     tagged = [tag_presence(e, spec) for e in edges]
     total_global = 0.0
     tagged_global = 0.0
-    for edge, factor, present in zip(edges, factors, tagged):
-        length = polyline_length(edge.geometry) * factor
+    for length_m, factor, present in zip(cells.edge_length.tolist(), factors, tagged):
+        length = length_m * factor
         total_global += length
         if present:
             tagged_global += length

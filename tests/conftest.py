@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import math
+import shutil
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from netqa.errors import WeightsError, ZeroVarianceError
+from netqa.errors import GeometryError, WeightsError, ZeroVarianceError
 from netqa.geometry import (
     Point2D,
     Polyline,
@@ -20,10 +24,10 @@ from netqa.geometry import (
     segment_angle_deg,
 )
 from netqa.graph import ComponentStats, NetworkEdge, NetworkNode, Undershoot, dangling_nodes
-from netqa.hexgrid import _SQRT3
+from netqa.hexgrid import _HEX_NORMALS, _SIDE_EPS, _SQRT3, HexCell, HexGrid, edge_length_for_area
 from netqa.ingest import Dataset
 from netqa.matching import MatchSummary
-from netqa.polygons import _PARAM_EPS, PolygonArea, _crossing_param, _segments_cross, point_in_rings
+from netqa.polygons import _PARAM_EPS, PolygonArea, point_in_rings
 from netqa.spatial import LisaResult, MoranResult
 from netqa.tags import TagShare, tag_presence
 
@@ -81,6 +85,50 @@ def wobbly_polygon(n_vertices, radius=3000.0, x0=400000.0, y0=5800000.0, name="s
     return PolygonArea(rings=(tuple(ring),), name=name)
 
 
+DEMO = Path(__file__).parent / "data" / "demo"
+
+
+def _polygon_feature(fid, parts):
+    """A Polygon (one part) or MultiPolygon feature named ``fid``; each part
+    is a list of open rings of (x, y) pairs."""
+    coords = [[[[float(x), float(y)] for x, y in (*ring, ring[0])] for ring in rings] for rings in parts]
+    if len(coords) == 1:
+        geometry = {"type": "Polygon", "coordinates": coords[0]}
+    else:
+        geometry = {"type": "MultiPolygon", "coordinates": coords}
+    return {"type": "Feature", "id": fid, "geometry": geometry, "properties": {"name": fid}}
+
+
+def write_ragged_demo(directory: Path) -> Path:
+    """A copy of the demo whose study area is a 600-vertex wobbly outline
+    (some lines leave it) and whose districts are "west", a square with a
+    hole whose bottom side runs along a street, and "east", two parts that
+    share a side crossed by streets."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for p in DEMO.iterdir():
+        if p.is_file():
+            shutil.copy(p, directory / p.name)
+    outline = wobbly_polygon(600, radius=800.0, x0=1000.0, y0=500.0)
+    study = [_polygon_feature("study", [[[(v.x, v.y) for v in outline.rings[0]]]])]
+    districts = [
+        _polygon_feature(
+            "west",
+            [[[(0, 0), (1000, 0), (1000, 1000), (0, 1000)], [(300, 300), (700, 300), (700, 600), (300, 600)]]],
+        ),
+        _polygon_feature(
+            "east",
+            [
+                [[(1000, 0), (1500, 0), (1500, 1000), (1000, 1000)]],
+                [[(1500, 0), (2000, 0), (2000, 1000), (1500, 1000)]],
+            ],
+        ),
+    ]
+    for name, features in (("study_area.geojson", study), ("districts.geojson", districts)):
+        doc = {"type": "FeatureCollection", "features": features}
+        (directory / name).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return directory
+
+
 def _all_edges(polygon):
     for ring in polygon.rings:
         n = len(ring)
@@ -88,8 +136,91 @@ def _all_edges(polygon):
             yield ring[i], ring[(i + 1) % n]
 
 
-def reference_clip_polyline_to_polygon(p, polygon) -> float:
-    """``clip_polyline_to_polygon`` testing every boundary edge, no index."""
+def _crossing_param(ax, ay, bx, by, cx, cy, dx, dy):
+    """Parameter t on AB where it properly crosses CD, or None."""
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    denom = rx * sy - ry * sx
+    if denom == 0.0:
+        return None
+    qx, qy = cx - ax, cy - ay
+    t = (qx * sy - qy * sx) / denom
+    u = (qx * ry - qy * rx) / denom
+    if 0.0 <= u <= 1.0 and _PARAM_EPS < t < 1.0 - _PARAM_EPS:
+        return t
+    return None
+
+
+def _segments_cross(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    denom = rx * sy - ry * sx
+    if denom == 0.0:
+        return False
+    qx, qy = cx - ax, cy - ay
+    t = (qx * sy - qy * sx) / denom
+    u = (qx * ry - qy * rx) / denom
+    return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
+
+
+def bits(value):
+    """Floats as hex, recursively, so ``==`` compares every bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(bits(v) for v in value)
+    if hasattr(value, "__dataclass_fields__"):
+        return {name: bits(getattr(value, name)) for name in value.__dataclass_fields__}
+    return value
+
+
+# Polygons and points on a coarse lattice, so that horizontal edges,
+# collinear edges, vertices on slab boundaries and queries at y = ymax are
+# common.
+
+UNITS = st.sampled_from([1.0, 0.1, 37.5])
+
+
+def _star_ring(angles, radii, unit):
+    return tuple(
+        Point2D(round(r * math.cos(math.radians(a))) * unit, round(r * math.sin(math.radians(a))) * unit)
+        for a, r in zip(angles, radii)
+    )
+
+
+@st.composite
+def lattice_polygons(draw):
+    """Star-shaped polygons on a lattice, some with a star-shaped hole."""
+    unit = draw(UNITS)
+    angles = sorted(draw(st.sets(st.integers(0, 359), min_size=3, max_size=60)))
+    radii = draw(st.lists(st.integers(6, 12), min_size=len(angles), max_size=len(angles)))
+    rings = [_star_ring(angles, radii, unit)]
+    if draw(st.booleans()):
+        hole_angles = sorted(draw(st.sets(st.integers(0, 359), min_size=3, max_size=12)))
+        hole_radii = draw(st.lists(st.integers(1, 4), min_size=len(hole_angles), max_size=len(hole_angles)))
+        rings.append(_star_ring(hole_angles, hole_radii, unit))
+    try:
+        return PolygonArea(rings=tuple(rings)), unit
+    except GeometryError:  # rounding collapsed a ring to zero area
+        return rect_polygon(-3 * unit, -2 * unit, 6 * unit, 4 * unit), unit
+
+
+def lattice_points(unit, n):
+    # half-lattice coordinates reaching past the polygon's bbox
+    coord = st.integers(-30, 30).map(lambda k: k * unit / 2.0)
+    return st.lists(st.tuples(coord, coord), min_size=n, max_size=n)
+
+
+def _near(c, d, xmin, ymin, xmax, ymax) -> bool:
+    return min(c.x, d.x) <= xmax and max(c.x, d.x) >= xmin and min(c.y, d.y) <= ymax and max(c.y, d.y) >= ymin
+
+
+def reference_clip_polyline_to_polygon(p, polygon, near_only=False) -> float:
+    """``clip_polyline_to_polygon`` as a loop over pieces and every boundary
+    edge, no index; with ``near_only``, over the edges whose bbox meets the
+    piece's, as the indexed clip selects them."""
     pxmin, pymin, pxmax, pymax = polygon.bbox
     total = 0.0
     for a, b in zip(p.vertices, p.vertices[1:]):
@@ -97,8 +228,11 @@ def reference_clip_polyline_to_polygon(p, polygon) -> float:
             continue
         if max(a.y, b.y) < pymin or min(a.y, b.y) > pymax:
             continue
+        box = (min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
         params = [0.0, 1.0]
         for c, d in _all_edges(polygon):
+            if near_only and not _near(c, d, *box):
+                continue
             t = _crossing_param(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
             if t is not None:
                 params.append(t)
@@ -115,21 +249,24 @@ def reference_clip_polyline_to_polygon(p, polygon) -> float:
     return total
 
 
-def reference_ring_intersects_polygon(ring, polygon) -> bool:
-    """``ring_intersects_polygon`` testing every polygon vertex and edge, no index."""
+def reference_ring_intersects_polygon(ring, polygon, near_only=False) -> bool:
+    """``ring_intersects_polygon`` testing every polygon vertex and edge, no
+    index; with ``near_only``, the edges whose bbox meets the ring's and
+    their start vertices, as the indexed test selects them."""
     for v in ring:
         if point_in_rings(v.x, v.y, polygon.rings):
             return True
+    box = (min(v.x for v in ring), min(v.y for v in ring), max(v.x for v in ring), max(v.y for v in ring))
+    edges = [(c, d) for c, d in _all_edges(polygon) if not near_only or _near(c, d, *box)]
     ring_only = (tuple(ring),)
-    for poly_ring in polygon.rings:
-        for v in poly_ring:
-            if point_in_rings(v.x, v.y, ring_only):
-                return True
+    for c, _ in edges:
+        if point_in_rings(c.x, c.y, ring_only):
+            return True
     n = len(ring)
     for i in range(n):
         a = ring[i]
         b = ring[(i + 1) % n]
-        for c, d in _all_edges(polygon):
+        for c, d in edges:
             if _segments_cross(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y):
                 return True
     return False
@@ -170,12 +307,126 @@ def reference_match(src, dst, cfg):
     return records, (within, rejected_h, rejected_a, within - rejected_h - rejected_a)
 
 
+def reference_build_grid(study_area, cell_area):
+    """``hexgrid.build_grid`` as one ``reference_ring_intersects_polygon``
+    test (``near_only``) per candidate hexagon and part."""
+    parts = [study_area] if isinstance(study_area, PolygonArea) else list(study_area)
+    s = edge_length_for_area(cell_area)
+    xmin = min(p.bbox[0] for p in parts)
+    ymin = min(p.bbox[1] for p in parts)
+    xmax = max(p.bbox[2] for p in parts)
+    ymax = max(p.bbox[3] for p in parts)
+    proto = HexGrid(Point2D(xmin, ymin), cell_area, cells={})
+    q_lo = math.floor((xmin - s - xmin) / (1.5 * s)) - 1
+    q_hi = math.ceil((xmax + s - xmin) / (1.5 * s)) + 1
+    cells = {}
+    for q in range(q_lo, q_hi + 1):
+        r_lo = math.floor((ymin - s - ymin) / (_SQRT3 * s) - q / 2.0) - 1
+        r_hi = math.ceil((ymax + s - ymin) / (_SQRT3 * s) - q / 2.0) + 1
+        for r in range(r_lo, r_hi + 1):
+            ring = proto.cell_polygon(q, r)
+            if any(reference_ring_intersects_polygon(ring, part, near_only=True) for part in parts):
+                cells[(q, r)] = HexCell(q=q, r=r, center=proto.cell_center(q, r), polygon=ring)
+    return HexGrid(proto.origin, cell_area, cells)
+
+
+def reference_polygon_aggregate(edges, polygons, policy):
+    """``completeness.polygon_aggregate`` as a loop over edges and parts,
+    through ``reference_clip_polyline_to_polygon`` (``near_only``). Returns
+    the aggregate and whether the overlap warning fires."""
+    lengths = {}
+    areas = {}
+    for part in polygons:
+        areas[part.name] = areas.get(part.name, 0.0) + part.area
+    overlap_detected = False
+    for edge in edges:
+        factor = policy.factor_for(edge)
+        clipped_total = 0.0
+        for part in polygons:
+            length = reference_clip_polyline_to_polygon(edge.geometry, part, near_only=True)
+            if length > 0.0:
+                lengths[part.name] = lengths.get(part.name, 0.0) + length * factor
+                clipped_total += length
+        if clipped_total > polyline_length(edge.geometry) * (1.0 + 1e-6):
+            overlap_detected = True
+    aggregate = {
+        name: {
+            "length_m": lengths.get(name, 0.0),
+            "area_m2": areas[name],
+            "density_km_per_km2": 1000.0 * lengths.get(name, 0.0) / areas[name],
+        }
+        for name in sorted(areas)
+    }
+    return aggregate, overlap_detected
+
+
+# ``HexGrid.clip_polyline`` as the scalar loop it was before the clip ran
+# over arrays: each piece against each retained cell of its bbox's q and r
+# ranges, one ``_reference_clip_piece_to_hex`` call each.
+
+
+def _reference_candidate_cells(grid, xmin, ymin, xmax, ymax):
+    s = grid.edge_len
+    x0, y0 = grid.origin.x, grid.origin.y
+    q_lo = math.floor((xmin - s - x0) / (1.5 * s))
+    q_hi = math.ceil((xmax + s - x0) / (1.5 * s))
+    for q in range(q_lo, q_hi + 1):
+        r_lo = math.floor((ymin - s - y0) / (_SQRT3 * s) - q / 2.0)
+        r_hi = math.ceil((ymax + s - y0) / (_SQRT3 * s) - q / 2.0)
+        for r in range(r_lo, r_hi + 1):
+            if (q, r) in grid.cells:
+                yield q, r
+
+
+def _reference_clip_piece_to_hex(ax, ay, bx, by, cx, cy, apothem) -> float:
+    dx = bx - ax
+    dy = by - ay
+    tol = _SIDE_EPS * apothem
+    near = 2.0 * tol
+    t0, t1 = 0.0, 1.0
+    for nx, ny in _HEX_NORMALS:
+        pa = nx * (ax - cx) + ny * (ay - cy)
+        pd = nx * dx + ny * dy
+        if -near <= pd <= near:
+            if abs(pa - apothem) <= tol and abs(pa + pd - apothem) <= tol:
+                if ny > 0.0:
+                    continue
+                return 0.0
+            if pd == 0.0:
+                if pa > apothem:
+                    return 0.0
+                continue
+        t = (apothem - pa) / pd
+        if pd > 0.0:
+            if t < t1:
+                t1 = t
+        else:
+            if t > t0:
+                t0 = t
+        if t0 >= t1:
+            return 0.0
+    return (t1 - t0) * math.hypot(dx, dy)
+
+
+def reference_clip_polyline(grid, p) -> dict:
+    out = {}
+    for a, b in zip(p.vertices, p.vertices[1:]):
+        xmin, xmax = min(a.x, b.x), max(a.x, b.x)
+        ymin, ymax = min(a.y, b.y), max(a.y, b.y)
+        for q, r in _reference_candidate_cells(grid, xmin, ymin, xmax, ymax):
+            center = grid.cells[(q, r)].center
+            piece = _reference_clip_piece_to_hex(a.x, a.y, b.x, b.y, center.x, center.y, grid.apothem)
+            if piece > 0.0:
+                out[(q, r)] = out.get((q, r), 0.0) + piece
+    return out
+
+
 # The accumulation loops that the clip index, ``HexGrid.sum_by_cell`` and
 # ``np.bincount`` replaced, kept to hold the array code to their results bit
-# for bit. Each clips through the unmemoized ``HexGrid.clip_polyline``.
-# Where a loop summed a clip with ``sum()``, the sequential
-# ``reduce(add, ...)`` stands in: it is what ``sum()`` of floats did up to
-# Python 3.11, while 3.12 compensates.
+# for bit. Each clips through ``reference_clip_polyline``. Where a loop
+# summed a clip with ``sum()``, the sequential ``reduce(add, ...)`` stands
+# in: it is what ``sum()`` of floats did up to Python 3.11, while 3.12
+# compensates.
 
 
 def reference_cell_containing(grid, pt):
@@ -202,7 +453,7 @@ def reference_assign_lengths(edges, grid, policy=None):
     outside = 0.0
     for edge in edges:
         factor = policy.factor_for(edge) if policy is not None else 1.0
-        contributions = grid.clip_polyline(edge.geometry)
+        contributions = reference_clip_polyline(grid, edge.geometry)
         covered = reduce(add, contributions.values(), 0.0)
         gap = polyline_length(edge.geometry) - covered
         if gap > 0.0:
@@ -224,7 +475,7 @@ def reference_tag_share(edges, spec, grid, policy=None):
         total_global += length
         if present:
             tagged_global += length
-        for cell, clipped in grid.clip_polyline(edge.geometry).items():
+        for cell, clipped in reference_clip_polyline(grid, edge.geometry).items():
             contribution = clipped * factor
             cell_total[cell] = cell_total.get(cell, 0.0) + contribution
             if present:
@@ -244,7 +495,7 @@ def reference_local_component_count(g, grid):
     per_cell = {}
     for eid in g.edges:
         edge = g.edges[eid]
-        for cell_id, length in grid.clip_polyline(edge.geometry).items():
+        for cell_id, length in reference_clip_polyline(grid, edge.geometry).items():
             if length > 0.0:
                 per_cell.setdefault(cell_id, set()).add(edge.component_id)
     return {cell: len(comps) for cell, comps in sorted(per_cell.items())}

@@ -9,18 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netqa.completeness import LengthPolicy, build_density_surface, infrastructure_length
-from netqa.geometry import Point2D, Segment
+from netqa.geometry import Point2D, Segment, polyline_length
 from netqa.graph import build_graph, connected_components, local_component_count
+from netqa import hexgrid
 from netqa.hexgrid import assign_lengths, build_grid
 from netqa.ingest import Dataset
 from netqa.matching import MatchRecord, match_summary
 from netqa.tags import TagSpec, tag_share
 
 from conftest import (
+    bits,
     make_edge,
     rect_polygon,
     reference_assign_lengths,
     reference_cell_containing,
+    reference_clip_polyline,
     reference_connected_components,
     reference_local_component_count,
     reference_match_summary,
@@ -29,19 +32,6 @@ from conftest import (
 
 POLICY = LengthPolicy.default()
 SPECS = (TagSpec("surface", ("surface", "cycleway:surface")), TagSpec("nowhere", ("no_such_key",)))
-
-
-def bits(value):
-    """Floats as hex, recursively, so ``==`` compares every bit."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {k: bits(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(bits(v) for v in value)
-    if hasattr(value, "__dataclass_fields__"):
-        return {name: bits(getattr(value, name)) for name in value.__dataclass_fields__}
-    return value
 
 
 def _grid(draw):
@@ -64,19 +54,36 @@ def _boundary_points(grid, cell_id):
 @st.composite
 def network(draw):
     """A grid and edges: free polylines reaching up to 30% beyond the study
-    area (so some leave the grid), and chains along hexagon sides. Some
-    edges are bidirectional centerlines (factor 2), some carry a surface."""
+    area (so some leave the grid), chains along hexagon sides, lines
+    through hexagon corners, and polylines that leave a cell and come back
+    to it. Some edges are bidirectional centerlines (factor 2), some carry
+    a surface."""
     grid, (x0, y0, width, height) = _grid(draw)
     xs = st.floats(x0 - 0.3 * width, x0 + 1.3 * width)
     ys = st.floats(y0 - 0.3 * height, y0 + 1.3 * height)
     edges = []
     for i in range(draw(st.integers(0, 20))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["free", "sides", "corners", "return"]))
+        cell = grid.cells[draw(st.sampled_from(grid.cell_ids))]
+        ring = cell.polygon
+        k = draw(st.integers(0, 5))
+        if kind == "free":
             coords = draw(st.lists(st.tuples(xs, ys), min_size=2, max_size=4, unique=True))
-        else:
-            ring = grid.cells[draw(st.sampled_from(grid.cell_ids))].polygon
-            k = draw(st.integers(0, 5))
+        elif kind == "sides":
             coords = [(p.x, p.y) for p in (ring + ring)[k : k + draw(st.integers(2, 4))]]
+        elif kind == "corners":
+            # corner to opposite corner through the center, then on to the
+            # corner of another cell
+            other = grid.cells[draw(st.sampled_from(grid.cell_ids))].polygon[draw(st.integers(0, 5))]
+            coords = [(ring[k].x, ring[k].y), (ring[k - 3].x, ring[k - 3].y), (other.x, other.y)]
+        else:
+            away = draw(st.tuples(xs, ys))
+            back = draw(st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)))
+            s = grid.edge_len
+            coords = [(cell.center.x, cell.center.y), away, (cell.center.x + back[0] * s, cell.center.y + back[1] * s)]
+        coords = [c for j, c in enumerate(coords) if j == 0 or c != coords[j - 1]]
+        if len(coords) < 2:
+            continue
         centerline = draw(st.booleans())
         edges.append(
             make_edge(
@@ -88,6 +95,26 @@ def network(draw):
             )
         )
     return grid, edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(network(), st.sampled_from([1, 5, 1 << 12]))
+def test_edge_cells_equal_the_scalar_clip_bit_for_bit(case, block):
+    # rows in edge order, then in the order each edge first meets a cell,
+    # with the scalar loop's sums; small blocks split an edge's pieces and
+    # a piece's candidate cells across blocks
+    grid, edges = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hexgrid, "_BLOCK_ROWS", block)
+        cells = grid.clip_edges(edges)
+        one_at_a_time = [grid.clip_polyline(e.geometry) for e in edges]
+    expected = [reference_clip_polyline(grid, e.geometry) for e in edges]
+    rows = zip(cells.edge.tolist(), cells.cell.tolist(), cells.length.tolist())
+    assert [(e, grid.cell_ids[c], v.hex()) for e, c, v in rows] == [
+        (e, cell, v.hex()) for e, clip in enumerate(expected) for cell, v in clip.items()
+    ]
+    assert [list(bits(clip).items()) for clip in one_at_a_time] == [list(bits(clip).items()) for clip in expected]
+    assert bits(cells.edge_length.tolist()) == [polyline_length(e.geometry).hex() for e in edges]
 
 
 @settings(max_examples=80, deadline=None)

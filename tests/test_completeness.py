@@ -1,9 +1,13 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netqa import completeness, polygons
 from netqa.completeness import (
     LengthPolicy,
     build_density_surface,
@@ -15,10 +19,20 @@ from netqa.completeness import (
     polygon_compare,
 )
 from netqa.errors import ConfigError, GridMismatchError, ZeroVarianceError
+from netqa.geometry import Point2D
 from netqa.hexgrid import build_grid
 from netqa.ingest import Dataset
+from netqa.polygons import PolygonArea
 
-from conftest import make_edge, rect_polygon
+from conftest import (
+    UNITS,
+    bits,
+    lattice_points,
+    lattice_polygons,
+    make_edge,
+    rect_polygon,
+    reference_polygon_aggregate,
+)
 
 
 # ------------------------------------------------------------ length policy
@@ -266,3 +280,72 @@ def test_correlate_errors():
         correlate(const, varying)
     with pytest.raises(ConfigError):
         correlate(varying, varying, method="kendall")
+
+
+# ------------------------------------------------ polygon clip property
+
+
+@st.composite
+def polygon_layers(draw):
+    """Lattice polygons, some with holes, shifted so that parts overlap or
+    share sides, under names that repeat (multi-part names), or no parts;
+    and edges on the half-lattice: free lines that leave the parts, lines
+    through their vertices and lines along their boundary edges."""
+    unit = draw(UNITS)
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        poly, _ = draw(lattice_polygons().filter(lambda case: case[1] == unit) | st.just((None, unit)))
+        if poly is None:
+            poly = rect_polygon(-3 * unit, -2 * unit, 6 * unit, 4 * unit)
+        dx, dy = draw(st.tuples(st.integers(-12, 12), st.integers(-12, 12)))
+        rings = tuple(tuple(Point2D(v.x + dx * unit, v.y + dy * unit) for v in ring) for ring in poly.rings)
+        parts.append(PolygonArea(rings=rings, name=draw(st.sampled_from(["a", "b", "c"]))))
+    vertices = [(v.x, v.y) for part in parts for ring in part.rings for v in ring]
+    edges = []
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["free", "vertices", "boundary"]))
+        if kind == "free" or not parts:
+            coords = draw(lattice_points(unit, draw(st.integers(2, 4))))
+        elif kind == "vertices":
+            point = st.sampled_from(vertices) | lattice_points(unit, 1).map(lambda p: p[0])
+            coords = draw(st.lists(point, min_size=2, max_size=4))
+        else:
+            ring = draw(st.sampled_from([ring for part in parts for ring in part.rings]))
+            k = draw(st.integers(0, len(ring) - 1))
+            coords = [(v.x, v.y) for v in (ring + ring)[k : k + draw(st.integers(2, 4))]]
+        coords = [c for j, c in enumerate(coords) if j == 0 or c != coords[j - 1]]
+        if len(coords) >= 2:
+            centerline = draw(st.booleans())
+            edges.append(
+                make_edge(
+                    f"e{i}",
+                    coords,
+                    model="centerline" if centerline else "separate_geometry",
+                    direction="bidirectional" if centerline else "oneway",
+                )
+            )
+    return parts, edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(polygon_layers(), st.sampled_from([1, 7, 1 << 12]))
+def test_polygon_aggregate_equals_the_reference_loop(case, block):
+    parts, edges = case
+    policy = LengthPolicy.default()
+    with pytest.MonkeyPatch.context() as mp, mock.patch.object(completeness.log, "warning") as warning:
+        mp.setattr(polygons, "_BLOCK_PAIRS", block)
+        mp.setattr(polygons, "_BLOCK_PIECES", block)
+        got = polygon_aggregate(edges, parts, policy)
+        stats = polygon_compare(edges[::2], edges[1::2], parts, policy)
+    expected, overlap = reference_polygon_aggregate(edges, parts, policy)
+    assert bits(got) == bits(expected)
+    assert warning.called == overlap
+    agg_a, _ = reference_polygon_aggregate(edges[::2], parts, policy)
+    agg_b, _ = reference_polygon_aggregate(edges[1::2], parts, policy)
+    assert bits([(s.name, s.area_m2, s.length_a_m, s.length_b_m, s.density_a, s.density_b) for s in stats]) == bits(
+        [
+            (name, agg_a[name]["area_m2"], agg_a[name]["length_m"], agg_b[name]["length_m"],
+             agg_a[name]["density_km_per_km2"], agg_b[name]["density_km_per_km2"])
+            for name in sorted(agg_a)
+        ]
+    )

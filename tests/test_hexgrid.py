@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netqa import polygons
 from netqa.errors import GeometryError
 from netqa.geometry import Point2D, Polyline, polyline_length
-from netqa import hexgrid
 from netqa.hexgrid import assign_lengths, build_grid, edge_length_for_area
-from netqa.polygons import point_in_rings, ring_signed_area
+from netqa.polygons import PolygonArea, point_in_rings, ring_signed_area
 
-from conftest import make_edge, rect_polygon, reference_ring_intersects_polygon, wobbly_polygon
+from conftest import lattice_polygons, make_edge, rect_polygon, reference_build_grid, wobbly_polygon
 
 
 def test_edge_length_formula():
@@ -68,7 +70,7 @@ def test_retained_count_matches_rasterization_oracle():
                 if hit:
                     break
                 for y in ys:
-                    if point_in_rings(x, y, (ring,)) and study.contains(x, y):
+                    if point_in_rings(x, y, (ring,)) and point_in_rings(x, y, study.rings):
                         hit = True
                         break
             if hit:
@@ -78,11 +80,10 @@ def test_retained_count_matches_rasterization_oracle():
     assert abs(len(retained) - len(oracle_cells)) / len(oracle_cells) <= 0.05
 
 
-def test_grid_on_wobbly_outline_matches_unindexed_build(monkeypatch):
+def test_grid_on_wobbly_outline_matches_unindexed_build():
     study = wobbly_polygon(1500)
     grid = build_grid(study, 400000.0)
-    monkeypatch.setattr(hexgrid, "ring_intersects_polygon", reference_ring_intersects_polygon)
-    reference = build_grid(study, 400000.0)
+    reference = reference_build_grid(study, 400000.0)
     assert list(grid.cells) == list(reference.cells)
     assert len(grid.cells) > 50
 
@@ -226,3 +227,29 @@ def _default_policy():
     from netqa.completeness import LengthPolicy
 
     return LengthPolicy.default()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), share=st.sampled_from([0.05, 0.2, 0.5]), block=st.sampled_from([1, 7, 1 << 12]))
+def test_grid_equals_the_unindexed_build(data, share, block):
+    # one or two lattice parts, with holes, overlapping or apart
+    parts = []
+    for shift in data.draw(st.lists(st.integers(-12, 12), min_size=1, max_size=2)):
+        poly, unit = data.draw(lattice_polygons())
+        rings = tuple(tuple(Point2D(v.x + shift * unit, v.y) for v in ring) for ring in poly.rings)
+        parts.append(PolygonArea(rings=rings))
+    area = share * max(p.area for p in parts)  # cells of a share of the larger part
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polygons, "_BLOCK_PAIRS", block)
+        grid = build_grid(parts, area)
+    assert list(grid.cells.items()) == list(reference_build_grid(parts, area).cells.items())
+
+
+def test_cells_on_the_bottom_side_are_kept_or_dropped_as_before():
+    # hexagons below the study bbox touch its bottom side along a whole
+    # side; a translation by (0, 1.56e-91) drops 8 of them on the last bit
+    for dy, n_cells in ((0.0, 128), (1.563990435803101e-91, 120)):
+        study = rect_polygon(0.0, dy, 2000.0, 1000.0)
+        grid = build_grid(study, 20000.0)
+        assert len(grid.cells) == n_cells
+        assert list(grid.cells.items()) == list(reference_build_grid(study, 20000.0).cells.items())

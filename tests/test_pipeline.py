@@ -29,7 +29,7 @@ from netqa.matching import (
 )
 from netqa.pipeline import Pipeline, RunConfig, run_pipeline
 
-from conftest import make_dataset
+from conftest import make_dataset, reference_clip_polyline, write_ragged_demo
 
 DEMO = Path(__file__).parent / "data" / "demo"
 # SHA-256 of each demo output's parsed content (see parsed_digest), recorded
@@ -42,6 +42,8 @@ DEMO_RAW_DIGESTS = Path(__file__).parent / "data" / "demo_raw_sha256.json"
 DEMO_BAND_RAW_DIGESTS = Path(__file__).parent / "data" / "demo_band_raw_sha256.json"
 # the same for the demo at a 5 m snap tolerance
 DEMO_SNAP_RAW_DIGESTS = Path(__file__).parent / "data" / "demo_snap_raw_sha256.json"
+# the same for the ragged demo (conftest.write_ragged_demo)
+DEMO_RAGGED_RAW_DIGESTS = Path(__file__).parent / "data" / "demo_ragged_raw_sha256.json"
 
 
 def demo_config(tmp_path, out_name="out", **overrides):
@@ -453,6 +455,16 @@ def test_demo_snap_outputs_reproduce_the_recorded_bytes(tmp_path, monkeypatch):
     assert got == json.loads(DEMO_SNAP_RAW_DIGESTS.read_text(encoding="utf-8"))
 
 
+def test_demo_ragged_outputs_reproduce_the_recorded_bytes(tmp_path, monkeypatch):
+    # a wobbly study outline that some lines leave, a district with a hole
+    # along a street and a two-part district: the polygon clip's hard cases
+    monkeypatch.chdir(write_ragged_demo(tmp_path / "demo"))
+    assert cli_main(["full", "--config", "config.json", "--out", str(tmp_path / "out")]) == 0
+    out = tmp_path / "out"
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir()) if p.name != "run_info.json"}
+    assert got == json.loads(DEMO_RAGGED_RAW_DIGESTS.read_text(encoding="utf-8"))
+
+
 def test_full_run_builds_no_per_segment_objects(tmp_path, monkeypatch):
     built = Counter()
 
@@ -813,14 +825,17 @@ def test_translating_every_input_keeps_the_metrics(untranslated_metrics, dx, dy)
 
 
 def test_full_run_clips_each_geometry_once(tmp_path, monkeypatch):
+    # every (piece, candidate cell) row the clip kernel evaluates, as
+    # (piece start, piece end, cell center)
     calls = []
-    real = hexgrid._clip_piece_to_hex
+    real = hexgrid.HexGrid._clip_rows
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(self, v, k, cell):
+        ends = (v.x[k], v.y[k], v.x[k + 1], v.y[k + 1], self._center_x[cell], self._center_y[cell])
+        calls.extend(zip(*(a.tolist() for a in ends)))
+        return real(self, v, k, cell)
 
-    monkeypatch.setattr(hexgrid, "_clip_piece_to_hex", counting)
+    monkeypatch.setattr(hexgrid.HexGrid, "_clip_rows", counting)
     pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "out"))
     pipe.run_stage("full")
     in_run = sorted(calls)
@@ -933,7 +948,7 @@ def test_run_info_records_work_and_a_tags_run_clips_only_the_candidate(tmp_path,
     for role, ds in pipe.datasets().items():
         assert work[role] == {
             "edges": summary["density"]["totals"][role]["edge_count"],
-            "clips": sum(len(grid.clip_polyline(e.geometry)) for e in ds.edges),
+            "clips": sum(len(reference_clip_polyline(grid, e.geometry)) for e in ds.edges),
             "segments": summary["matching"][role]["segments"],
         }
     assert cli_main(["tags"] + base + [str(tmp_path / "tags")]) == 0

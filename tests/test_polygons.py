@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netqa import polygons
 from netqa.errors import GeometryError
 from netqa.geometry import Point2D, Polyline
 from netqa.polygons import (
@@ -12,9 +14,16 @@ from netqa.polygons import (
     point_in_rings,
     ring_intersects_polygon,
     ring_signed_area,
+    rings_intersect_polygon,
 )
 
-from conftest import rect_polygon, reference_clip_polyline_to_polygon, reference_ring_intersects_polygon
+from conftest import (
+    lattice_points,
+    lattice_polygons,
+    rect_polygon,
+    reference_clip_polyline_to_polygon,
+    reference_ring_intersects_polygon,
+)
 
 
 def line(*coords):
@@ -98,18 +107,8 @@ def test_signed_area_orientation():
 
 # ------------------------------------------------ boundary-edge index
 #
-# The index must give exactly (==) what testing every boundary edge gives.
-# Coordinates sit on a coarse lattice so that horizontal edges, collinear
-# edges, vertices on slab boundaries and queries at y = ymax are common.
-
-UNITS = st.sampled_from([1.0, 0.1, 37.5])
-
-
-def _star_ring(angles, radii, unit):
-    return tuple(
-        Point2D(round(r * math.cos(math.radians(a))) * unit, round(r * math.sin(math.radians(a))) * unit)
-        for a, r in zip(angles, radii)
-    )
+# The index must give exactly (==) what testing every boundary edge gives,
+# on the lattice polygons and points of conftest.
 
 
 def test_index_with_vertices_on_slab_boundaries():
@@ -125,29 +124,6 @@ def test_index_with_vertices_on_slab_boundaries():
     for x0, y0, x1, y1 in [(-1, 2, 9, 2), (1, -1, 1, 9), (7, 6, 7, 9), (-1, -1, 9, 9), (3, 8, 5, 8)]:
         p = line((x0, y0), (x1, y1))
         assert clip_polyline_to_polygon(p, poly) == reference_clip_polyline_to_polygon(p, poly)
-
-
-@st.composite
-def lattice_polygons(draw):
-    """Star-shaped polygons on a lattice, some with a star-shaped hole."""
-    unit = draw(UNITS)
-    angles = sorted(draw(st.sets(st.integers(0, 359), min_size=3, max_size=60)))
-    radii = draw(st.lists(st.integers(6, 12), min_size=len(angles), max_size=len(angles)))
-    rings = [_star_ring(angles, radii, unit)]
-    if draw(st.booleans()):
-        hole_angles = sorted(draw(st.sets(st.integers(0, 359), min_size=3, max_size=12)))
-        hole_radii = draw(st.lists(st.integers(1, 4), min_size=len(hole_angles), max_size=len(hole_angles)))
-        rings.append(_star_ring(hole_angles, hole_radii, unit))
-    try:
-        return PolygonArea(rings=tuple(rings)), unit
-    except GeometryError:  # rounding collapsed a ring to zero area
-        return rect_polygon(-3 * unit, -2 * unit, 6 * unit, 4 * unit), unit
-
-
-def lattice_points(unit, n):
-    # half-lattice coordinates reaching past the polygon's bbox
-    coord = st.integers(-30, 30).map(lambda k: k * unit / 2.0)
-    return st.lists(st.tuples(coord, coord), min_size=n, max_size=n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -200,3 +176,63 @@ def test_indexed_clip_equals_every_edge_test(data):
             continue
         p = Polyline(tuple(Point2D(x, y) for x, y in pts))
         assert clip_polyline_to_polygon(p, poly) == reference_clip_polyline_to_polygon(p, poly)
+
+
+# ------------------------------------------------ batch queries
+#
+# The batch forms hold to the loops over every boundary edge element by
+# element; small blocks split the (point, edge) and (box, edge) pairs of one
+# point or box across blocks.
+
+BLOCKS = st.sampled_from([1, 7, 1 << 12])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), block=BLOCKS)
+def test_contains_many_equals_every_edge_test(data, block):
+    poly, unit = data.draw(lattice_polygons())
+    points = data.draw(lattice_points(unit, 40)) + [(v.x, v.y) for ring in poly.rings for v in ring]
+    x, y = (np.array(column, dtype=float) for column in zip(*points))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polygons, "_BLOCK_PAIRS", block)
+        inside = poly.contains_many(x, y)
+    assert inside.tolist() == [point_in_rings(px, py, poly.rings) for px, py in points]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), block=BLOCKS)
+def test_near_pairs_equal_every_edge_meeting_each_box(data, block):
+    poly, unit = data.draw(lattice_polygons())
+    corners = data.draw(lattice_points(unit, 2 * data.draw(st.integers(1, 6))))
+    boxes = [
+        (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+        for (ax, ay), (bx, by) in zip(corners[0::2], corners[1::2])
+    ]
+    edges = [(c.x, c.y, d.x, d.y) for ring in poly.rings for c, d in zip(ring, ring[1:] + ring[:1])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polygons, "_BLOCK_PAIRS", block)
+        box, entry = poly.near_pairs(*(np.array(column, dtype=float) for column in zip(*boxes)))
+    s = poly._slabs
+    near = list(zip(s.cx[entry].tolist(), s.cy[entry].tolist(), s.dx[entry].tolist(), s.dy[entry].tolist()))
+    assert box.tolist() == sorted(box.tolist())  # grouped by box, in box order
+    for i, (x0, y0, x1, y1) in enumerate(boxes):
+        expected = [
+            e
+            for e in edges
+            if min(e[0], e[2]) <= x1 and max(e[0], e[2]) >= x0 and min(e[1], e[3]) <= y1 and max(e[1], e[3]) >= y0
+        ]
+        assert sorted(e for b, e in zip(box.tolist(), near) if b == i) == sorted(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), block=BLOCKS)
+def test_batched_ring_intersects_equals_every_edge_test(data, block):
+    poly, unit = data.draw(lattice_polygons())
+    k = data.draw(st.integers(3, 6))
+    rings = [tuple(Point2D(x, y) for x, y in data.draw(lattice_points(unit, k))) for _ in range(5)]
+    x = np.array([[v.x for v in ring] for ring in rings])
+    y = np.array([[v.y for v in ring] for ring in rings])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polygons, "_BLOCK_PAIRS", block)
+        hit = rings_intersect_polygon(x, y, poly)
+    assert hit.tolist() == [reference_ring_intersects_polygon(ring, poly, near_only=True) for ring in rings]

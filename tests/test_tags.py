@@ -5,7 +5,7 @@ from netqa.completeness import LengthPolicy
 from netqa.hexgrid import build_grid
 from netqa.tags import DEFAULT_TAG_SPECS, TagSpec, tag_presence, tag_share
 
-from conftest import make_edge, rect_polygon
+from conftest import make_edge, rect_polygon, reference_clip_polyline
 
 SURFACE = TagSpec("surface", ("surface", "cycleway:surface"))
 
@@ -81,7 +81,7 @@ def test_share_bounds_and_weighted_mean(rng):
     # global equals the length-weighted mean of cell shares (all length in cells)
     totals = {}
     for e in edges:
-        for cell, l in grid.clip_polyline(e.geometry).items():
+        for cell, l in reference_clip_polyline(grid, e.geometry).items():
             totals[cell] = totals.get(cell, 0.0) + l
     weighted = sum(share.per_cell_pct[c] * totals[c] for c in share.per_cell_pct) / sum(totals.values())
     assert share.global_pct == pytest.approx(weighted, abs=1e-6)
