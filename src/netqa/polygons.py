@@ -264,14 +264,16 @@ def clip_lengths(v: VertexArrays, polygon: PolygonArea) -> np.ndarray:
     """
     owner, k = v.pieces()
     pxmin, pymin, pxmax, pymax = polygon.bbox
+    # a piece misses the polygon's bbox when both its ends lie beyond one side
+    misses = np.zeros(len(k), dtype=bool)
+    for beyond in (v.x < pxmin, v.x > pxmax, v.y < pymin, v.y > pymax):
+        misses |= beyond[k] & beyond[k + 1]
+    hit = np.flatnonzero(~misses)
     edge, length = [np.empty(0, np.intp)], [np.empty(0)]
-    for lo in range(0, len(k), _BLOCK_PIECES):
-        o, kk = owner[lo : lo + _BLOCK_PIECES], k[lo : lo + _BLOCK_PIECES]
-        ax, ay, bx, by = v.x[kk], v.y[kk], v.x[kk + 1], v.y[kk + 1]
-        meets = (np.maximum(ax, bx) >= pxmin) & (np.minimum(ax, bx) <= pxmax)
-        meets &= (np.maximum(ay, by) >= pymin) & (np.minimum(ay, by) <= pymax)
-        sub, inside = _clip_pieces(v, kk[meets], polygon)
-        edge.append(o[meets][sub])
+    for lo in range(0, len(hit), _BLOCK_PIECES):
+        piece = hit[lo : lo + _BLOCK_PIECES]
+        sub, inside = _clip_pieces(v, k[piece], polygon)
+        edge.append(owner[piece[sub]])
         length.append(inside)
     # bincount gives ints when there are no weights at all
     return np.bincount(np.concatenate(edge), np.concatenate(length), minlength=len(v)).astype(float, copy=False)
