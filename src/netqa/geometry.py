@@ -217,11 +217,11 @@ def _run_pairs(run: np.ndarray, earlier_only: bool) -> tuple[np.ndarray, np.ndar
     change = np.ones(n, dtype=bool)
     change[1:] = run[1:] != run[:-1]
     starts = np.flatnonzero(change)
-    first = starts[np.cumsum(change) - 1]  # each row's run start
+    stops = np.append(starts[1:], n)[: len(starts)]  # and none without rows
+    first = np.repeat(starts, stops - starts)  # each row's run start
     if earlier_only:
         return _ranges(first, np.arange(n) - first)
-    ends = np.append(starts[1:], n)[np.cumsum(change) - 1]
-    row, other = _ranges(first, ends - first)
+    row, other = _ranges(first, np.repeat(stops, stops - starts) - first)
     return row[row != other], other[row != other]
 
 

@@ -167,11 +167,12 @@ class HexGrid:
         # a row that meets an earlier row of its edge's cell joins its group
         row, earlier = _run_pairs(edge, earlier_only=True)
         same = cell[row] == cell[earlier]
-        first = np.bincount(row[same], minlength=len(edge)) == 0
-        group = np.cumsum(first) - 1
-        joins = same & first[earlier]
+        is_first = np.bincount(row[same], minlength=len(edge)) == 0
+        first = np.flatnonzero(is_first)
+        group = np.empty(len(edge), dtype=np.intp)
+        group[first] = np.arange(len(first))
+        joins = same & is_first[earlier]
         group[row[joins]] = group[earlier[joins]]
-        first = np.flatnonzero(first)
         # bincount gives ints when there are no weights at all
         return edge[first], cell[first], np.bincount(group, length, minlength=len(first)).astype(float, copy=False)
 
@@ -231,7 +232,7 @@ class HexGrid:
             pa = nx * ex + ny * ey
             pd = nx * dx + ny * dy
             t = (apothem - pa) / pd
-            flat = np.flatnonzero(np.abs(pd) <= near)
+            flat = np.flatnonzero((-near <= pd) & (pd <= near))
             if len(flat):
                 on_side = (np.abs(pa[flat] - apothem) <= tol) & (np.abs(pa[flat] + pd[flat] - apothem) <= tol)
                 parallel = ~on_side & (pd[flat] == 0.0)
