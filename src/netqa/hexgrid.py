@@ -188,7 +188,7 @@ class HexGrid:
         r_base_lo = (np.minimum(ay, by) - s - y0) / (_SQRT3 * s)
         r_base_hi = (np.maximum(ay, by) + s - y0) / (_SQRT3 * s)
         n_q = np.maximum(q_hi - q_lo + 1, 0).astype(np.intp)
-        # a column's r range spans at most this many rows
+        # at most this many candidate rows per piece, for cutting blocks
         bound = n_q * (np.minimum(np.maximum(r_base_hi - r_base_lo, 0.0), nr) + 3).astype(np.intp)
         return [
             self._clip_block(v, k[lo:hi], owner[lo:hi], q_lo[lo:hi], n_q[lo:hi], r_base_lo[lo:hi], r_base_hi[lo:hi])
