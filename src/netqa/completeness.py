@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, ZeroVarianceError
-from .geometry import VertexArrays, polyline_length, vertex_arrays
+from .geometry import polyline_length
 from .hexgrid import EdgeCells, HexGrid, assign_lengths
 from .polygons import PolygonArea, clip_lengths
 
@@ -126,22 +126,18 @@ class PolygonStats:
     relative_difference: float
 
 
-def polygon_aggregate(
-    edges, polygons: list[PolygonArea], policy: LengthPolicy, vertices: VertexArrays | None = None
-) -> dict:
+def polygon_aggregate(dataset, polygons: list[PolygonArea], policy: LengthPolicy) -> dict:
     """Infrastructure length and density per named polygon.
 
     Multi-part polygons contribute under one name. Overlapping polygons
     double-count the shared length; that is detected per edge (clipped
-    total exceeding the edge length) and warned about once. ``vertices``,
-    if given, are the edges' geometries as vertex arrays.
+    total exceeding the edge length) and warned about once.
 
     Each part is clipped against all edges at once; the (edge, part)
     lengths then add up per name and per edge in edge order, then part
     order, as a loop over edges and parts does.
     """
-    if vertices is None:
-        vertices = vertex_arrays(e.geometry for e in edges)
+    vertices = dataset.vertices
     areas: dict[str, float] = {}
     for part in polygons:
         areas[part.name] = areas.get(part.name, 0.0) + part.area
@@ -163,7 +159,7 @@ def polygon_aggregate(
     for j, (e, clip) in enumerate(hits):
         edge[slot[e]], part[slot[e]], length[slot[e]] = e, j, clip
         slot[e] += 1
-    factors = np.array([policy.factor_for(e) for e in edges], dtype=float)
+    factors = np.array([policy.factor_for(e) for e in dataset.edges], dtype=float)
     # bincount gives ints when there are no weights at all
     lengths = np.bincount(name_of[part], length * factors[edge], minlength=len(names)).astype(float).tolist()
     clipped_total = np.bincount(edge, length, minlength=len(vertices))
@@ -179,21 +175,14 @@ def polygon_aggregate(
     }
 
 
-def polygon_compare(
-    edges_a,
-    edges_b,
-    polygons: list[PolygonArea],
-    policy: LengthPolicy,
-    vertices_a: VertexArrays | None = None,
-    vertices_b: VertexArrays | None = None,
-) -> list[PolygonStats]:
+def polygon_compare(dataset_a, dataset_b, polygons: list[PolygonArea], policy: LengthPolicy) -> list[PolygonStats]:
     """Side-by-side polygon totals with a bounded relative difference.
 
     The relative difference is (b - a) / max(a, b), which stays in
     [-1, 1]; it is 0 when both sides are empty.
     """
-    agg_a = polygon_aggregate(edges_a, polygons, policy, vertices_a)
-    agg_b = polygon_aggregate(edges_b, polygons, policy, vertices_b)
+    agg_a = polygon_aggregate(dataset_a, polygons, policy)
+    agg_b = polygon_aggregate(dataset_b, polygons, policy)
     out = []
     for name in sorted(agg_a):
         la = agg_a[name]["length_m"]

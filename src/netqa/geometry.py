@@ -34,9 +34,11 @@ __all__ = [
 # previous segment, as a fraction of the requested segment length.
 _REMAINDER_MERGE_FRACTION = 0.5
 _LENGTH_EPS = 1e-9
-# Vertices whose steps and arc distances one block of ``vertex_arrays``
-# holds as Python floats.
-_BLOCK_VERTICES = 1 << 14
+# Upper bound on the elements (vertices, clip rows, or pairs of a point,
+# piece or ring with a boundary edge) one block of an array pass holds; it
+# caps transient memory and does not change results. Smaller than
+# ``spatial._BLOCK_ELEMENTS``: these passes keep a dozen arrays per block.
+_BLOCK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ def vertex_arrays(polylines) -> VertexArrays:
     step = np.zeros(max(total - 1, 0))
     cum = np.empty(total)
     # a block of polylines at a time, so the Python floats stay few
-    for e0, e1 in _blocks(n_vertices, _BLOCK_VERTICES):
+    for e0, e1 in _blocks(n_vertices, _BLOCK_ELEMENTS):
         v0, v1 = int(first[e0]), int(last[e1 - 1]) + 1
         steps = list(map(math.hypot, np.diff(x[v0:v1]).tolist(), np.diff(y[v0:v1]).tolist()))
         step[v0 : v1 - 1] = steps
@@ -203,26 +205,6 @@ def _blocks(sizes: np.ndarray, cap: int):
         hi = max(bisect_right(ends, done + cap), lo + 1)
         yield lo, hi
         lo = hi
-
-
-def _run_pairs(run: np.ndarray, earlier_only: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(row, other) index arrays pairing each row with every other row of
-    its run (with ``earlier_only``, every earlier one), row by row.
-
-    ``run`` numbers consecutive rows and does not decrease. Runs here are
-    the rows of one edge or one piece, which are few, so the pairs replace
-    a sort (whose code would add to peak memory).
-    """
-    n = len(run)
-    change = np.ones(n, dtype=bool)
-    change[1:] = run[1:] != run[:-1]
-    starts = np.flatnonzero(change)
-    stops = np.append(starts[1:], n)[: len(starts)]  # and none without rows
-    first = np.repeat(starts, stops - starts)  # each row's run start
-    if earlier_only:
-        return _ranges(first, np.arange(n) - first)
-    row, other = _ranges(first, np.repeat(stops, stops - starts) - first)
-    return row[row != other], other[row != other]
 
 
 def _cumulative_lengths(p: Polyline) -> list[float]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import Point2D, Polyline, VertexArrays, _blocks, _ranges, _run_pairs, vertex_arrays
+from .geometry import _BLOCK_ELEMENTS, Point2D, Polyline, VertexArrays, _blocks, _ranges, vertex_arrays
 from .polygons import PolygonArea, rings_intersect_polygon
 
 log = logging.getLogger(__name__)
@@ -37,9 +37,6 @@ _HEX_NORMALS = tuple(
 # A piece whose ends both lie within this fraction of the apothem of a
 # side's line lies on that side.
 _SIDE_EPS = 1e-9
-# Upper bound on the (piece, candidate cell) rows one block of a clip
-# holds; it caps transient memory and does not change results.
-_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -136,14 +133,9 @@ class HexGrid:
         _, cell, length = self._clip(vertex_arrays([p]))
         return dict(zip([self.cell_ids[c] for c in cell.tolist()], length.tolist()))
 
-    def clip_edges(self, edges, vertices: VertexArrays | None = None) -> EdgeCells:
-        """Clip each edge once, into the rows of an ``EdgeCells``.
-
-        ``vertices``, if given, are the edges' geometries as vertex arrays
-        (``Dataset.vertices``); otherwise they are built here.
-        """
-        if vertices is None:
-            vertices = vertex_arrays(e.geometry for e in edges)
+    def clip_edges(self, vertices: VertexArrays) -> EdgeCells:
+        """Clip each polyline of ``vertices``, the edges' geometries as
+        ``Dataset.vertices`` holds them, once, into the rows of an ``EdgeCells``."""
         return EdgeCells(self, len(vertices), *self._clip(vertices), vertices.length)
 
     def _clip(self, v: VertexArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,22 +149,36 @@ class HexGrid:
         order each edge's pieces first meet the cells.
         """
         owner, k = v.pieces()
-        rows = []
-        for lo in range(0, len(k), _BLOCK_ROWS):
-            rows += self._clip_pieces(v, owner[lo : lo + _BLOCK_ROWS], k[lo : lo + _BLOCK_ROWS])
-        if not rows:
-            return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, dtype=float)
-        edge, cell, length = (np.concatenate(col) for col in zip(*rows))
-        # one group per (edge, cell), numbered in order of its first row:
-        # a row that meets an earlier row of its edge's cell joins its group
-        row, earlier = _run_pairs(edge, earlier_only=True)
-        same = cell[row] == cell[earlier]
-        is_first = np.bincount(row[same], minlength=len(edge)) == 0
+        empty = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
+        edge, cell, length = (np.concatenate(col) for col in zip(empty, *self._clip_pieces(v, owner, k)))
+        # a group never spans edges, so blocks of whole edges sum alike
+        counts = np.bincount(edge, minlength=len(v))
+        stop = np.cumsum(counts)
+        sums = [empty]
+        for e0, e1 in _blocks(counts, _BLOCK_ELEMENTS):
+            lo, hi = stop[e0] - counts[e0], stop[e1 - 1]
+            sums.append(self._sum_groups(edge[lo:hi], cell[lo:hi], length[lo:hi]))
+        return tuple(np.concatenate(col) for col in zip(*sums))
+
+    def _sum_groups(self, edge, cell, length):
+        """(edge, cell, length) of each (edge, cell) group of rows, in order of
+        its first row; a group's lengths add up in row order, from 0.0."""
+        # edge does not decrease, so a stable sort by (edge, cell) lines up
+        # each group's rows in row order
+        key = edge * len(self.cell_ids) + cell
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        change = np.ones(len(key), dtype=bool)
+        change[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(change)
+        head = order[starts]  # each group's first row, groups in key order
+        is_first = np.zeros(len(key), dtype=bool)
+        is_first[head] = True
         first = np.flatnonzero(is_first)
-        group = np.empty(len(edge), dtype=np.intp)
-        group[first] = np.arange(len(first))
-        joins = same & is_first[earlier]
-        group[row[joins]] = group[earlier[joins]]
+        number = np.empty(len(key), dtype=np.intp)
+        number[first] = np.arange(len(first))
+        group = np.empty(len(key), dtype=np.intp)
+        group[order] = np.repeat(number[head], np.diff(np.append(starts, len(key))))
         # bincount gives ints when there are no weights at all
         return edge[first], cell[first], np.bincount(group, length, minlength=len(first)).astype(float, copy=False)
 
@@ -192,7 +198,7 @@ class HexGrid:
         bound = n_q * (np.minimum(np.maximum(r_base_hi - r_base_lo, 0.0), nr) + 3).astype(np.intp)
         return [
             self._clip_block(v, k[lo:hi], owner[lo:hi], q_lo[lo:hi], n_q[lo:hi], r_base_lo[lo:hi], r_base_hi[lo:hi])
-            for lo, hi in _blocks(bound, _BLOCK_ROWS)
+            for lo, hi in _blocks(bound, _BLOCK_ELEMENTS)
         ]
 
     def _clip_block(self, v, k, owner, q_lo, n_q, r_base_lo, r_base_hi):

@@ -518,8 +518,7 @@ class Pipeline:
     def edge_cells(self, role: str) -> hexgrid.EdgeCells:
         """One role's edges clipped once; graph edges are the same objects in order."""
         if ("clip", role) not in self._cache:
-            ds = self.datasets()[role]
-            self._cache[("clip", role)] = self.grid().clip_edges(ds.edges, ds.vertices)
+            self._cache[("clip", role)] = self.grid().clip_edges(self.datasets()[role].vertices)
         return self._cache[("clip", role)]
 
     def graphs(self):
@@ -576,9 +575,8 @@ class Pipeline:
             polygon_stats = None
             if cfg.polygons_path is not None:
                 polys = ingest.load_polygon_layer(cfg.polygons_path)
-                cand, ref = datasets["candidate"], datasets["reference"]
                 polygon_stats = completeness.polygon_compare(
-                    cand.edges, ref.edges, polys, cfg.length_policy, cand.vertices, ref.vertices
+                    datasets["candidate"], datasets["reference"], polys, cfg.length_policy
                 )
                 summary["polygons"] = {
                     "count": len({p.name for p in polygon_stats}),

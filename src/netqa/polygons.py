@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import Point2D, Polyline, VertexArrays, _blocks, _ranges, _run_pairs, vertex_arrays
+from .geometry import _BLOCK_ELEMENTS, Point2D, Polyline, VertexArrays, _blocks, _ranges, vertex_arrays
 
 __all__ = [
     "PolygonArea",
@@ -36,12 +36,6 @@ __all__ = [
 ]
 
 _PARAM_EPS = 1e-12
-# Upper bound on the (point, edge), (piece, edge) or (ring, edge) pairs one
-# block of a batch holds; it caps transient memory and does not change
-# results.
-_BLOCK_PAIRS = 1 << 12
-# Pieces one block of a polygon clip slices.
-_BLOCK_PIECES = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +145,7 @@ class PolygonArea:
         start = s.every[slab]
         count = s.every[slab + 1] - start
         inside = np.zeros(len(x), dtype=bool)
-        for lo, hi in _blocks(count, _BLOCK_PAIRS):
+        for lo, hi in _blocks(count, _BLOCK_ELEMENTS):
             point, entry = _ranges(start[lo:hi], count[lo:hi])
             py, cy, dy = y[lo:hi][point], s.cy[entry], s.dy[entry]
             crossing = np.flatnonzero((dy > py) != (cy > py))
@@ -184,7 +178,7 @@ class PolygonArea:
         start = (s.every[lo], s.starts[lo + 1])
         count = (s.every[lo + 1] - start[0], s.starts[hi + 1] - start[1])
         boxes, entries = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        for b0, b1 in _blocks(count[0] + count[1], _BLOCK_PAIRS):
+        for b0, b1 in _blocks(count[0] + count[1], _BLOCK_ELEMENTS):
             runs = np.empty(2 * (b1 - b0), dtype=np.intp)
             runs[0::2], runs[1::2] = start[0][b0:b1], start[1][b0:b1]
             sizes = np.empty_like(runs)
@@ -270,8 +264,8 @@ def clip_lengths(v: VertexArrays, polygon: PolygonArea) -> np.ndarray:
         misses |= beyond[k] & beyond[k + 1]
     hit = np.flatnonzero(~misses)
     edge, length = [np.empty(0, np.intp)], [np.empty(0)]
-    for lo in range(0, len(hit), _BLOCK_PIECES):
-        piece = hit[lo : lo + _BLOCK_PIECES]
+    for lo in range(0, len(hit), _BLOCK_ELEMENTS):
+        piece = hit[lo : lo + _BLOCK_ELEMENTS]
         sub, inside = _clip_pieces(v, k[piece], polygon)
         edge.append(owner[piece[sub]])
         length.append(inside)
@@ -289,14 +283,14 @@ def _clip_pieces(v: VertexArrays, k: np.ndarray, polygon: PolygonArea) -> tuple[
     proper = (0.0 <= u) & (u <= 1.0) & (_PARAM_EPS < t) & (t < 1.0 - _PARAM_EPS)
     piece, t = piece[keep][proper], t[proper]
     # each piece's parameters 0, its crossings in ascending order, and 1;
-    # a crossing's rank counts the lower ones of its piece, ties by order
-    row, other = _run_pairs(piece, earlier_only=False)
-    below = (t[other] < t[row]) | ((t[other] == t[row]) & (other < row))
+    # piece does not decrease, so once sorted by (piece, t), crossing i goes
+    # to slot i + 2 * piece[i] + 1
+    order = np.lexsort((t, piece))
     n_cross = np.bincount(piece, minlength=len(k))
     base = np.cumsum(n_cross + 2) - (n_cross + 2)
     params = np.ones(len(k) * 2 + len(t))
     params[base] = 0.0
-    params[base[piece] + 1 + np.bincount(row[below], minlength=len(t))] = t
+    params[np.arange(len(t)) + 2 * piece + 1] = t[order]
     # sub-piece j of a piece runs from its parameter j to parameter j + 1
     sub, j = _ranges(base, n_cross + 1)
     t0, t1 = params[j], params[j + 1]

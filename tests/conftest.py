@@ -22,6 +22,7 @@ from netqa.geometry import (
     point_to_polyline_distance,
     polyline_length,
     segment_angle_deg,
+    vertex_arrays,
 )
 from netqa.graph import ComponentStats, NetworkEdge, NetworkNode, Undershoot, dangling_nodes
 from netqa.hexgrid import _HEX_NORMALS, _SIDE_EPS, _SQRT3, HexCell, HexGrid, edge_length_for_area
@@ -48,6 +49,11 @@ def make_edge(
         directionality=direction,
         attributes=dict(attrs or {}),
     )
+
+
+def clip(grid, edges):
+    """``grid.clip_edges`` of the edges' geometries."""
+    return grid.clip_edges(vertex_arrays(e.geometry for e in edges))
 
 
 def make_dataset(name, edge_specs):
@@ -217,10 +223,8 @@ def _near(c, d, xmin, ymin, xmax, ymax) -> bool:
     return min(c.x, d.x) <= xmax and max(c.x, d.x) >= xmin and min(c.y, d.y) <= ymax and max(c.y, d.y) >= ymin
 
 
-def reference_clip_polyline_to_polygon(p, polygon, near_only=False) -> float:
-    """``clip_polyline_to_polygon`` as a loop over pieces and every boundary
-    edge, no index; with ``near_only``, over the edges whose bbox meets the
-    piece's, as the indexed clip selects them."""
+def reference_clip_polyline_to_polygon(p, polygon) -> float:
+    """``clip_polyline_to_polygon`` testing every boundary edge, no index."""
     pxmin, pymin, pxmax, pymax = polygon.bbox
     total = 0.0
     for a, b in zip(p.vertices, p.vertices[1:]):
@@ -228,11 +232,8 @@ def reference_clip_polyline_to_polygon(p, polygon, near_only=False) -> float:
             continue
         if max(a.y, b.y) < pymin or min(a.y, b.y) > pymax:
             continue
-        box = (min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
         params = [0.0, 1.0]
         for c, d in _all_edges(polygon):
-            if near_only and not _near(c, d, *box):
-                continue
             t = _crossing_param(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
             if t is not None:
                 params.append(t)
@@ -307,9 +308,10 @@ def reference_match(src, dst, cfg):
     return records, (within, rejected_h, rejected_a, within - rejected_h - rejected_a)
 
 
-def reference_build_grid(study_area, cell_area):
+def reference_build_grid(study_area, cell_area, near_only=False):
     """``hexgrid.build_grid`` as one ``reference_ring_intersects_polygon``
-    test (``near_only``) per candidate hexagon and part."""
+    test per candidate hexagon and part, over every boundary edge or, with
+    ``near_only``, over the edges the indexed test selects."""
     parts = [study_area] if isinstance(study_area, PolygonArea) else list(study_area)
     s = edge_length_for_area(cell_area)
     xmin = min(p.bbox[0] for p in parts)
@@ -325,14 +327,14 @@ def reference_build_grid(study_area, cell_area):
         r_hi = math.ceil((ymax + s - ymin) / (_SQRT3 * s) - q / 2.0) + 1
         for r in range(r_lo, r_hi + 1):
             ring = proto.cell_polygon(q, r)
-            if any(reference_ring_intersects_polygon(ring, part, near_only=True) for part in parts):
+            if any(reference_ring_intersects_polygon(ring, part, near_only) for part in parts):
                 cells[(q, r)] = HexCell(q=q, r=r, center=proto.cell_center(q, r), polygon=ring)
     return HexGrid(proto.origin, cell_area, cells)
 
 
 def reference_polygon_aggregate(edges, polygons, policy):
     """``completeness.polygon_aggregate`` as a loop over edges and parts,
-    through ``reference_clip_polyline_to_polygon`` (``near_only``). Returns
+    through ``reference_clip_polyline_to_polygon``. Returns
     the aggregate and whether the overlap warning fires."""
     lengths = {}
     areas = {}
@@ -343,7 +345,7 @@ def reference_polygon_aggregate(edges, polygons, policy):
         factor = policy.factor_for(edge)
         clipped_total = 0.0
         for part in polygons:
-            length = reference_clip_polyline_to_polygon(edge.geometry, part, near_only=True)
+            length = reference_clip_polyline_to_polygon(edge.geometry, part)
             if length > 0.0:
                 lengths[part.name] = lengths.get(part.name, 0.0) + length * factor
                 clipped_total += length

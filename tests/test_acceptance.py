@@ -26,7 +26,7 @@ from netqa.polygons import clip_polyline_to_polygon
 from netqa.spatial import build_weights, global_moran, knn_scheme, local_moran
 from netqa.tags import TagSpec, tag_share
 
-from conftest import make_dataset, make_edge, rect_polygon
+from conftest import clip, make_dataset, make_edge, rect_polygon
 from test_spatial import HAND_VALUES, global_oracle, hex_block, hex_centroid, local_oracle
 
 DEMO = Path(__file__).parent / "data" / "demo"
@@ -100,8 +100,8 @@ def test_c03_self_matching_identity():
             assert summary.pct_matched_length == 100.0
 
         policy = LengthPolicy.default()
-        surf_a = build_density_surface(a, grid.clip_edges(a.edges), policy)
-        surf_b = build_density_surface(b, grid.clip_edges(b.edges), policy)
+        surf_a = build_density_surface(a, clip(grid, a.edges), policy)
+        surf_b = build_density_surface(b, clip(grid, b.edges), policy)
         diff = density_difference(surf_a, surf_b)
         assert diff and all(v == 0.0 for v in diff.values())
 
@@ -109,7 +109,7 @@ def test_c03_self_matching_identity():
             rect_polygon(-100, -100, 2700, 5300, name="west"),
             rect_polygon(2600, -100, 2700, 5300, name="east"),
         ]
-        for stats in polygon_compare(a.edges, b.edges, polygons, policy):
+        for stats in polygon_compare(a, b, polygons, policy):
             assert stats.relative_difference == 0.0
 
 
@@ -214,7 +214,7 @@ def test_c06_conservation():
                 continue
             edges.append(make_edge(f"e{i}", [(float(x), float(y)), (x2, y2)]))
         policy = LengthPolicy.default()
-        totals, outside = assign_lengths(edges, grid.clip_edges(edges), policy)
+        totals, outside = assign_lengths(edges, clip(grid, edges), policy)
         assert len({c for c in totals}) >= 100
         global_total = sum(infrastructure_length(e, policy) for e in edges)
         assert sum(totals.values()) + outside == pytest.approx(global_total, rel=1e-3)
@@ -295,7 +295,7 @@ def test_c09_tag_share():
             make_edge("tagged", [(100, 100), (400, 100)], attrs={"surface": "asphalt"}),
             make_edge("bare", [(100, 200), (200, 200)]),
         ]
-        share = tag_share(edges, spec, grid.clip_edges(edges))
+        share = tag_share(edges, spec, clip(grid, edges))
         assert share.global_pct == pytest.approx(75.0)
         assert list(share.per_cell_pct.values()) == [pytest.approx(75.0)]
 
@@ -310,12 +310,12 @@ def test_c09_tag_share():
                 continue
             attrs = {"surface": "asphalt"} if rng.random() < 0.3 else {}
             pool.append(make_edge(f"e{i}", [(float(x), float(y)), (x2, y2)], attrs=attrs))
-        base = tag_share(pool, spec, big_grid.clip_edges(pool))
+        base = tag_share(pool, spec, clip(big_grid, pool))
         untagged = [e for e in pool if "surface" not in e.attributes]
         for _ in range(100):
             edge = untagged[int(rng.integers(0, len(untagged)))]
             edge.attributes["surface"] = "gravel"
-            bumped = tag_share(pool, spec, big_grid.clip_edges(pool))
+            bumped = tag_share(pool, spec, clip(big_grid, pool))
             for cell, pct in base.per_cell_pct.items():
                 assert bumped.per_cell_pct[cell] >= pct - 1e-9
             del edge.attributes["surface"]

@@ -19,6 +19,7 @@ from netqa.tags import TagSpec, tag_share
 
 from conftest import (
     bits,
+    clip,
     make_edge,
     rect_polygon,
     reference_assign_lengths,
@@ -101,12 +102,12 @@ def network(draw):
 @given(network(), st.sampled_from([1, 5, 1 << 12]))
 def test_edge_cells_equal_the_scalar_clip_bit_for_bit(case, block):
     # rows in edge order, then in the order each edge first meets a cell,
-    # with the scalar loop's sums; small blocks split an edge's pieces and
-    # a piece's candidate cells across blocks
+    # with the scalar loop's sums; small blocks split an edge's pieces
+    # across clip blocks, and group the rows a few edges at a time
     grid, edges = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hexgrid, "_BLOCK_ROWS", block)
-        cells = grid.clip_edges(edges)
+        mp.setattr(hexgrid, "_BLOCK_ELEMENTS", block)
+        cells = clip(grid, edges)
         one_at_a_time = [grid.clip_polyline(e.geometry) for e in edges]
     expected = [reference_clip_polyline(grid, e.geometry) for e in edges]
     rows = zip(cells.edge.tolist(), cells.cell.tolist(), cells.length.tolist())
@@ -117,17 +118,37 @@ def test_edge_cells_equal_the_scalar_clip_bit_for_bit(case, block):
     assert bits(cells.edge_length.tolist()) == [polyline_length(e.geometry).hex() for e in edges]
 
 
+@pytest.mark.parametrize("block", [7, 1 << 12])
+def test_one_long_edge_equals_the_scalar_clip_bit_for_bit(block):
+    # an edge of 2,000 vertices wandering over a few cells meets each of
+    # them in hundreds of rows; small blocks split its pieces across clip
+    # blocks, and its rows are grouped in one block all the same
+    grid = build_grid(rect_polygon(0.0, 0.0, 600.0, 600.0), 20000.0)
+    walk = np.cumsum(np.random.default_rng(7).uniform(-40.0, 40.0, size=(2000, 2)), axis=0)
+    coords = np.abs((walk + 300.0) % 1200.0 - 600.0)  # folded back into the study area
+    edges = [make_edge("short", [(10.0, 10.0), (590.0, 20.0)]), make_edge("long", coords.tolist())]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hexgrid, "_BLOCK_ELEMENTS", block)
+        cells = clip(grid, edges)
+    expected = [reference_clip_polyline(grid, e.geometry) for e in edges]
+    rows = zip(cells.edge.tolist(), cells.cell.tolist(), cells.length.tolist())
+    assert [(e, grid.cell_ids[c], v.hex()) for e, c, v in rows] == [
+        (e, cell, v.hex()) for e, lengths in enumerate(expected) for cell, v in lengths.items()
+    ]
+    assert np.count_nonzero(cells.edge == 1) < 40  # the long edge's rows fold into few groups
+
+
 @settings(max_examples=80, deadline=None)
 @given(network())
 def test_clip_index_sums_equal_the_reference_loops(case):
     grid, edges = case
-    cells = grid.clip_edges(edges)
+    cells = clip(grid, edges)
     for policy in (None, POLICY):
         assert bits(assign_lengths(edges, cells, policy)) == bits(reference_assign_lengths(edges, grid, policy))
         for spec in SPECS:
             assert bits(tag_share(edges, spec, cells, policy)) == bits(reference_tag_share(edges, spec, grid, policy))
     g = build_graph(Dataset(name="d", edges=edges))
-    assert local_component_count(g, grid.clip_edges(g.edges.values())) == reference_local_component_count(g, grid)
+    assert local_component_count(g, clip(grid, g.edges.values())) == reference_local_component_count(g, grid)
     for policy in (None, POLICY):
         assert bits(connected_components(g, policy)) == bits(reference_connected_components(g, policy))
 
@@ -173,7 +194,7 @@ def test_cells_at_equals_scalar_cube_rounding_on_boundaries(data):
 def test_consumers_reject_an_index_of_other_edges():
     grid = build_grid(rect_polygon(0, 0, 1000, 1000), 200000.0)
     edges = [make_edge("a", [(100, 100), (300, 100)]), make_edge("b", [(100, 500), (300, 500)])]
-    cells = grid.clip_edges(edges[:1])
+    cells = clip(grid, edges[:1])
     with pytest.raises(ValueError, match="built from 1 edges, not 2"):
         assign_lengths(edges, cells)
     with pytest.raises(ValueError, match="built from 1 edges"):
@@ -236,7 +257,7 @@ def _reversed(edges):
 @given(lattice())
 def test_cell_totals_and_outside_conserve_the_infrastructure_length(case):
     grid, edges = case
-    totals, outside = assign_lengths(edges, grid.clip_edges(edges), POLICY)
+    totals, outside = assign_lengths(edges, clip(grid, edges), POLICY)
     total = math.fsum(infrastructure_length(e, POLICY) for e in edges)
     assert math.fsum(totals.values()) + outside == pytest.approx(total, rel=1e-9, abs=1e-9)
 
@@ -246,21 +267,21 @@ def test_cell_totals_and_outside_conserve_the_infrastructure_length(case):
 def test_reversing_every_line_keeps_density_components_and_tags(case):
     grid, edges = case
     back = _reversed(edges)
-    forward_surface = build_density_surface(Dataset("f", edges), grid.clip_edges(edges), POLICY)
-    back_surface = build_density_surface(Dataset("b", back), grid.clip_edges(back), POLICY)
+    forward_surface = build_density_surface(Dataset("f", edges), clip(grid, edges), POLICY)
+    back_surface = build_density_surface(Dataset("b", back), clip(grid, back), POLICY)
     assert forward_surface.values.keys() == back_surface.values.keys()
     for cell, value in forward_surface.values.items():
         assert back_surface.values[cell] == pytest.approx(value, rel=1e-9, abs=1e-12)
     assert back_surface.outside_m == pytest.approx(forward_surface.outside_m, rel=1e-9, abs=1e-6)
 
     g, g_back = build_graph(Dataset("f", edges)), build_graph(Dataset("b", back))
-    assert local_component_count(g, grid.clip_edges(g.edges.values())) == local_component_count(
-        g_back, grid.clip_edges(g_back.edges.values())
+    assert local_component_count(g, clip(grid, g.edges.values())) == local_component_count(
+        g_back, clip(grid, g_back.edges.values())
     )
 
     for spec in SPECS:
-        share = tag_share(edges, spec, grid.clip_edges(edges), POLICY)
-        share_back = tag_share(back, spec, grid.clip_edges(back), POLICY)
+        share = tag_share(edges, spec, clip(grid, edges), POLICY)
+        share_back = tag_share(back, spec, clip(grid, back), POLICY)
         assert share.per_cell_pct.keys() == share_back.per_cell_pct.keys()
         for cell, pct in share.per_cell_pct.items():
             assert share_back.per_cell_pct[cell] == pytest.approx(pct, rel=1e-9, abs=1e-9)

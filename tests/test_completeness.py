@@ -27,6 +27,7 @@ from netqa.polygons import PolygonArea
 from conftest import (
     UNITS,
     bits,
+    clip,
     lattice_points,
     lattice_polygons,
     make_edge,
@@ -141,7 +142,7 @@ def test_density_surface_units(small_grid):
     cell = small_grid.cells[(2, 2)]
     edge = make_edge("e", [(cell.center.x - 200, cell.center.y), (cell.center.x + 200, cell.center.y)])
     ds = Dataset(name="d", edges=[edge])
-    surface = build_density_surface(ds, small_grid.clip_edges(ds.edges), LengthPolicy.default())
+    surface = build_density_surface(ds, clip(small_grid, ds.edges), LengthPolicy.default())
     assert surface.values[(2, 2)] == pytest.approx(0.8)
     # cells without data are absent, not zero
     assert (0, 0) not in surface.values
@@ -153,7 +154,7 @@ def test_density_surface_units(small_grid):
 def test_single_polygon_equals_global():
     edges = [make_edge("a", [(100, 100), (400, 100)]), make_edge("b", [(100, 200), (100, 500)])]
     polys = [rect_polygon(0, 0, 1000, 1000, name="all")]
-    agg = polygon_aggregate(edges, polys, LengthPolicy.default())
+    agg = polygon_aggregate(Dataset("d", edges), polys, LengthPolicy.default())
     assert agg["all"]["length_m"] == pytest.approx(600.0)
     assert agg["all"]["density_km_per_km2"] == pytest.approx(0.6)
 
@@ -161,7 +162,7 @@ def test_single_polygon_equals_global():
 def test_edge_straddling_two_polygons():
     polys = [rect_polygon(0, 0, 100, 200, name="west"), rect_polygon(100, 0, 100, 200, name="east")]
     edges = [make_edge("e", [(50, 100), (150, 100)])]
-    agg = polygon_aggregate(edges, polys, LengthPolicy.default())
+    agg = polygon_aggregate(Dataset("d", edges), polys, LengthPolicy.default())
     assert agg["west"]["length_m"] == pytest.approx(50.0)
     assert agg["east"]["length_m"] == pytest.approx(50.0)
 
@@ -181,7 +182,7 @@ def test_polygon_aggregate_matches_discretization_oracle(rng):
             continue
         edges.append(make_edge(f"e{i}", [(float(x), float(y)), (x2, y2)]))
     policy = LengthPolicy.default()
-    agg = polygon_aggregate(edges, polys, policy)
+    agg = polygon_aggregate(Dataset("d", edges), polys, policy)
 
     step = 0.1
     oracle = {p.name: 0.0 for p in polys}
@@ -206,7 +207,7 @@ def test_polygon_partition_sums_to_global(rng):
         make_edge("e1", [(200, 200), (1800, 800)]),
         make_edge("e2", [(100, 900), (900, 100)]),
     ]
-    agg = polygon_aggregate(edges, polys, LengthPolicy.default())
+    agg = polygon_aggregate(Dataset("d", edges), polys, LengthPolicy.default())
     total = sum(v["length_m"] for v in agg.values())
     expected = sum(
         math.dist((e.geometry.vertices[0].x, e.geometry.vertices[0].y), (e.geometry.vertices[1].x, e.geometry.vertices[1].y))
@@ -219,7 +220,7 @@ def test_polygon_overlap_warns(caplog):
     polys = [rect_polygon(0, 0, 100, 100, name="a"), rect_polygon(50, 0, 100, 100, name="b")]
     edges = [make_edge("e", [(60, 50), (90, 50)])]  # entirely inside the overlap
     with caplog.at_level(logging.WARNING):
-        polygon_aggregate(edges, polys, LengthPolicy.default())
+        polygon_aggregate(Dataset("d", edges), polys, LengthPolicy.default())
     assert "double-counted" in caplog.text
 
 
@@ -227,7 +228,7 @@ def test_polygon_compare_relative_difference():
     polys = [rect_polygon(0, 0, 1000, 1000, name="only")]
     cand = [make_edge("c", [(100, 100), (500, 100)])]  # 400 m
     ref = [make_edge("r", [(100, 200), (200, 200)])]  # 100 m
-    (stats,) = polygon_compare(cand, ref, polys, LengthPolicy.default())
+    (stats,) = polygon_compare(Dataset("c", cand), Dataset("r", ref), polys, LengthPolicy.default())
     assert stats.relative_difference == pytest.approx((100.0 - 400.0) / 400.0)
     assert -1.0 <= stats.relative_difference <= 1.0
 
@@ -333,10 +334,9 @@ def test_polygon_aggregate_equals_the_reference_loop(case, block):
     parts, edges = case
     policy = LengthPolicy.default()
     with pytest.MonkeyPatch.context() as mp, mock.patch.object(completeness.log, "warning") as warning:
-        mp.setattr(polygons, "_BLOCK_PAIRS", block)
-        mp.setattr(polygons, "_BLOCK_PIECES", block)
-        got = polygon_aggregate(edges, parts, policy)
-        stats = polygon_compare(edges[::2], edges[1::2], parts, policy)
+        mp.setattr(polygons, "_BLOCK_ELEMENTS", block)
+        got = polygon_aggregate(Dataset("d", edges), parts, policy)
+        stats = polygon_compare(Dataset("a", edges[::2]), Dataset("b", edges[1::2]), parts, policy)
     expected, overlap = reference_polygon_aggregate(edges, parts, policy)
     assert bits(got) == bits(expected)
     assert warning.called == overlap

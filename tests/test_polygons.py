@@ -176,6 +176,25 @@ def test_indexed_clip_equals_every_edge_test(data):
         assert clip_polyline_to_polygon(p, poly) == reference_clip_polyline_to_polygon(p, poly)
 
 
+@pytest.mark.parametrize("block", [7, 1 << 12])
+def test_pieces_crossing_a_comb_many_times_equal_every_edge_test(block):
+    # 40 teeth: each straight piece across them crosses the boundary up to
+    # 80 times, in an order the clip has to sort
+    ring = [(0.0, 0.0), (800.0, 0.0)]
+    for i in reversed(range(40)):
+        ring += [(20.0 * i + 10.0, 100.0), (20.0 * i + 10.0, 10.0), (20.0 * i, 10.0), (20.0 * i, 100.0)][: 4 if i else 2]
+    comb = PolygonArea(rings=(tuple(Point2D(x, y) for x, y in ring),))
+    rng = np.random.default_rng(11)
+    lines = [[(-5.0, 50.0), (805.0, 55.0)], [(805.0, 20.0), (-5.0, 90.0), (805.0, 95.0)]]
+    lines.append(np.column_stack([rng.uniform(-20.0, 820.0, 300), rng.uniform(-20.0, 120.0, 300)]).tolist())
+    for coords in lines:
+        p = Polyline(tuple(Point2D(x, y) for x, y in coords))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polygons, "_BLOCK_ELEMENTS", block)
+            got = clip_polyline_to_polygon(p, comb)
+        assert got.hex() == reference_clip_polyline_to_polygon(p, comb).hex()
+
+
 # ------------------------------------------------ batch queries
 #
 # The batch forms hold to the loops over every boundary edge element by
@@ -192,7 +211,7 @@ def test_contains_many_equals_every_edge_test(data, block):
     points = data.draw(lattice_points(unit, 40)) + [(v.x, v.y) for ring in poly.rings for v in ring]
     x, y = (np.array(column, dtype=float) for column in zip(*points))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polygons, "_BLOCK_PAIRS", block)
+        mp.setattr(polygons, "_BLOCK_ELEMENTS", block)
         inside = poly.contains_many(x, y)
     assert inside.tolist() == [point_in_rings(px, py, poly.rings) for px, py in points]
 
@@ -208,7 +227,7 @@ def test_near_pairs_equal_every_edge_meeting_each_box(data, block):
     ]
     edges = [(c.x, c.y, d.x, d.y) for ring in poly.rings for c, d in zip(ring, ring[1:] + ring[:1])]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polygons, "_BLOCK_PAIRS", block)
+        mp.setattr(polygons, "_BLOCK_ELEMENTS", block)
         box, entry = poly.near_pairs(*(np.array(column, dtype=float) for column in zip(*boxes)))
     s = poly._slabs
     near = list(zip(s.cx[entry].tolist(), s.cy[entry].tolist(), s.dx[entry].tolist(), s.dy[entry].tolist()))
@@ -231,6 +250,6 @@ def test_batched_ring_intersects_equals_every_edge_test(data, block):
     x = np.array([[v.x for v in ring] for ring in rings])
     y = np.array([[v.y for v in ring] for ring in rings])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polygons, "_BLOCK_PAIRS", block)
+        mp.setattr(polygons, "_BLOCK_ELEMENTS", block)
         hit = rings_intersect_polygon(x, y, poly)
-    assert hit.tolist() == [reference_ring_intersects_polygon(ring, poly, near_only=True) for ring in rings]
+    assert hit.tolist() == [reference_ring_intersects_polygon(ring, poly) for ring in rings]

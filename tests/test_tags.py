@@ -5,7 +5,7 @@ from netqa.completeness import LengthPolicy
 from netqa.hexgrid import build_grid
 from netqa.tags import DEFAULT_TAG_SPECS, TagSpec, tag_presence, tag_share
 
-from conftest import make_edge, rect_polygon, reference_clip_polyline
+from conftest import clip, make_edge, rect_polygon, reference_clip_polyline
 
 SURFACE = TagSpec("surface", ("surface", "cycleway:surface"))
 
@@ -50,7 +50,7 @@ def test_share_300_of_400(one_cell_grid):
         make_edge("tagged", [(100, 100), (400, 100)], attrs={"surface": "asphalt"}),
         make_edge("bare", [(100, 200), (200, 200)]),
     ]
-    share = tag_share(edges, SURFACE, one_cell_grid.clip_edges(edges))
+    share = tag_share(edges, SURFACE, clip(one_cell_grid, edges))
     assert share.global_pct == pytest.approx(75.0)
     assert list(share.per_cell_pct.values()) == [pytest.approx(75.0)]
 
@@ -60,7 +60,7 @@ def test_all_tagged_everywhere(one_cell_grid):
         make_edge(f"e{i}", [(50 + 40 * i, 50), (50 + 40 * i, 250)], attrs={"surface": "x"})
         for i in range(5)
     ]
-    share = tag_share(edges, SURFACE, one_cell_grid.clip_edges(edges))
+    share = tag_share(edges, SURFACE, clip(one_cell_grid, edges))
     assert share.global_pct == 100.0
     assert all(v == 100.0 for v in share.per_cell_pct.values())
 
@@ -76,7 +76,7 @@ def test_share_bounds_and_weighted_mean(rng):
             continue
         attrs = {"surface": "asphalt"} if rng.random() < 0.5 else {}
         edges.append(make_edge(f"e{i}", [(float(x), float(y)), (x2, y2)], attrs=attrs))
-    share = tag_share(edges, SURFACE, grid.clip_edges(edges))
+    share = tag_share(edges, SURFACE, clip(grid, edges))
     assert all(0.0 <= v <= 100.0 for v in share.per_cell_pct.values())
     # global equals the length-weighted mean of cell shares (all length in cells)
     totals = {}
@@ -98,7 +98,7 @@ def test_share_matches_discretization_oracle(rng):
             continue
         attrs = {"surface": "asphalt"} if i % 3 == 0 else {}
         edges.append(make_edge(f"e{i}", [(float(x), float(y)), (x2, y2)], attrs=attrs))
-    share = tag_share(edges, SURFACE, grid.clip_edges(edges))
+    share = tag_share(edges, SURFACE, clip(grid, edges))
 
     ids = list(grid.cells)
     centers = np.array([(grid.cells[c].center.x, grid.cells[c].center.y) for c in ids])
@@ -138,12 +138,12 @@ def test_monotone_under_tag_addition(rng):
             continue
         attrs = {"surface": "asphalt"} if rng.random() < 0.3 else {}
         edges.append(make_edge(f"e{i}", [(float(x), float(y)), (x2, y2)], attrs=attrs))
-    base = tag_share(edges, SURFACE, grid.clip_edges(edges))
+    base = tag_share(edges, SURFACE, clip(grid, edges))
     untagged_idx = [i for i, e in enumerate(edges) if not tag_presence(e, SURFACE)]
     for _ in range(100):
         pick = int(rng.choice(untagged_idx))
         edges[pick].attributes["surface"] = "gravel"
-        bumped = tag_share(edges, SURFACE, grid.clip_edges(edges))
+        bumped = tag_share(edges, SURFACE, clip(grid, edges))
         for cell, pct in base.per_cell_pct.items():
             assert bumped.per_cell_pct[cell] >= pct - 1e-9
         del edges[pick].attributes["surface"]
@@ -156,7 +156,7 @@ def test_multiplier_weighting(one_cell_grid):
         make_edge("t", [(100, 100), (300, 100)], attrs={"surface": "x"}),
         make_edge("u", [(100, 200), (200, 200)], model="centerline", direction="bidirectional"),
     ]
-    share = tag_share(edges, SURFACE, one_cell_grid.clip_edges(edges), policy=LengthPolicy.default())
+    share = tag_share(edges, SURFACE, clip(one_cell_grid, edges), policy=LengthPolicy.default())
     assert share.global_pct == pytest.approx(50.0)
-    raw = tag_share(edges, SURFACE, one_cell_grid.clip_edges(edges))
+    raw = tag_share(edges, SURFACE, clip(one_cell_grid, edges))
     assert raw.global_pct == pytest.approx(200.0 / 300.0 * 100.0)
