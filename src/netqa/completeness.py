@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, ZeroVarianceError
-from .geometry import polyline_length
+from .geometry import _sum_in_order, polyline_length
 from .hexgrid import EdgeCells, HexGrid, assign_lengths
+from .ingest import INFRA_CATEGORIES
 from .polygons import PolygonArea, clip_lengths
 
 log = logging.getLogger(__name__)
@@ -75,13 +76,11 @@ def infrastructure_length(edge, policy: LengthPolicy) -> float:
 
 
 def dataset_length_totals(dataset, policy: LengthPolicy) -> dict:
-    """Total, protected, and unprotected infrastructure length (meters)."""
-    totals = {"total_m": 0.0, "protected_m": 0.0, "unprotected_m": 0.0}
-    for edge, length_m in zip(dataset.edges, dataset.vertices.length.tolist()):
-        length = length_m * policy.factor_for(edge)
-        totals["total_m"] += length
-        totals[f"{edge.infra_category}_m"] += length
-    return totals
+    """Total, protected, and unprotected infrastructure length (meters), each added in edge order."""
+    length = dataset.vertices.length * np.array([policy.factor_for(e) for e in dataset.edges], dtype=float)
+    category = np.array([INFRA_CATEGORIES.index(e.infra_category) for e in dataset.edges], dtype=np.intp)
+    parts = {f"{name}_m": length[category == i] for i, name in enumerate(INFRA_CATEGORIES)}
+    return {key: _sum_in_order(part) for key, part in {"total_m": length, **parts}.items()}
 
 
 @dataclass
@@ -144,21 +143,16 @@ def polygon_aggregate(dataset, polygons: list[PolygonArea], policy: LengthPolicy
     names = sorted(areas)
     index = {name: i for i, name in enumerate(names)}
     name_of = np.array([index[part.name] for part in polygons], dtype=np.intp)
-    # each part's edges of positive length, and their count per edge
-    hits = []
-    per_edge = np.zeros(len(vertices), dtype=np.intp)
-    for polygon in polygons:
+    # each part's edges of positive length, with their lengths
+    hits = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for j, polygon in enumerate(polygons):
         clip = clip_lengths(vertices, polygon)
         e = np.flatnonzero(clip > 0.0)
-        hits.append((e, clip[e]))
-        per_edge[e] += 1
+        hits.append((e, np.full(len(e), j), clip[e]))
+    edge, part, length = (np.concatenate(col) for col in zip(*hits))
     # the rows (edge, part, length) in edge order, then part order
-    slot = np.cumsum(per_edge) - per_edge
-    edge = np.empty(int(per_edge.sum()), dtype=np.intp)
-    part, length = np.empty_like(edge), np.empty(len(edge))
-    for j, (e, clip) in enumerate(hits):
-        edge[slot[e]], part[slot[e]], length[slot[e]] = e, j, clip
-        slot[e] += 1
+    order = np.lexsort((part, edge))
+    edge, part, length = edge[order], part[order], length[order]
     factors = np.array([policy.factor_for(e) for e in dataset.edges], dtype=float)
     # bincount gives ints when there are no weights at all
     lengths = np.bincount(name_of[part], length * factors[edge], minlength=len(names)).astype(float).tolist()

@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -162,9 +164,7 @@ class VertexArrays:
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """(polyline, start vertex) of every piece, in polyline order."""
-        owner = np.repeat(np.arange(len(self.first)), self.last - self.first)
-        # the pieces of polyline e start at vertices first[e] = (pieces before e) + e
-        return owner, np.arange(len(owner)) + owner
+        return _ranges(self.first, self.last - self.first)
 
 
 def vertex_arrays(polylines) -> VertexArrays:
@@ -193,6 +193,12 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ``start[i] + count[i] - 1``, range by range."""
     owner = np.repeat(np.arange(len(count)), count)
     return owner, np.arange(len(owner)) + np.repeat(start - (np.cumsum(count) - count), count)
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """The values added one at a time from 0.0, in order, as a loop adds
+    them (``sum()`` of floats is compensated from Python 3.12 on)."""
+    return reduce(add, values.tolist(), 0.0)
 
 
 def _blocks(sizes: np.ndarray, cap: int):

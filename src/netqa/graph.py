@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Point2D, Polyline, point_to_polyline_distance, polyline_length
+from .geometry import Point2D, Polyline, VertexArrays, point_to_polyline_distance
 from .spindex import SLACK, BucketJoin
 
 __all__ = [
@@ -63,6 +63,7 @@ class Graph:
     edges: dict[str, NetworkEdge]
     adjacency: dict[int, list[str]]
     component_index: dict[int, list[str]]
+    vertices: VertexArrays  # the edges' geometries, in the order of ``edges``
 
     def incident_edges(self, node_id: int) -> list[str]:
         return self.adjacency.get(node_id, [])
@@ -90,8 +91,8 @@ class ComponentStats:
     length_m: float
 
 
-def _snap(ends: list[Point2D], tolerance: float):
-    """Node of each endpoint, and the endpoint that opened each node.
+def _snap(x: list[float], y: list[float], tolerance: float):
+    """Node of each endpoint (x[i], y[i]), and the endpoint that opened each node.
 
     Endpoints are taken in order. One joins the node with the least
     (distance, id) within ``tolerance``, or opens a node where it lies.
@@ -99,7 +100,7 @@ def _snap(ends: list[Point2D], tolerance: float):
     so the distinct coordinates are joined against each other once.
     """
     number: dict[tuple[float, float], int] = {}
-    coord = [number.setdefault((p.x, p.y), len(number)) for p in ends]
+    coord = [number.setdefault(xy, len(number)) for xy in zip(x, y)]
     # each coordinate's coordinates in reach, with distances; itself at 0
     near = [[(0.0, u)] for u in range(len(number))]
     if tolerance > 0:
@@ -135,7 +136,7 @@ def build_graph(dataset, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> Grap
 
     Parameters
     ----------
-    dataset : object with an ``edges`` list of NetworkEdge
+    dataset : Dataset whose ``edges`` (NetworkEdge, distinct ids) and ``vertices`` the graph keeps
     snap_tolerance : float
         Endpoint snap distance in meters, >= 0. Kept deliberately tiny by
         default: aggressive snapping would repair exactly the gaps this
@@ -143,10 +144,14 @@ def build_graph(dataset, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> Grap
     """
     if not (snap_tolerance >= 0 and math.isfinite(snap_tolerance)):
         raise ValueError(f"snap_tolerance must be finite and >= 0, got {snap_tolerance}")
-    ends = [p for edge in dataset.edges for p in (edge.geometry.vertices[0], edge.geometry.vertices[-1])]
-    node_of, opener = _snap(ends, snap_tolerance)
+    if len({edge.id for edge in dataset.edges}) < len(dataset.edges):
+        raise ValueError(f"dataset {dataset.name!r} repeats an edge id")
+    v = dataset.vertices
+    end = np.column_stack([v.first, v.last]).ravel()  # each edge's first and last vertex
+    x, y = v.x[end].tolist(), v.y[end].tolist()
+    node_of, opener = _snap(x, y, snap_tolerance)
     degree = np.bincount(np.array(node_of, dtype=np.intp), minlength=len(opener)).tolist()
-    nodes = {nid: NetworkNode(nid, ends[i], degree[nid]) for nid, i in enumerate(opener)}
+    nodes = {nid: NetworkNode(nid, Point2D(x[i], y[i]), degree[nid]) for nid, i in enumerate(opener)}
     edges: dict[str, NetworkEdge] = {}
     adjacency: dict[int, list[str]] = {}
     for edge, a, b in zip(dataset.edges, node_of[0::2], node_of[1::2]):
@@ -179,7 +184,7 @@ def build_graph(dataset, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> Grap
         edge.component_id = cid
         component_index.setdefault(cid, []).append(edge.id)
 
-    return Graph(nodes=nodes, edges=edges, adjacency=adjacency, component_index=component_index)
+    return Graph(nodes=nodes, edges=edges, adjacency=adjacency, component_index=component_index, vertices=v)
 
 
 def connected_components(g: Graph, policy=None) -> list[ComponentStats]:
@@ -190,8 +195,9 @@ def connected_components(g: Graph, policy=None) -> list[ComponentStats]:
     id order.
     """
     edges = list(g.edges.values())
-    length = [polyline_length(e.geometry) * (policy.factor_for(e) if policy is not None else 1.0) for e in edges]
+    factors = np.array([policy.factor_for(e) if policy is not None else 1.0 for e in edges], dtype=float)
     # component ids are dense; bincount adds each component's edges in edge order
+    length = g.vertices.length * factors
     totals = np.bincount([e.component_id for e in edges], length, minlength=len(g.component_index)).tolist()
     stats = [ComponentStats(cid, len(g.component_index[cid]), totals[cid]) for cid in sorted(g.component_index)]
     stats.sort(key=lambda s: (-s.length_m, s.component_id))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import _BLOCK_ELEMENTS, Point2D, Polyline, VertexArrays, _blocks, _ranges, vertex_arrays
+from .geometry import _BLOCK_ELEMENTS, Point2D, Polyline, VertexArrays, _blocks, _ranges, _sum_in_order, vertex_arrays
 from .polygons import PolygonArea, rings_intersect_polygon
 
 log = logging.getLogger(__name__)
@@ -41,8 +41,6 @@ _SIDE_EPS = 1e-9
 
 @dataclass(frozen=True)
 class HexCell:
-    q: int
-    r: int
     center: Point2D
     polygon: tuple[Point2D, ...]
 
@@ -136,7 +134,7 @@ class HexGrid:
     def clip_edges(self, vertices: VertexArrays) -> EdgeCells:
         """Clip each polyline of ``vertices``, the edges' geometries as
         ``Dataset.vertices`` holds them, once, into the rows of an ``EdgeCells``."""
-        return EdgeCells(self, len(vertices), *self._clip(vertices), vertices.length)
+        return EdgeCells(self, vertices, *self._clip(vertices))
 
     def _clip(self, v: VertexArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(edge, cell, length) rows of the polylines of ``v``, as ``EdgeCells``
@@ -255,18 +253,18 @@ class HexGrid:
 class EdgeCells:
     """Edges clipped against a grid. Row k: edge ``edge[k]`` has length ``length[k]`` > 0
     in cell ``cell[k]`` (a position in ``grid.cell_ids``). Rows run in edge order, then in
-    the order the clip first meets each cell, so per-cell sums add as a loop over edges does."""
+    the order the clip first meets each cell, so per-cell sums add as a loop over edges does.
+    ``vertices`` are the edges' geometries the rows were clipped from."""
 
     grid: HexGrid
-    n_edges: int
+    vertices: VertexArrays
     edge: np.ndarray
     cell: np.ndarray
     length: np.ndarray
-    edge_length: np.ndarray  # each edge's whole length, as polyline_length gives it
 
     def check(self, edges) -> None:
-        if len(edges) != self.n_edges:
-            raise ValueError(f"clip index was built from {self.n_edges} edges, not {len(edges)}")
+        if len(edges) != len(self.vertices):
+            raise ValueError(f"clip index was built from {len(self.vertices)} edges, not {len(edges)}")
 
 
 def edge_length_for_area(cell_area: float) -> float:
@@ -315,8 +313,7 @@ def build_grid(study_area, cell_area: float = DEFAULT_CELL_AREA) -> HexGrid:
     cells: dict[tuple[int, int], HexCell] = {}
     for i in np.flatnonzero(keep).tolist():
         ring = tuple(map(Point2D, ring_x[i].tolist(), ring_y[i].tolist()))
-        qr = (int(q[i]), int(r[i]))
-        cells[qr] = HexCell(q=qr[0], r=qr[1], center=Point2D(float(cx[i]), float(cy[i])), polygon=ring)
+        cells[(int(q[i]), int(r[i]))] = HexCell(center=Point2D(float(cx[i]), float(cy[i])), polygon=ring)
     if not cells:
         raise GeometryError("study area produced no grid cells")
     return HexGrid(origin, cell_area, cells)
@@ -336,13 +333,9 @@ def assign_lengths(edges, cells: EdgeCells, policy=None) -> tuple[dict[tuple[int
     (cell_totals, outside_m)
     """
     cells.check(edges)
-    factors = [policy.factor_for(e) if policy is not None else 1.0 for e in edges]
-    covered = np.bincount(cells.edge, cells.length, minlength=len(factors)).tolist()
-    outside = 0.0
-    for factor, length, covered_m in zip(factors, cells.edge_length.tolist(), covered):
-        gap = length - covered_m
-        if gap > 0.0:
-            outside += gap * factor
+    factors = np.array([policy.factor_for(e) if policy is not None else 1.0 for e in edges], dtype=float)
+    gap = cells.vertices.length - np.bincount(cells.edge, cells.length, minlength=len(edges))
+    outside = _sum_in_order((gap * factors)[gap > 0.0])
     if outside > 1e-6:
         log.warning("%.3f m of infrastructure length falls outside the grid", outside)
-    return cells.grid.sum_by_cell(cells.cell, cells.length * np.array(factors, dtype=float)[cells.edge]), outside
+    return cells.grid.sum_by_cell(cells.cell, cells.length * factors[cells.edge]), outside

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .geometry import _LENGTH_EPS, _REMAINDER_MERGE_FRACTION, Point2D, Segment
+from .geometry import _LENGTH_EPS, _REMAINDER_MERGE_FRACTION, Point2D, Segment, _ranges
 from .spindex import SLACK, BucketJoin
 
 __all__ = [
@@ -137,8 +137,7 @@ def segment_table(dataset, seg_len: float) -> SegmentTable:
     pieces = np.where(total <= seg_len, 1, np.where(merged, n_full, n_full + 1)).astype(np.intp)
 
     # cut j of an edge lies at j * seg_len, its last cut at the edge's end
-    cut_edge = np.repeat(np.arange(len(edges)), pieces + 1)
-    j = np.arange(len(cut_edge)) - np.repeat(np.cumsum(pieces + 1) - (pieces + 1), pieces + 1)
+    cut_edge, j = _ranges(np.zeros(len(edges), dtype=np.intp), pieces + 1)
     d = np.where(j == pieces[cut_edge], total[cut_edge], j * seg_len)
     cx, cy = _points_at(x, y, cum, first[cut_edge], last[cut_edge], d)
 

@@ -459,8 +459,8 @@ class Pipeline:
         # file name -> ("fc", feature producer), ("lines", encoded-line
         # producer) or ("csv", (header, rows))
         self.outputs: dict[str, tuple] = {}
-        # wall seconds of each stage's first computation, including any
-        # prerequisite it computed first; recorded in run_info.json
+        # wall seconds of each stage's first computation, less those of the
+        # stages it computed first; recorded in run_info.json
         self.stage_seconds: dict[str, float] = {}
         # per-direction matching work (role -> MatchCounts); run_info.json
         self.match_counts: dict[str, matching.MatchCounts] = {}
@@ -471,6 +471,7 @@ class Pipeline:
 
     def _run(self, stage, fn):
         if stage not in self._cache:
+            before = sum(self.stage_seconds.values())  # the stages run inside this one add to the sum
             start = time.perf_counter()
             try:
                 self._cache[stage] = fn()
@@ -480,7 +481,7 @@ class Pipeline:
                 raise PipelineError(stage, exc) from exc
             except Exception as exc:  # defensive: name the failing stage
                 raise PipelineError(stage, repr(exc)) from exc
-            self.stage_seconds[stage] = time.perf_counter() - start
+            self.stage_seconds[stage] = time.perf_counter() - start - (sum(self.stage_seconds.values()) - before)
             log.debug("stage %s: %.3f s", stage, self.stage_seconds[stage])
         return self._cache[stage]
 

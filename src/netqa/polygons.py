@@ -71,6 +71,13 @@ class _Slabs:
     def slab_of(self, y: np.ndarray) -> np.ndarray:
         return _slab_of(y, self.y0, self.scale, self.last)
 
+    def runs(self, ymin: np.ndarray, ymax: np.ndarray) -> tuple[tuple, tuple]:
+        """(start, count) of each y-range's two runs of candidate entries: the edges listed in
+        the slab of ``ymin``, then those whose y-range starts in a later slab up to that of ``ymax``."""
+        lo, hi = self.slab_of(ymin), self.slab_of(ymax)
+        start = (self.every[lo], self.starts[lo + 1])
+        return start, (self.every[lo + 1] - start[0], self.starts[hi + 1] - start[1])
+
 
 @dataclass(frozen=True)
 class PolygonArea:
@@ -166,17 +173,10 @@ class PolygonArea:
     def near_pairs(self, xmin, ymin, xmax, ymax) -> tuple[np.ndarray, np.ndarray]:
         """(box, entry) index arrays: for each box in order, the boundary
         edges whose bbox meets it, each once, as entries of the slab
-        listing (``_slabs``).
-
-        A box's candidates are the edges listed in the slab of its lower
-        side, then those whose y-range starts in a later slab up to the
-        slab of its upper side.
+        listing (``_slabs``); the candidates are those of ``_Slabs.runs``.
         """
         s = self._slabs
-        lo, hi = s.slab_of(ymin), s.slab_of(ymax)
-        # two runs of entries per box
-        start = (s.every[lo], s.starts[lo + 1])
-        count = (s.every[lo + 1] - start[0], s.starts[hi + 1] - start[1])
+        start, count = s.runs(ymin, ymax)
         boxes, entries = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
         for b0, b1 in _blocks(count[0] + count[1], _BLOCK_ELEMENTS):
             runs = np.empty(2 * (b1 - b0), dtype=np.intp)
@@ -254,7 +254,9 @@ def clip_lengths(v: VertexArrays, polygon: PolygonArea) -> np.ndarray:
     meets the polygon's can lie in it, and only boundary edges whose bbox
     meets the piece's can cross it, so only those are tested. A polyline's
     sub-pieces add up in order from 0.0, piece by piece and along each
-    piece, as a loop over them does.
+    piece, as a loop over them does. A block of pieces holds at most
+    ``_BLOCK_ELEMENTS`` pieces and candidate (piece, boundary edge) pairs,
+    unless one piece has more alone.
     """
     owner, k = v.pieces()
     pxmin, pymin, pxmax, pymax = polygon.bbox
@@ -263,9 +265,11 @@ def clip_lengths(v: VertexArrays, polygon: PolygonArea) -> np.ndarray:
     for beyond in (v.x < pxmin, v.x > pxmax, v.y < pymin, v.y > pymax):
         misses |= beyond[k] & beyond[k + 1]
     hit = np.flatnonzero(~misses)
+    a, b = v.y[k[hit]], v.y[k[hit] + 1]
+    _, count = polygon._slabs.runs(np.minimum(a, b), np.maximum(a, b))
     edge, length = [np.empty(0, np.intp)], [np.empty(0)]
-    for lo in range(0, len(hit), _BLOCK_ELEMENTS):
-        piece = hit[lo : lo + _BLOCK_ELEMENTS]
+    for lo, hi in _blocks(count[0] + count[1] + 1, _BLOCK_ELEMENTS):
+        piece = hit[lo:hi]
         sub, inside = _clip_pieces(v, k[piece], polygon)
         edge.append(owner[piece[sub]])
         length.append(inside)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WeightsError, ZeroVarianceError
+from .geometry import _ranges
 
 log = logging.getLogger(__name__)
 
@@ -219,7 +220,7 @@ def _slots(w: SpatialWeights) -> tuple[np.ndarray, np.ndarray]:
     weights, each of shape (max degree, n); a row with fewer neighbors is
     padded with cell 0 at weight 0.0."""
     degrees = w.degrees
-    slot = np.arange(len(w.col)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    _, slot = _ranges(np.zeros(w.n, dtype=np.intp), degrees)
     nbr = np.zeros((int(degrees.max(initial=0)), w.n), dtype=np.intp)
     wt = np.zeros(nbr.shape)
     nbr[slot, w.row] = w.col

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .geometry import _ranges
+
 __all__ = ["BucketJoin", "GridIndex", "SLACK"]
 
 # Relative padding callers add to a search radius. Far above rounding
@@ -64,15 +66,11 @@ class BucketJoin:
         lo = np.searchsorted(self.rows, np.floor(ymin / side), "left")
         hi = np.searchsorted(self.rows, np.floor(ymax / side), "right")
         # one run of keys per (query, occupied column)
-        n_cols = np.maximum(c1 - c0, 0)
-        query = np.repeat(np.arange(len(c0)), n_cols)
-        col = np.arange(len(query)) - np.repeat(np.cumsum(n_cols) - n_cols - c0, n_cols)
+        query, col = _ranges(c0, np.maximum(c1 - c0, 0))
         base = col * len(self.rows)
         start = np.searchsorted(self.keys, base + lo[query])
-        counts = np.maximum(np.searchsorted(self.keys, base + hi[query]) - start, 0)
-        first = np.cumsum(counts) - counts
-        pos = np.arange(counts.sum()) - np.repeat(first - start, counts)
-        return np.repeat(query, counts), self.order[pos]
+        run, pos = _ranges(start, np.maximum(np.searchsorted(self.keys, base + hi[query]) - start, 0))
+        return query[run], self.order[pos]
 
 
 class GridIndex:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _sum_in_order
 from .hexgrid import EdgeCells
 
 __all__ = ["TagSpec", "TagShare", "DEFAULT_TAG_SPECS", "tag_presence", "tag_share"]
@@ -60,17 +61,13 @@ def tag_share(edges, spec: TagSpec, cells: EdgeCells, policy=None) -> TagShare:
     otherwise. Cells without infrastructure are absent, not zero.
     """
     cells.check(edges)
-    factors = [policy.factor_for(e) if policy is not None else 1.0 for e in edges]
-    tagged = [tag_presence(e, spec) for e in edges]
-    total_global = 0.0
-    tagged_global = 0.0
-    for length_m, factor, present in zip(cells.edge_length.tolist(), factors, tagged):
-        length = length_m * factor
-        total_global += length
-        if present:
-            tagged_global += length
-    contribution = cells.length * np.array(factors, dtype=float)[cells.edge]
-    rows = np.array(tagged, dtype=bool)[cells.edge]
+    factors = np.array([policy.factor_for(e) if policy is not None else 1.0 for e in edges], dtype=float)
+    tagged = np.array([tag_presence(e, spec) for e in edges], dtype=bool)
+    length = cells.vertices.length * factors
+    total_global = _sum_in_order(length)
+    tagged_global = _sum_in_order(length[tagged])
+    contribution = cells.length * factors[cells.edge]
+    rows = tagged[cells.edge]
     cell_total = cells.grid.sum_by_cell(cells.cell, contribution)
     cell_tagged = cells.grid.sum_by_cell(cells.cell[rows], contribution[rows])
     # tagged and total accumulate the same clip contributions in different

@@ -328,7 +328,7 @@ def reference_build_grid(study_area, cell_area, near_only=False):
         for r in range(r_lo, r_hi + 1):
             ring = proto.cell_polygon(q, r)
             if any(reference_ring_intersects_polygon(ring, part, near_only) for part in parts):
-                cells[(q, r)] = HexCell(q=q, r=r, center=proto.cell_center(q, r), polygon=ring)
+                cells[(q, r)] = HexCell(center=proto.cell_center(q, r), polygon=ring)
     return HexGrid(proto.origin, cell_area, cells)
 
 
@@ -501,6 +501,15 @@ def reference_local_component_count(g, grid):
             if length > 0.0:
                 per_cell.setdefault(cell_id, set()).add(edge.component_id)
     return {cell: len(comps) for cell, comps in sorted(per_cell.items())}
+
+
+def reference_dataset_length_totals(edges, policy):
+    totals = {"total_m": 0.0, "protected_m": 0.0, "unprotected_m": 0.0}
+    for edge in edges:
+        length = polyline_length(edge.geometry) * policy.factor_for(edge)
+        totals["total_m"] += length
+        totals[f"{edge.infra_category}_m"] += length
+    return totals
 
 
 def reference_connected_components(g, policy=None):

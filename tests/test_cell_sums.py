@@ -115,7 +115,7 @@ def test_edge_cells_equal_the_scalar_clip_bit_for_bit(case, block):
         (e, cell, v.hex()) for e, clip in enumerate(expected) for cell, v in clip.items()
     ]
     assert [list(bits(clip).items()) for clip in one_at_a_time] == [list(bits(clip).items()) for clip in expected]
-    assert bits(cells.edge_length.tolist()) == [polyline_length(e.geometry).hex() for e in edges]
+    assert bits(cells.vertices.length.tolist()) == [polyline_length(e.geometry).hex() for e in edges]
 
 
 @pytest.mark.parametrize("block", [7, 1 << 12])

@@ -32,6 +32,7 @@ from conftest import (
     lattice_polygons,
     make_edge,
     rect_polygon,
+    reference_dataset_length_totals,
     reference_polygon_aggregate,
 )
 
@@ -85,6 +86,32 @@ def test_dataset_totals_match_per_edge_oracle(rng):
     )
     assert totals["total_m"] == pytest.approx(oracle_total, abs=1e-9)
     assert totals["protected_m"] + totals["unprotected_m"] == pytest.approx(totals["total_m"], abs=1e-9)
+
+
+KEYS = [(model, direction) for model in ("centerline", "separate_geometry") for direction in ("bidirectional", "oneway")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(1.0, 3.0), min_size=4, max_size=4),
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)), min_size=2, max_size=5, unique=True),
+            st.sampled_from(["protected", "unprotected"]),
+            st.sampled_from(KEYS),
+        ),
+        max_size=30,
+    ),
+)
+def test_dataset_totals_equal_the_reference_loop_bit_for_bit(factors, specs):
+    # each total adds its edges' lengths in edge order, from 0.0, as the loop does
+    policy = LengthPolicy(dict(zip(KEYS, factors)))
+    edges = [
+        make_edge(f"e{i}", coords, infra=infra, model=model, direction=direction)
+        for i, (coords, infra, (model, direction)) in enumerate(specs)
+    ]
+    got = dataset_length_totals(Dataset("d", edges), policy)
+    assert bits(got) == bits(reference_dataset_length_totals(edges, policy))
 
 
 # ------------------------------------------------------- density difference

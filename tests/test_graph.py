@@ -71,6 +71,13 @@ def test_rejects_negative_tolerance(snap):
         graph_of([("a", [(0, 0), (1, 0)])], snap=snap)
 
 
+def test_rejects_a_repeated_edge_id():
+    # Graph.edges is keyed by id, so a repeat would drop an edge and leave
+    # the vertex arrays one row longer
+    with pytest.raises(ValueError, match="repeats an edge id"):
+        graph_of([("a", [(0, 0), (1, 0)]), ("b", [(1, 0), (2, 0)]), ("a", [(2, 0), (3, 0)])])
+
+
 # ------------------------------------------------------------- components
 
 

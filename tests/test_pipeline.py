@@ -212,6 +212,16 @@ def test_full_pipeline_writes_documented_files(tmp_path, caplog):
     assert f"peak RSS: {run_info['peak_rss_mb']} MB" in caplog.text
 
 
+def test_stage_seconds_leave_out_the_stages_run_first(tmp_path, monkeypatch):
+    # a clock that steps 1 s per reading: ingest and grid read it twice each,
+    # inside density's two readings
+    ticks = iter(range(100))
+    monkeypatch.setattr(pipeline, "time", mock.Mock(perf_counter=lambda: float(next(ticks))))
+    pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path)))
+    pipe.density()
+    assert pipe.stage_seconds == {"ingest": 1.0, "grid": 1.0, "density": 3.0}
+
+
 def test_pipeline_deterministic_across_runs_and_threads(tmp_path):
     cfg1 = RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "a")
     run_pipeline(cfg1)

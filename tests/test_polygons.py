@@ -187,12 +187,24 @@ def test_pieces_crossing_a_comb_many_times_equal_every_edge_test(block):
     rng = np.random.default_rng(11)
     lines = [[(-5.0, 50.0), (805.0, 55.0)], [(805.0, 20.0), (-5.0, 90.0), (805.0, 95.0)]]
     lines.append(np.column_stack([rng.uniform(-20.0, 820.0, 300), rng.uniform(-20.0, 120.0, 300)]).tolist())
+    # blocks are cut by candidate pairs: no block returns more pairs than
+    # the block size, unless it is one piece with more on its own
+    near_pairs = PolygonArea.near_pairs
+    calls = []
+
+    def counted(self, xmin, ymin, xmax, ymax):
+        pairs = near_pairs(self, xmin, ymin, xmax, ymax)
+        calls.append((len(xmin), len(pairs[0])))
+        return pairs
+
     for coords in lines:
         p = Polyline(tuple(Point2D(x, y) for x, y in coords))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polygons, "_BLOCK_ELEMENTS", block)
+            mp.setattr(PolygonArea, "near_pairs", counted)
             got = clip_polyline_to_polygon(p, comb)
         assert got.hex() == reference_clip_polyline_to_polygon(p, comb).hex()
+    assert calls and all(n_pairs <= block or n_pieces == 1 for n_pieces, n_pairs in calls)
 
 
 # ------------------------------------------------ batch queries
