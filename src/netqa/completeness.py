@@ -44,6 +44,8 @@ class LengthPolicy:
     """Multipliers keyed on (mapping_model, directionality)."""
 
     factors: dict
+    # edge_factors' arrays, keyed by the ids of the edges they were built from
+    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key, factor in self.factors.items():
@@ -69,6 +71,20 @@ class LengthPolicy:
         except KeyError:
             raise ConfigError(f"length policy has no entry for {key}") from None
 
+    def edge_factors(self, edges) -> np.ndarray:
+        """``factor_for`` of each edge, as one read-only array.
+
+        The array is kept with the policy: the same edge objects in the same
+        order (a dataset's edges, or its graph's) get it back without
+        another ``factor_for`` call, so a run calls it once per edge.
+        """
+        key = np.fromiter(map(id, edges), dtype=np.uintp).tobytes()
+        if key not in self._arrays:
+            factors = np.array([self.factor_for(e) for e in edges], dtype=float)
+            factors.flags.writeable = False
+            self._arrays[key] = (list(edges), factors)  # held, so no other object takes their ids
+        return self._arrays[key][1]
+
 
 def infrastructure_length(edge, policy: LengthPolicy) -> float:
     """Geometric length times the data-model multiplier, in meters."""
@@ -77,7 +93,7 @@ def infrastructure_length(edge, policy: LengthPolicy) -> float:
 
 def dataset_length_totals(dataset, policy: LengthPolicy) -> dict:
     """Total, protected, and unprotected infrastructure length (meters), each added in edge order."""
-    length = dataset.vertices.length * np.array([policy.factor_for(e) for e in dataset.edges], dtype=float)
+    length = dataset.vertices.length * policy.edge_factors(dataset.edges)
     category = np.array([INFRA_CATEGORIES.index(e.infra_category) for e in dataset.edges], dtype=np.intp)
     parts = {f"{name}_m": length[category == i] for i, name in enumerate(INFRA_CATEGORIES)}
     return {key: _sum_in_order(part) for key, part in {"total_m": length, **parts}.items()}
@@ -153,7 +169,7 @@ def polygon_aggregate(dataset, polygons: list[PolygonArea], policy: LengthPolicy
     # the rows (edge, part, length) in edge order, then part order
     order = np.lexsort((part, edge))
     edge, part, length = edge[order], part[order], length[order]
-    factors = np.array([policy.factor_for(e) for e in dataset.edges], dtype=float)
+    factors = policy.edge_factors(dataset.edges)
     # bincount gives ints when there are no weights at all
     lengths = np.bincount(name_of[part], length * factors[edge], minlength=len(names)).astype(float).tolist()
     clipped_total = np.bincount(edge, length, minlength=len(vertices))

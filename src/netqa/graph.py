@@ -195,7 +195,7 @@ def connected_components(g: Graph, policy=None) -> list[ComponentStats]:
     id order.
     """
     edges = list(g.edges.values())
-    factors = np.array([policy.factor_for(e) if policy is not None else 1.0 for e in edges], dtype=float)
+    factors = np.ones(len(edges)) if policy is None else policy.edge_factors(edges)
     # component ids are dense; bincount adds each component's edges in edge order
     length = g.vertices.length * factors
     totals = np.bincount([e.component_id for e in edges], length, minlength=len(g.component_index)).tolist()

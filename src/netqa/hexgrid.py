@@ -333,7 +333,7 @@ def assign_lengths(edges, cells: EdgeCells, policy=None) -> tuple[dict[tuple[int
     (cell_totals, outside_m)
     """
     cells.check(edges)
-    factors = np.array([policy.factor_for(e) if policy is not None else 1.0 for e in edges], dtype=float)
+    factors = np.ones(len(edges)) if policy is None else policy.edge_factors(edges)
     gap = cells.vertices.length - np.bincount(cells.edge, cells.length, minlength=len(edges))
     outside = _sum_in_order((gap * factors)[gap > 0.0])
     if outside > 1e-6:

@@ -28,8 +28,9 @@ import tempfile
 import time
 from dataclasses import asdict, astuple, dataclass, field
 from functools import partial
-from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from . import completeness, featureio, graph, hexgrid, ingest, matching, spatial, tags
 from .errors import ConfigError, NetqaError, PipelineError, WeightsError, ZeroVarianceError
@@ -324,80 +325,88 @@ def _component_features(g):
         )
 
 
-# The two lines of the segment layer: the encoded feature (keys sorted,
-# compact) with its fixed parts in place, for a matched and an unmatched row.
-_MATCHED_SEGMENT = (
-    '{"geometry":{"coordinates":[%s,%s],"type":"LineString"},"properties":{"angle_deg":%s,"edge_id":%s,'
-    '"hausdorff_m":%s,"length_m":%s,"matched":true,"matched_edge_id":%s,"matched_segment_index":%d,'
-    '"midpoint_dist_m":%s,"segment_index":%d},"type":"Feature"}'
-)
-_UNMATCHED_SEGMENT = (
-    '{"geometry":{"coordinates":[%s,%s],"type":"LineString"},"properties":{"angle_deg":null,"edge_id":%s,'
-    '"hausdorff_m":null,"length_m":%s,"matched":false,"matched_edge_id":null,"matched_segment_index":null,'
-    '"midpoint_dist_m":null,"segment_index":%d},"type":"Feature"}'
-)
-
-# Rows of a segment layer turned into Python values at a time. As Python
-# objects a row takes about 400 bytes: converting a whole table at once
-# would set the peak memory of a run that matches many segments.
-_LINE_BLOCK = 1024
-
-_sign = partial(math.copysign, 1.0)
+# Bytes of the matrix one block of segment rows is spelled into. Spelling
+# a block holds about twice that (the matrix, then the block's text and
+# lines), so it sets the write stage's share of a run's peak memory.
+_LINE_BLOCK = 1 << 18
 
 
-def _float_text(v: float, decimals: int) -> str:
-    """``featureio.encode(round(v, decimals))``: for a finite float that is
-    ``float.__repr__``, which the encoder calls, at a third of the cost."""
-    v = round(v, decimals)
-    return repr(v) if math.isfinite(v) else featureio.encode(v)
+def _text_rows(texts) -> np.ndarray:
+    """ASCII texts as the rows of a zero-padded ``uint8`` matrix."""
+    rows = np.array([t.encode("ascii") for t in texts], dtype=bytes)
+    return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
+
+
+_NULL = _text_rows(["null"])[0]
 
 
 def _segment_lines(table):
     """The segment layer of a ``MatchTable``, one encoded feature per row.
 
     Each line is ``featureio.encode`` of the row's feature, byte for byte,
-    without building the feature: the edge ids are encoded once each. Two
-    values repeat on any input, and their text is reused while equal to the
-    previous row's (signed zeros told apart): a segment's start is the
-    previous segment's end within an edge, the cut point they share, and
-    the full segments of an edge share one length. The match metrics are
-    formatted on every matched row.
+    without building the feature; ``_segment_matrix`` spells the rows a
+    block at a time. The text that depends on a row's edge alone (its
+    encoded id) or on its match's edge alone (the matched flag and the
+    encoded id, or ``false`` and ``null``) is spelled once per edge, with
+    the literal text around it.
     """
     segs, targets = table.segments, table.targets
-    ids = [featureio.encode(i) for i in segs.edge_ids]
-    target_ids = [featureio.encode(i) for i in targets.edge_ids]
-    target_edge, target_index = targets.edge.tolist(), targets.index.tolist()
-    columns = (
-        segs.ends, segs.edge, segs.index, segs.length, table.target, table.midpoint_dist, table.hausdorff, table.angle
+    edges = _text_rows(f',"edge_id":{featureio.encode(i)},"hausdorff_m":' for i in segs.edge_ids)
+    matches = _text_rows(
+        [f',"matched":true,"matched_edge_id":{featureio.encode(i)},"matched_segment_index":' for i in targets.edge_ids]
+        + [',"matched":false,"matched_edge_id":null,"matched_segment_index":']  # row -1: unmatched
     )
-    rows = chain.from_iterable(
-        zip(*(c[lo : lo + _LINE_BLOCK].tolist() for c in columns)) for lo in range(0, len(segs), _LINE_BLOCK)
+    # 152 bytes of literal text, 8 numbers of about 24 bytes and 2 indices of 8
+    step = max(1, _LINE_BLOCK // (360 + edges.shape[1] + matches.shape[1]))
+    for lo in range(0, len(segs), step):
+        yield from _segment_block(table, edges, matches, slice(lo, lo + step))
+
+
+def _segment_block(table, edges, matches, rows) -> list[str]:
+    """The segment lines of table rows ``rows``: the non-zero bytes of
+    their ``_segment_matrix``."""
+    text = _segment_matrix(table, edges, matches, rows)
+    text = text.translate(None, b"\0")  # each step frees the text before it
+    text = text.decode("ascii")
+    return text.split("\n")[:-1]
+
+
+def _segment_matrix(table, edges, matches, rows) -> bytearray:
+    """The segment lines of table rows ``rows``, as a zero-padded byte matrix.
+
+    The rows are spelled side by side: the columns of numbers by
+    ``featureio.decimal_text`` and ``integer_text``, with ``null`` for an
+    unmatched row's match values, the rows of ``edges`` and ``matches``
+    that belong to each row, and the literal text between them. The
+    matrix's non-zero bytes are the lines, each ending in a line break.
+    """
+    segs, targets, j = table.segments, table.targets, table.target[rows]
+    matched = j >= 0
+    unmatched = ~matched
+    target_edge = np.full(len(j), -1)
+    target_edge[matched] = targets.edge[j[matched]]
+    target_index = np.zeros(len(j), dtype=np.int64)
+    target_index[matched] = targets.index[j[matched]]
+    ends = featureio.decimal_text(segs.ends[rows].ravel(), featureio.COORD_DECIMALS).reshape(len(j), 4, -1)
+    metrics = np.stack([segs.length[rows], table.angle[rows], table.hausdorff[rows], table.midpoint_dist[rows]], 1)
+    metrics = featureio.decimal_text(metrics.ravel(), featureio.METRIC_DECIMALS).reshape(len(j), 4, -1)
+    index = featureio.integer_text(np.stack([segs.index[rows], target_index], 1).ravel()).reshape(len(j), 2, -1)
+    for match_values in (metrics[:, 1:], index[:, 1:]):
+        match_values[unmatched] = 0
+        match_values[unmatched, :, : len(_NULL)] = _NULL
+    (x1, y1, x2, y2), (length, angle, hausdorff, distance) = ends.transpose(1, 0, 2), metrics.transpose(1, 0, 2)
+    parts = (
+        b'{"geometry":{"coordinates":[[', x1, b",", y1, b"],[", x2, b",", y2,
+        b']],"type":"LineString"},"properties":{"angle_deg":', angle, edges[segs.edge[rows]], hausdorff,
+        b',"length_m":', length, matches[target_edge], index[:, 1],
+        b',"midpoint_dist_m":', distance, b',"segment_index":', index[:, 0], b'},"type":"Feature"}\n',
     )
-    coord, metric = featureio.COORD_DECIMALS, featureio.METRIC_DECIMALS
-    px = py = p_len = None  # the values behind end and s_len
-    for (x1, y1, x2, y2), edge, index, length, j, md, h, ang in rows:
-        if x1 == px and y1 == py and (x1 and y1 or (_sign(x1), _sign(y1)) == (_sign(px), _sign(py))):
-            start = end
-        else:
-            start = "[%s,%s]" % (_float_text(x1, coord), _float_text(y1, coord))
-        end, px, py = "[%s,%s]" % (_float_text(x2, coord), _float_text(y2, coord)), x2, y2
-        if length != p_len or not length and _sign(length) != _sign(p_len):
-            s_len, p_len = _float_text(length, metric), length
-        if j < 0:
-            yield _UNMATCHED_SEGMENT % (start, end, ids[edge], s_len, index)
-            continue
-        yield _MATCHED_SEGMENT % (
-            start,
-            end,
-            _float_text(ang, metric),
-            ids[edge],
-            _float_text(h, metric),
-            s_len,
-            target_ids[target_edge[j]],
-            target_index[j],
-            _float_text(md, metric),
-            index,
-        )
+    at = np.cumsum([0] + [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]).tolist()
+    text = bytearray(len(j) * at[-1])
+    block = np.frombuffer(text, dtype=np.uint8).reshape(len(j), at[-1])
+    for part, a, b in zip(parts, at, at[1:]):
+        block[:, a:b] = np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
+    return text
 
 
 def _lisa_features(grid, lisa):
@@ -858,13 +867,19 @@ class Pipeline:
         out_dir.mkdir(parents=True, exist_ok=True)
         tmp_dir = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
         written: list[str] = []
+        file_seconds: dict[str, float] = {}
+        file_bytes: dict[str, int] = {}
         try:
             start = time.perf_counter()
             for name, kind, payload in files:
+                begin = time.perf_counter()
                 try:
                     _write_file(tmp_dir / name, kind, payload)
                 except Exception as exc:
                     raise PipelineError("write", f"{name}: {exc!r}") from exc
+                file_seconds[name] = time.perf_counter() - begin
+                file_bytes[name] = (tmp_dir / name).stat().st_size
+                log.debug("write %s: %d bytes, %.3f s", name, file_bytes[name], file_seconds[name])
                 written.append(name)
             self.stage_seconds["write"] = time.perf_counter() - start
             peak_rss_mb = _peak_rss_mb()
@@ -876,11 +891,12 @@ class Pipeline:
                 "version": "0.1.0",
                 "output_dir": str(out_dir),
                 "stage_seconds": {stage: round(sec, 6) for stage, sec in self.stage_seconds.items()},
+                "write_seconds": {name: round(sec, 6) for name, sec in file_seconds.items()},
                 "peak_rss_mb": peak_rss_mb,
             }
             if self.match_counts:
                 run_info["matching"] = {role: asdict(c) for role, c in self.match_counts.items()}
-            run_info["work"] = self._work()
+            run_info["work"] = self._work(file_bytes)
             featureio.write_json(tmp_dir / "run_info.json", run_info)
             written.append("run_info.json")
             for name in written:
@@ -889,12 +905,13 @@ class Pipeline:
             shutil.rmtree(tmp_dir, ignore_errors=True)
         return written
 
-    def _work(self) -> dict:
+    def _work(self, file_bytes: dict) -> dict:
         """Sizes of what the run computed: grid cells; per role, edges, clip
-        index rows and, when matching ran, segments; and, when the autocorr
+        index rows and, when matching ran, segments; when the autocorr
         stage ran, the cells and neighbour count (nnz) of each weights build
-        and the metrics evaluated on its one set of permutation draws."""
-        work = {"grid_cells": len(self.grid().cells)}
+        and the metrics evaluated on its one set of permutation draws; and
+        the bytes of each file written before run_info.json."""
+        work = {"grid_cells": len(self.grid().cells), "file_bytes": file_bytes}
         for role, ds in self.datasets().items():
             work[role] = {"edges": len(ds.edges)}
             if ("clip", role) in self._cache:

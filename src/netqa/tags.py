@@ -61,7 +61,7 @@ def tag_share(edges, spec: TagSpec, cells: EdgeCells, policy=None) -> TagShare:
     otherwise. Cells without infrastructure are absent, not zero.
     """
     cells.check(edges)
-    factors = np.array([policy.factor_for(e) if policy is not None else 1.0 for e in edges], dtype=float)
+    factors = np.ones(len(edges)) if policy is None else policy.edge_factors(edges)
     tagged = np.array([tag_presence(e, spec) for e in edges], dtype=bool)
     length = cells.vertices.length * factors
     total_global = _sum_in_order(length)

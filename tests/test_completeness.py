@@ -57,6 +57,31 @@ def test_missing_policy_entry_is_config_error():
         infrastructure_length(edge, policy)
 
 
+def test_edge_factors_are_factor_for_of_each_edge_once_per_edge_list():
+    policy = LengthPolicy.default()
+    edges = [
+        make_edge("a", [(0, 0), (10, 0)], model="centerline", direction="bidirectional"),
+        make_edge("b", [(0, 5), (10, 5)], model="separate_geometry", direction="oneway"),
+        make_edge("c", [(0, 9), (10, 9)], model="centerline", direction="oneway"),
+    ]
+    with mock.patch.object(LengthPolicy, "factor_for", autospec=True, side_effect=LengthPolicy.factor_for) as spy:
+        factors = policy.edge_factors(edges)
+        assert factors.tolist() == [2.0, 1.0, 1.0] and spy.call_count == 3
+        # the same edges in another container are the same edge list
+        assert policy.edge_factors(tuple(edges)) is factors and spy.call_count == 3
+        assert policy.edge_factors(edges[:2]).tolist() == [2.0, 1.0] and spy.call_count == 5
+        assert LengthPolicy.default().edge_factors(edges).tolist() == [2.0, 1.0, 1.0] and spy.call_count == 8
+    assert not factors.flags.writeable
+    assert policy.edge_factors([]).shape == (0,)
+
+
+def test_edge_factors_raise_the_missing_entry_config_error():
+    policy = LengthPolicy(factors={("centerline", "bidirectional"): 2.0})
+    edges = [make_edge("e", [(0, 0), (100, 0)], model="separate_geometry", direction="oneway")]
+    with pytest.raises(ConfigError, match="no entry for"):
+        policy.edge_factors(edges)
+
+
 def test_policy_rejects_sub_unit_factor():
     with pytest.raises(ConfigError):
         LengthPolicy(factors={("centerline", "oneway"): 0.5})

@@ -504,6 +504,22 @@ def test_full_run_builds_no_per_segment_objects(tmp_path, monkeypatch):
     assert built["Segment"] > 0 and built["MatchRecord"] > 0 and built["Point2D"] > 0
 
 
+def test_a_full_run_calls_factor_for_once_per_edge(tmp_path, monkeypatch):
+    calls = Counter()
+    real = completeness.LengthPolicy.factor_for
+
+    def counting(self, edge):
+        calls[id(edge)] += 1
+        return real(self, edge)
+
+    monkeypatch.setattr(completeness.LengthPolicy, "factor_for", counting)
+    pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "out"))
+    pipe.run_stage("full")
+    edges = [e for ds in pipe.datasets().values() for e in ds.edges]
+    assert sorted(calls) == sorted(map(id, edges))
+    assert set(calls.values()) == {1}
+
+
 def _reference_segment_features(records):
     # the layer as built from MatchRecord attributes
     for r in records:
@@ -965,6 +981,20 @@ def test_run_info_records_work_and_a_tags_run_clips_only_the_candidate(tmp_path,
     work = json.loads((tmp_path / "tags" / "run_info.json").read_text())["work"]
     assert "clips" in work["candidate"] and "clips" not in work["reference"]
     assert "segments" not in work["candidate"]
+
+
+def test_run_info_records_each_files_bytes_and_write_seconds(tmp_path, caplog):
+    with caplog.at_level(logging.DEBUG, logger="netqa.pipeline"):
+        assert cli_main(["-v", "full", "--config", str(DEMO / "config.json"), "--out", str(tmp_path / "out")]) == 0
+    out = tmp_path / "out"
+    run_info = json.loads((out / "run_info.json").read_text())
+    sizes = {p.name: p.stat().st_size for p in out.iterdir() if p.name != "run_info.json"}
+    assert run_info["work"]["file_bytes"] == sizes
+    seconds = run_info["write_seconds"]
+    assert set(seconds) == set(sizes) and all(sec >= 0.0 for sec in seconds.values())
+    assert sum(seconds.values()) <= run_info["stage_seconds"]["write"] + 1e-4  # each rounded to 1e-6
+    for name, size in sizes.items():
+        assert f"write {name}: {size} bytes, " in caplog.text
 
 
 def test_cli_structure_rejects_duplicate_feature_ids(tmp_path, capsys):
