@@ -11,8 +11,9 @@ is streamed from any iterable of features: the ``{"features":[`` header
 line, one feature per line (the line layout of RFC 8142 GeoJSON text
 sequences, inside one RFC 7946 ``FeatureCollection``), then the footer
 line, so a layer is never held in memory whole. ``write_feature_lines`` is
-that one framing loop; it takes features already encoded, one line each,
-so a producer that formats its lines itself (the segment layer, from
+that one framing loop; it takes features already encoded as ASCII bytes,
+one line each or blocks of lines joined by ``,\\n``, so a producer that
+formats its lines itself (the segment and component layers, from
 columns) writes the same bytes as ``encode`` of its features would.
 
 Such a producer spells its numbers with ``decimal_text`` and
@@ -20,7 +21,7 @@ Such a producer spells its numbers with ``decimal_text`` and
 whose rows, with their zero bytes dropped, are the text ``encode`` gives
 each value (after ``round`` to fixed decimals, for floats). Rows of
 different widths share one matrix this way, and a block of lines is the
-matrix's non-zero bytes.
+matrix's non-zero bytes, written as they are.
 
 CSV tables go through the ``csv`` module with ``\\n`` line ends and minimal
 quoting (RFC 4180): a field holding a comma, a quote or a line break is
@@ -223,19 +224,25 @@ def _open(path):
 
 
 def write_feature_lines(path, lines) -> None:
-    """Stream ``lines`` (encoded features, any iterable, consumed once) as a FeatureCollection."""
-    with _open(path) as fh:
-        fh.write('{"features":[')
-        sep = "\n"
+    """Stream ``lines`` (any iterable, consumed once) as a FeatureCollection.
+
+    Each item is ASCII bytes (any bytes-like object): one encoded feature,
+    or a block of them joined by ``,\\n``.
+    """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(b'{"features":[')
+        sep = b"\n"
         for line in lines:
-            fh.write(sep + line)
-            sep = ",\n"
-        fh.write('\n],"type":"FeatureCollection"}\n')
+            fh.write(sep)
+            fh.write(line)
+            sep = b",\n"
+        fh.write(b'\n],"type":"FeatureCollection"}\n')
 
 
 def write_feature_collection(path, features) -> None:
     """Stream ``features`` (any iterable, consumed once) as a FeatureCollection."""
-    write_feature_lines(path, map(encode, features))
+    write_feature_lines(path, map(str.encode, map(encode, features)))
 
 
 def write_json(path, obj) -> None:

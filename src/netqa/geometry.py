@@ -75,12 +75,6 @@ class Polyline:
             if a.x == b.x and a.y == b.y:
                 raise GeometryError("polyline has consecutive duplicate vertices")
 
-    @property
-    def bbox(self) -> tuple[float, float, float, float]:
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -300,13 +294,17 @@ def point_segment_distance(px: float, py: float, ax: float, ay: float, bx: float
     dy = by - ay
     denom = dx * dx + dy * dy
     if denom == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / denom
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+        ex, ey = px - ax, py - ay
+    else:
+        t = ((px - ax) * dx + (py - ay) * dy) / denom
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    # sqrt rather than hypot: np.sqrt rounds as math.sqrt does (IEEE), so
+    # the matcher's array kernel repeats this arithmetic bit for bit
+    return math.sqrt(ex * ex + ey * ey)
 
 
 def hausdorff_distance(a: Segment, b: Segment) -> float:

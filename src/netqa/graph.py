@@ -223,10 +223,10 @@ def detect_undershoots(g: Graph, threshold: float = DEFAULT_UNDERSHOOT_THRESHOLD
     if not dangling:
         return []
     eids = list(g.edges)
-    box = np.array([g.edges[eid].geometry.bbox for eid in eids], dtype=float)
-    # each edge's bbox grown by the slackened threshold
-    r = threshold * (1.0 + SLACK)
-    xmin, ymin, xmax, ymax = box[:, 0] - r, box[:, 1] - r, box[:, 2] + r, box[:, 3] + r
+    # each edge's bbox, over its run of vertices, grown by the slackened threshold
+    v, r = g.vertices, threshold * (1.0 + SLACK)
+    xmin, ymin = np.minimum.reduceat(v.x, v.first) - r, np.minimum.reduceat(v.y, v.first) - r
+    xmax, ymax = np.maximum.reduceat(v.x, v.first) + r, np.maximum.reduceat(v.y, v.first) + r
     px, py = np.array([(g.nodes[nid].location.x, g.nodes[nid].location.y) for nid in dangling]).T
     # buckets as wide as a typical grown bbox, so a long edge meets many
     # buckets rather than making one bucket hold every node

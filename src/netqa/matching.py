@@ -5,9 +5,11 @@ dataset is matched against candidate segments of the other using three
 thresholds: distance between segment midpoints, Hausdorff distance, and
 the undirected angle between the segments. Among candidates passing all
 three, the best match minimizes an explicit composite score, so results
-are reproducible; ties break on segment id. Matching runs independently
-in both directions, and the two directions may disagree: one network can
-cover most of the other while the reverse holds for only a fraction.
+are reproducible; ties break on segment id. Matching runs in both
+directions, and the two directions may disagree: one network can cover
+most of the other while the reverse holds for only a fraction. Both
+directions judge the same pairs by the same values, so one pass over the
+candidate pairs picks the winners of both.
 
 Segments and match results are held as columns (``SegmentTable``,
 ``MatchTable``) from segmentation to the summary; ``Segment`` and
@@ -193,7 +195,8 @@ class MatchCounts:
     distance filter; of these, ``rejected_hausdorff`` fail the Hausdorff
     threshold and ``rejected_angle`` pass it but fail the angle threshold.
     The rest are ``accepted_pairs``; each of the ``matched_segments``
-    source segments keeps its best one.
+    source segments keeps its best one. A pair passes or fails alike in
+    either direction, so the two directions share the four pair counts.
     """
 
     segments: int
@@ -223,63 +226,90 @@ def _foot_offsets(px, py, ax, ay, bx, by):
     return px - (ax + t * dx), py - (ay + t * dy)
 
 
-def _hypot(ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-    return np.array(list(map(math.hypot, ex.tolist(), ey.tolist())))
+_DEGREES = 180.0 / math.pi  # the factor of math.degrees
 
 
-def _match_block(src_ends, src_mid, join, dst_ends, dst_mid, dst_rank, cfg):
-    """Best target of each source in a block, by the rules of the scalar
-    matcher. Returns (winning source, target, midpoint distance, Hausdorff,
-    angle) arrays and the (within, hausdorff-rejected, angle-rejected,
-    accepted) pair counts.
+def _distance(ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    # the arithmetic of geometry.point_segment_distance
+    return np.sqrt(ex * ex + ey * ey)
+
+
+def _block_pairs(src_ends, join, dst_ends, dst_mid, cfg):
+    """Every pair of a source in a block and a target that passes the
+    three thresholds, by the rules of the scalar matcher. Returns (source
+    row in the block, target, midpoint distance, Hausdorff, angle, score)
+    arrays and the (within, hausdorff-rejected, angle-rejected, accepted)
+    pair counts.
 
     NumPy does only steps whose IEEE results are exact to the bit (+ - * /,
-    abs, clip, comparisons, max); powers, square roots, hypot, atan2 and
-    degrees go through the same Python calls the scalar code makes, so
+    abs, clip, sqrt, comparisons, max). The midpoint distance's powers and
+    atan2 go through the Python calls the scalar code makes (libm's
+    ``pow`` is not correctly rounded, so no array step repeats it). So
     every distance and angle equals ``hausdorff_distance``,
-    ``segment_angle_deg`` and the midpoint distance bit for bit.
+    ``segment_angle_deg`` and the ``** 0.5`` midpoint distance bit for
+    bit. Each value is also that of the pair with source and target
+    swapped: a - b = -(b - a), products commute, and the four Hausdorff
+    terms are the same four distances.
     """
     # each midpoint's box of radius max_dist, slackened as the join's side
-    (mx, my), r = src_mid, join.side
+    (mx, my), r = _midpoints(src_ends), join.side
     s, t = join.pairs(mx - r, my - r, mx + r, my + r)
-    dxm = src_mid[0][s] - dst_mid[0][t]
-    dym = src_mid[1][s] - dst_mid[1][t]
+    dxm, dym = mx[s] - dst_mid[0][t], my[s] - dst_mid[1][t]
     # squared distance with slack; the exact test follows on the survivors
     near = dxm * dxm + dym * dym <= (cfg.max_dist * cfg.max_dist) * (1.0 + SLACK)
     s, t, dxm, dym = s[near], t[near], dxm[near], dym[near]
-    md = np.array([(u**2 + v**2) ** 0.5 for u, v in zip(dxm.tolist(), dym.tolist())])
+    md = np.fromiter(((u**2 + v**2) ** 0.5 for u, v in zip(dxm.tolist(), dym.tolist())), dtype=float, count=len(s))
     keep = md <= cfg.max_dist
     s, t, md = s[keep], t[keep], md[keep]
     within = len(s)
 
     a1x, a1y, a2x, a2y = src_ends[s].T
     b1x, b1y, b2x, b2y = dst_ends[t].T
-    h = np.maximum.reduce(
-        [
-            _hypot(*_foot_offsets(a1x, a1y, b1x, b1y, b2x, b2y)),
-            _hypot(*_foot_offsets(a2x, a2y, b1x, b1y, b2x, b2y)),
-            _hypot(*_foot_offsets(b1x, b1y, a1x, a1y, a2x, a2y)),
-            _hypot(*_foot_offsets(b2x, b2y, a1x, a1y, a2x, a2y)),
-        ]
-    )
+    # the largest of the four endpoint-to-segment distances, one at a time
+    h = _distance(*_foot_offsets(a1x, a1y, b1x, b1y, b2x, b2y))
+    np.maximum(h, _distance(*_foot_offsets(a2x, a2y, b1x, b1y, b2x, b2y)), out=h)
+    np.maximum(h, _distance(*_foot_offsets(b1x, b1y, a1x, a1y, a2x, a2y)), out=h)
+    np.maximum(h, _distance(*_foot_offsets(b2x, b2y, a1x, a1y, a2x, a2y)), out=h)
     keep = h <= cfg.max_hausdorff
     s, t, md, h = s[keep], t[keep], md[keep], h[keep]
     ux, uy = a2x[keep] - a1x[keep], a2y[keep] - a1y[keep]
     vx, vy = b2x[keep] - b1x[keep], b2y[keep] - b1y[keep]
-    cross = np.abs(ux * vy - uy * vx).tolist()
-    dot = (ux * vx + uy * vy).tolist()
-    ang = np.array(list(map(math.degrees, map(math.atan2, cross, dot))))
+    cross, dot = np.abs(ux * vy - uy * vx), ux * vx + uy * vy
+    ang = np.fromiter(map(math.atan2, cross.tolist(), dot.tolist()), dtype=float, count=len(s)) * _DEGREES
     ang = np.where(ang > 90.0, 180.0 - ang, ang)
     keep = ang <= cfg.max_angle
     counts = (within, within - len(h), len(h) - int(keep.sum()), int(keep.sum()))
     s, t, md, h, ang = s[keep], t[keep], md[keep], h[keep], ang[keep]
+    return (s, t, md, h, ang, h + md + (ang / cfg.max_angle) * cfg.max_dist), counts
 
-    score = h + md + (ang / cfg.max_angle) * cfg.max_dist
-    order = np.lexsort((dst_rank[t], score, s))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = s[order[1:]] != s[order[:-1]]
-    win = order[first]
-    return (s[win], t[win], md[win], h[win], ang[win]), counts
+
+class _Winners:
+    """Each segment's least (score, partner rank) pair so far, as the
+    columns of a ``MatchTable``; pairs are folded in a block at a time."""
+
+    _NO_RANK = np.iinfo(np.intp).max
+
+    def __init__(self, n: int):
+        self.columns = (np.full(n, -1), np.zeros(n), np.zeros(n), np.zeros(n))
+        self.score = np.full(n, math.inf)
+        self.rank = np.full(n, self._NO_RANK)
+
+    def add(self, segment, partner, rank, score, md, h, ang) -> None:
+        """Fold in the pairs of rows ``segment`` and ``partner``; ``rank``
+        is the partner's, so it differs among one segment's pairs."""
+        before = self.score[segment]
+        np.minimum.at(self.score, segment, score)
+        now = self.score[segment]
+        self.rank[segment[now < before]] = self._NO_RANK  # a lower score displaces the pair held
+        tied = np.flatnonzero(score == now)
+        np.minimum.at(self.rank, segment[tied], rank[tied])
+        win = tied[rank[tied] == self.rank[segment[tied]]]
+        for column, values in zip(self.columns, (partner, md, h, ang)):
+            column[segment[win]] = values[win]
+
+    def table(self, segments: SegmentTable, targets: SegmentTable, pair_counts) -> MatchTable:
+        matched = int((self.columns[0] >= 0).sum())
+        return MatchTable(segments, targets, *self.columns, MatchCounts(len(segments), *pair_counts, matched))
 
 
 def _segment_ranks(table: SegmentTable) -> np.ndarray:
@@ -329,33 +359,37 @@ class MatchTable:
         ]
 
 
-def _match_direction(src: SegmentTable, dst: SegmentTable, cfg: MatchConfig) -> MatchTable:
-    match = np.full(len(src), -1)
-    md, h, ang = np.zeros(len(src)), np.zeros(len(src)), np.zeros(len(src))
-    totals = [0, 0, 0, 0]
-    if len(src) and len(dst):
-        dst_rank = _segment_ranks(dst)
-        dst_mid = _midpoints(dst.ends)
-        join = BucketJoin(*dst_mid, cfg.max_dist * (1.0 + SLACK))
-        for lo in range(0, len(src), _BLOCK_SOURCES):
-            ends = src.ends[lo : lo + _BLOCK_SOURCES]
-            (i, *winners), counts = _match_block(ends, _midpoints(ends), join, dst.ends, dst_mid, dst_rank, cfg)
-            match[lo + i], md[lo + i], h[lo + i], ang[lo + i] = winners
-            totals = [a + b for a, b in zip(totals, counts)]
-    counts = MatchCounts(len(src), *totals, int((match >= 0).sum()))
-    return MatchTable(src, dst, match, md, h, ang, counts)
-
-
 def match_tables(a, b, cfg: MatchConfig = MatchConfig()) -> tuple[MatchTable, MatchTable]:
     """Match dataset a against b and b against a, as columns.
 
     Returns (a against b, b against a), each with one row per segment of
     its source dataset in segmentation order. The relation is not forced
     symmetric.
+
+    One pass over the candidate pairs serves both directions: a's
+    segments are joined against b's midpoints a block at a time, and each
+    pair's metrics and score are computed once. Each a segment keeps its
+    least (score, b segment id) pair, and each b segment its least
+    (score, a segment id) pair so far, which a later block may displace.
+    Both directions see the same pairs, so their ``MatchCounts`` share the
+    four pair counts.
     """
-    table_a = segment_table(a, cfg.seg_len)
-    table_b = segment_table(b, cfg.seg_len)
-    return _match_direction(table_a, table_b, cfg), _match_direction(table_b, table_a, cfg)
+    src, dst = segment_table(a, cfg.seg_len), segment_table(b, cfg.seg_len)
+    forward, backward = _Winners(len(src)), _Winners(len(dst))
+    totals = [0, 0, 0, 0]
+    if len(src) and len(dst):
+        src_rank, dst_rank = _segment_ranks(src), _segment_ranks(dst)
+        dst_mid = _midpoints(dst.ends)
+        join = BucketJoin(*dst_mid, cfg.max_dist * (1.0 + SLACK))
+        for lo in range(0, len(src), _BLOCK_SOURCES):
+            (s, t, md, h, ang, score), counts = _block_pairs(
+                src.ends[lo : lo + _BLOCK_SOURCES], join, dst.ends, dst_mid, cfg
+            )
+            s = s + lo
+            totals = [x + y for x, y in zip(totals, counts)]
+            forward.add(s, t, dst_rank[t], score, md, h, ang)
+            backward.add(t, s, src_rank[s], score, md, h, ang)
+    return forward.table(src, dst, totals), backward.table(dst, src, totals)
 
 
 def match_datasets(a, b, cfg: MatchConfig = MatchConfig(), counts: list | None = None):

@@ -4,16 +4,16 @@ Stages run in dependency order (ingest, graph, grid, density, structure,
 matching, tags, autocorrelation); each subcommand executes only its stage
 plus prerequisites. A stage registers each output layer as a producer: a
 zero-argument callable returning an iterable of features, built from the
-stage's results, or of encoded feature lines (the segment layer, formatted
-from the match columns). All files are written together at the end (the
-``write`` stage), each layer streamed from its producer while its file is
-written, so no layer is held in memory whole. They go into a temporary
-directory beside the output directory and are moved into place only once
-all of them are written, so neither a failing stage nor a failed write
-leaves partial files behind or destroys a previous run's results. Output
-files carry no timestamps; run metadata (stage timings including
-``write``, peak RSS, work sizes) lives in ``run_info.json``, excluded from
-golden comparisons.
+stage's results, or of blocks of encoded feature lines (the segment and
+component layers, spelled from columns). All files are written together
+at the end (the ``write`` stage), each layer streamed from its producer
+while its file is written, so no layer is held in memory whole. They go
+into a temporary directory beside the output directory and are moved into
+place only once all of them are written, so neither a failing stage nor a
+failed write leaves partial files behind or destroys a previous run's
+results. Output files carry no timestamps; run metadata (stage timings
+including ``write``, peak RSS, work sizes) lives in ``run_info.json``,
+excluded from golden comparisons.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 from . import completeness, featureio, graph, hexgrid, ingest, matching, spatial, tags
 from .errors import ConfigError, NetqaError, PipelineError, WeightsError, ZeroVarianceError
 from .featureio import round_metric as _r
+from .geometry import _blocks
 
 try:
     import resource
@@ -316,18 +317,9 @@ def _undershoot_features(g, undershoots):
         )
 
 
-def _component_features(g):
-    for e in g.edges.values():
-        yield featureio.line_feature(
-            featureio.polyline_coords(e.geometry),
-            {"edge_id": e.id, "component_id": e.component_id, "infra_category": e.infra_category},
-            feature_id=e.id,
-        )
-
-
-# Bytes of the matrix one block of segment rows is spelled into. Spelling
-# a block holds about twice that (the matrix, then the block's text and
-# lines), so it sets the write stage's share of a run's peak memory.
+# Bytes of the matrix one block of rows is spelled into. Spelling a block
+# holds about twice that (the matrix, then the block's text), so it sets
+# the write stage's share of a run's peak memory.
 _LINE_BLOCK = 1 << 18
 
 
@@ -338,10 +330,77 @@ def _text_rows(texts) -> np.ndarray:
 
 
 _NULL = _text_rows(["null"])[0]
+# what opens a vertex of a component line: row 1 on an edge's first vertex
+_VERTEX_HEADS = _text_rows(["[", '{"geometry":{"coordinates":[['])
+
+
+def _side_by_side(parts, n: int) -> bytearray:
+    """``n`` rows of text as one zero-padded byte matrix: each part, a
+    literal (``bytes``) or a ``uint8`` matrix of ``n`` rows, fills the
+    next columns."""
+    at = np.cumsum([0] + [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]).tolist()
+    text = bytearray(n * at[-1])
+    block = np.frombuffer(text, dtype=np.uint8).reshape(n, at[-1])
+    for part, a, b in zip(parts, at, at[1:]):
+        block[:, a:b] = np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
+    return text
+
+
+def _block_text(matrix: bytearray) -> bytearray:
+    """The lines of a matrix whose rows each end in ``,\\n``: its non-zero
+    bytes, without the last separator (``write_feature_lines`` puts one
+    between two blocks)."""
+    text = matrix.translate(None, b"\0")
+    del text[-2:]
+    return text
+
+
+def _component_lines(g):
+    """The component layer of a graph: one encoded feature per edge, in
+    blocks of lines joined by ``,\\n``.
+
+    Each line is ``featureio.encode`` of the edge's ``line_feature`` (its
+    vertices rounded by ``polyline_coords``, its id, component and
+    category), byte for byte, without building the feature: the
+    coordinates are spelled from ``g.vertices`` by
+    ``featureio.decimal_text``, and the values of the keys after the
+    geometry by ``encode``.
+    """
+    edges, v = list(g.edges.values()), g.vertices
+    # about 200 bytes a vertex row: 28 of head, two coordinates of 24 and
+    # the edge's closing text on its last vertex
+    for e0, e1 in _blocks(v.last - v.first + 1, max(1, _LINE_BLOCK // 256)):
+        yield _block_text(_component_matrix(edges[e0:e1], v, slice(e0, e1)))
+
+
+def _component_matrix(edges, v, rows) -> bytearray:
+    """The component lines of ``edges``, the polylines ``rows`` of ``v``,
+    as a zero-padded byte matrix with one row per vertex: an edge's first
+    row opens its feature, its last row closes it."""
+    first, last = v.first[rows], v.last[rows]
+    lo, hi = int(first[0]), int(last[-1]) + 1
+    xy = np.stack([v.x[lo:hi], v.y[lo:hi]], 1).ravel()
+    x, y = featureio.decimal_text(xy, featureio.COORD_DECIMALS).reshape(hi - lo, 2, -1).transpose(1, 0, 2)
+    opens = np.zeros(hi - lo, dtype=np.intp)
+    opens[first - lo] = 1
+    # the feature's keys after "geometry", in encode's order; each distinct
+    # component id and category is encoded once
+    values = {value for e in edges for value in (e.component_id, e.infra_category)}
+    spelled = {value: featureio.encode(value) for value in values}
+    tails = _text_rows(
+        f']],"type":"LineString"}},"id":{i},"properties":{{"component_id":{spelled[e.component_id]},'
+        f'"edge_id":{i},"infra_category":{spelled[e.infra_category]}}},"type":"Feature"}},\n'
+        for e, i in zip(edges, map(featureio.encode, (e.id for e in edges)))
+    )
+    closes = np.zeros((hi - lo, tails.shape[1]), dtype=np.uint8)
+    closes[:, :2] = np.frombuffer(b"],", dtype=np.uint8)
+    closes[last - lo] = tails
+    return _side_by_side((_VERTEX_HEADS[opens], x, b",", y, closes), hi - lo)
 
 
 def _segment_lines(table):
-    """The segment layer of a ``MatchTable``, one encoded feature per row.
+    """The segment layer of a ``MatchTable``: one encoded feature per row,
+    in blocks of lines joined by ``,\\n``.
 
     Each line is ``featureio.encode`` of the row's feature, byte for byte,
     without building the feature; ``_segment_matrix`` spells the rows a
@@ -356,19 +415,10 @@ def _segment_lines(table):
         [f',"matched":true,"matched_edge_id":{featureio.encode(i)},"matched_segment_index":' for i in targets.edge_ids]
         + [',"matched":false,"matched_edge_id":null,"matched_segment_index":']  # row -1: unmatched
     )
-    # 152 bytes of literal text, 8 numbers of about 24 bytes and 2 indices of 8
+    # 153 bytes of literal text, 8 numbers of about 24 bytes and 2 indices of 8
     step = max(1, _LINE_BLOCK // (360 + edges.shape[1] + matches.shape[1]))
     for lo in range(0, len(segs), step):
-        yield from _segment_block(table, edges, matches, slice(lo, lo + step))
-
-
-def _segment_block(table, edges, matches, rows) -> list[str]:
-    """The segment lines of table rows ``rows``: the non-zero bytes of
-    their ``_segment_matrix``."""
-    text = _segment_matrix(table, edges, matches, rows)
-    text = text.translate(None, b"\0")  # each step frees the text before it
-    text = text.decode("ascii")
-    return text.split("\n")[:-1]
+        yield _block_text(_segment_matrix(table, edges, matches, slice(lo, lo + step)))
 
 
 def _segment_matrix(table, edges, matches, rows) -> bytearray:
@@ -378,7 +428,7 @@ def _segment_matrix(table, edges, matches, rows) -> bytearray:
     ``featureio.decimal_text`` and ``integer_text``, with ``null`` for an
     unmatched row's match values, the rows of ``edges`` and ``matches``
     that belong to each row, and the literal text between them. The
-    matrix's non-zero bytes are the lines, each ending in a line break.
+    matrix's non-zero bytes are the lines, each ending in ``,\\n``.
     """
     segs, targets, j = table.segments, table.targets, table.target[rows]
     matched = j >= 0
@@ -399,14 +449,9 @@ def _segment_matrix(table, edges, matches, rows) -> bytearray:
         b'{"geometry":{"coordinates":[[', x1, b",", y1, b"],[", x2, b",", y2,
         b']],"type":"LineString"},"properties":{"angle_deg":', angle, edges[segs.edge[rows]], hausdorff,
         b',"length_m":', length, matches[target_edge], index[:, 1],
-        b',"midpoint_dist_m":', distance, b',"segment_index":', index[:, 0], b'},"type":"Feature"}\n',
+        b',"midpoint_dist_m":', distance, b',"segment_index":', index[:, 0], b'},"type":"Feature"},\n',
     )
-    at = np.cumsum([0] + [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]).tolist()
-    text = bytearray(len(j) * at[-1])
-    block = np.frombuffer(text, dtype=np.uint8).reshape(len(j), at[-1])
-    for part, a, b in zip(parts, at, at[1:]):
-        block[:, a:b] = np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
-    return text
+    return _side_by_side(parts, len(j))
 
 
 def _lisa_features(grid, lisa):
@@ -660,7 +705,7 @@ class Pipeline:
                 }
                 self._add_grid_field(f"component_count_{role}", counts)
                 self.outputs[f"undershoots_{role}.geojson"] = ("fc", partial(_undershoot_features, g, undershoots))
-                self.outputs[f"components_{role}.geojson"] = ("fc", partial(_component_features, g))
+                self.outputs[f"components_{role}.geojson"] = ("lines", partial(_component_lines, g))
                 self.outputs[f"zipf_{role}.csv"] = (
                     "csv",
                     (

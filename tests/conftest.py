@@ -27,9 +27,10 @@ from netqa.geometry import (
 from netqa.graph import ComponentStats, NetworkEdge, NetworkNode, Undershoot, dangling_nodes
 from netqa.hexgrid import _HEX_NORMALS, _SIDE_EPS, _SQRT3, HexCell, HexGrid, edge_length_for_area
 from netqa.ingest import Dataset
-from netqa.matching import MatchSummary
+from netqa.matching import MatchSummary, _foot_offsets, _midpoints, _segment_ranks
 from netqa.polygons import _PARAM_EPS, PolygonArea, point_in_rings
 from netqa.spatial import LisaResult, MoranResult
+from netqa.spindex import SLACK, BucketJoin
 from netqa.tags import TagShare, tag_presence
 
 
@@ -306,6 +307,69 @@ def reference_match(src, dst, cfg):
                 best_key, best = key, (d.segment_id, md, h, ang)
         records.append((s.segment_id, *best))
     return records, (within, rejected_h, rejected_a, within - rejected_h - rejected_a)
+
+
+def reference_match_direction(src, dst, cfg):
+    """One matching direction by the per-direction array kernel: ``src``
+    (a ``SegmentTable``) joined against ``dst`` by midpoint, a block of
+    sources at a time, each source keeping its least (score, target
+    segment id) pair. The arithmetic is the matcher's: the ``** 0.5``
+    midpoint distance, ``sqrt`` Hausdorff terms, ``atan2`` angles.
+
+    Returns the (target, midpoint distance, Hausdorff, angle) columns of a
+    ``MatchTable`` with rows ``src`` and the (pairs within max_dist,
+    rejected by Hausdorff, rejected by angle, accepted) pair counts.
+    """
+    n = len(src)
+    columns = (np.full(n, -1), np.zeros(n), np.zeros(n), np.zeros(n))
+    totals = [0, 0, 0, 0]
+    if not (n and len(dst)):
+        return columns, tuple(totals)
+    dst_rank = _segment_ranks(dst)
+    dst_mid = _midpoints(dst.ends)
+    join = BucketJoin(*dst_mid, cfg.max_dist * (1.0 + SLACK))
+    for lo in range(0, n, 2048):
+        ends = src.ends[lo : lo + 2048]
+        (mx, my), r = _midpoints(ends), join.side
+        s, t = join.pairs(mx - r, my - r, mx + r, my + r)
+        dxm, dym = mx[s] - dst_mid[0][t], my[s] - dst_mid[1][t]
+        md = np.array([(u**2 + v**2) ** 0.5 for u, v in zip(dxm.tolist(), dym.tolist())], dtype=float)
+        keep = md <= cfg.max_dist
+        s, t, md = s[keep], t[keep], md[keep]
+        within = len(s)
+        a1x, a1y, a2x, a2y = ends[s].T
+        b1x, b1y, b2x, b2y = dst.ends[t].T
+        h = np.maximum.reduce(
+            [
+                np.sqrt(ex * ex + ey * ey)
+                for ex, ey in (
+                    _foot_offsets(a1x, a1y, b1x, b1y, b2x, b2y),
+                    _foot_offsets(a2x, a2y, b1x, b1y, b2x, b2y),
+                    _foot_offsets(b1x, b1y, a1x, a1y, a2x, a2y),
+                    _foot_offsets(b2x, b2y, a1x, a1y, a2x, a2y),
+                )
+            ]
+        )
+        keep = h <= cfg.max_hausdorff
+        s, t, md, h = s[keep], t[keep], md[keep], h[keep]
+        ux, uy = a2x[keep] - a1x[keep], a2y[keep] - a1y[keep]
+        vx, vy = b2x[keep] - b1x[keep], b2y[keep] - b1y[keep]
+        cross = np.abs(ux * vy - uy * vx).tolist()
+        dot = (ux * vx + uy * vy).tolist()
+        ang = np.array(list(map(math.degrees, map(math.atan2, cross, dot))), dtype=float)
+        ang = np.where(ang > 90.0, 180.0 - ang, ang)
+        keep = ang <= cfg.max_angle
+        counts = (within, within - len(h), len(h) - int(keep.sum()), int(keep.sum()))
+        totals = [a + b for a, b in zip(totals, counts)]
+        s, t, md, h, ang = s[keep], t[keep], md[keep], h[keep], ang[keep]
+        score = h + md + (ang / cfg.max_angle) * cfg.max_dist
+        order = np.lexsort((dst_rank[t], score, s))
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = s[order[1:]] != s[order[:-1]]
+        win = order[first]
+        for column, values in zip(columns, (t, md, h, ang)):
+            column[lo + s[win]] = values[win]
+    return columns, tuple(totals)
 
 
 def reference_build_grid(study_area, cell_area, near_only=False):

@@ -1,5 +1,8 @@
 """The columnar segmentation and matcher against the scalar references, bit for bit."""
 
+from dataclasses import astuple
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +10,9 @@ from hypothesis import strategies as st
 from netqa import matching
 from netqa.errors import GeometryError
 from netqa.geometry import _LENGTH_EPS, _cumulative_lengths, segmentize
-from netqa.matching import MatchConfig, match_datasets, segment_table, segmentize_dataset
+from netqa.matching import MatchConfig, match_datasets, match_tables, segment_table, segmentize_dataset
 
-from conftest import make_dataset, reference_match
+from conftest import make_dataset, reference_match, reference_match_direction
 
 DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 3)]
 
@@ -135,6 +138,44 @@ def test_block_of_one_source_gives_identical_records(monkeypatch):
     assert match_datasets(a, b, MatchConfig(), counts_one) == records
     assert counts_one == counts
     assert sum(r.matched is not None for r in records[0]) > 0
+
+
+def _column_bits(columns):
+    # the target column, and every bit of the float columns
+    target, *floats = columns
+    return target.tolist(), [c.tobytes() for c in floats]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=lattice_case(),
+    swap=st.booleans(),
+    empty=st.sampled_from([None, "first", "second"]),
+    block=st.sampled_from([1, matching._BLOCK_SOURCES]),
+)
+def test_one_pass_equals_the_kernel_run_once_per_direction(case, swap, empty, block):
+    # mirrored copies tie on score in the direction from the copied network,
+    # so with the networks swapped they tie in the second direction, whose
+    # winners are kept across blocks; blocks of one source cross the most
+    a, b, cfg = case
+    if swap:
+        a, b = b, a
+    if empty == "first":
+        a = make_dataset("a", [])
+    elif empty == "second":
+        b = make_dataset("b", [])
+    with mock.patch.object(matching, "_BLOCK_SOURCES", block):
+        forward, backward = match_tables(a, b, cfg)
+    assert forward.segments is backward.targets and forward.targets is backward.segments
+    for table in (forward, backward):
+        columns, pair_counts = reference_match_direction(table.segments, table.targets, cfg)
+        assert _column_bits((table.target, table.midpoint_dist, table.hausdorff, table.angle)) == _column_bits(columns)
+        c = table.counts
+        assert (c.pairs_within_max_dist, c.rejected_hausdorff, c.rejected_angle, c.accepted_pairs) == pair_counts
+        assert c.segments == len(table.segments)
+        assert c.matched_segments == int((columns[0] >= 0).sum())
+    # both directions judge the same pairs
+    assert astuple(forward.counts)[1:5] == astuple(backward.counts)[1:5]
 
 
 # ------------------------------------------------- segmentation as columns

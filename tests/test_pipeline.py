@@ -18,6 +18,7 @@ from netqa import completeness, featureio, graph, hexgrid, pipeline, spatial
 from netqa.cli import main as cli_main
 from netqa.errors import ConfigError, PipelineError
 from netqa.geometry import Point2D, Segment
+from netqa.ingest import Dataset
 from netqa.matching import (
     MatchConfig,
     MatchCounts,
@@ -29,7 +30,7 @@ from netqa.matching import (
 )
 from netqa.pipeline import Pipeline, RunConfig, run_pipeline
 
-from conftest import make_dataset, reference_clip_polyline, write_ragged_demo
+from conftest import make_dataset, make_edge, reference_clip_polyline, write_ragged_demo
 
 DEMO = Path(__file__).parent / "data" / "demo"
 # SHA-256 of each demo output's parsed content (see parsed_digest), recorded
@@ -58,6 +59,11 @@ def demo_config(tmp_path, out_name="out", **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def feature_lines(blocks) -> list[str]:
+    """The encoded features a "lines" producer yields, in blocks of lines joined by ``,\\n``."""
+    return [line for block in blocks for line in bytes(block).decode("ascii").split(",\n")]
 
 
 def read_outputs(out_dir, skip=("run_info.json",)):
@@ -339,19 +345,20 @@ def test_failed_write_keeps_previous_outputs(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
 
-def test_failing_producer_names_the_write_stage_and_keeps_previous_outputs(tmp_path):
+def test_failing_producer_names_the_write_stage_and_keeps_previous_outputs(tmp_path, monkeypatch):
     run_pipeline(RunConfig.from_file(demo_config(tmp_path), out_override=tmp_path / "out"))
     before = read_outputs(tmp_path / "out", skip=())
     pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path, seed=7), out_override=tmp_path / "out"))
     pipe.structure()
     pipe.matching_results()
     kind, produce = pipe.outputs["segments_candidate.geojson"]
+    monkeypatch.setattr(pipeline, "_LINE_BLOCK", 2)  # a block per line
 
     def failing():
-        for i, feature in enumerate(produce()):
+        for i, block in enumerate(produce()):
             if i == 5:  # partway through the layer
                 raise ValueError("bad feature")
-            yield feature
+            yield block
 
     pipe.outputs["segments_candidate.geojson"] = (kind, failing)
     with pytest.raises(PipelineError) as err:
@@ -369,19 +376,20 @@ def test_outputs_hold_producers_bound_to_their_role(tmp_path):
         stage()
         for name, (kind, payload) in pipe.outputs.items():
             if name.endswith(".geojson"):
-                # the segment layers are produced as encoded lines
-                assert kind == ("lines" if name.startswith("segments_") else "fc"), name
+                # the segment and component layers are produced as encoded lines
+                assert kind == ("lines" if name.startswith(("segments_", "components_")) else "fc"), name
                 assert callable(payload) and not isinstance(payload, list), name
             else:
                 assert kind == "csv", name
     graphs = pipe.graphs()
     for role in Pipeline.ROLES:
         edge_ids = set(graphs[role].edges)
-        segments = list(pipe.outputs[f"segments_{role}.geojson"][1]())
-        assert segments == list(pipe.outputs[f"segments_{role}.geojson"][1]())  # a fresh iterable per call
+        segments = feature_lines(pipe.outputs[f"segments_{role}.geojson"][1]())
+        assert segments == feature_lines(pipe.outputs[f"segments_{role}.geojson"][1]())  # a fresh iterable per call
         assert {json.loads(line)["properties"]["edge_id"] for line in segments} == edge_ids
-        components = pipe.outputs[f"components_{role}.geojson"][1]()
-        assert [f["id"] for f in components] == list(graphs[role].edges)
+        components = feature_lines(pipe.outputs[f"components_{role}.geojson"][1]())
+        assert components == feature_lines(pipe.outputs[f"components_{role}.geojson"][1]())
+        assert [json.loads(line)["id"] for line in components] == list(graphs[role].edges)
         for f in pipe.outputs[f"undershoots_{role}.geojson"][1]():
             assert f["properties"]["nearest_edge_id"] in edge_ids
 
@@ -551,7 +559,7 @@ def test_segment_layer_from_columns_equals_the_layer_from_records():
         assert 0 < sum(r.matched is not None for r in records) < len(records)
         assert any(r.matched and r.midpoint_dist != r.hausdorff for r in records)
         encoded = [featureio.encode(f) for f in _reference_segment_features(records)]
-        assert list(pipeline._segment_lines(table)) == encoded
+        assert feature_lines(pipeline._segment_lines(table)) == encoded
 
 
 def _column_segment_features(table):
@@ -607,9 +615,9 @@ def jittered_networks(draw):
 def segment_lines_by_blocks(table):
     # the layer with the default block of rows, and with blocks of 2 rows,
     # so the reuse of strings crosses block boundaries
-    lines = "\n".join(pipeline._segment_lines(table))
+    lines = "\n".join(feature_lines(pipeline._segment_lines(table)))
     with mock.patch.object(pipeline, "_LINE_BLOCK", 2):
-        assert "\n".join(pipeline._segment_lines(table)) == lines
+        assert "\n".join(feature_lines(pipeline._segment_lines(table))) == lines
     return lines
 
 
@@ -669,22 +677,78 @@ def test_segment_lines_equal_the_encoder_on_awkward_floats(table):
     assert segment_lines_by_blocks(table) == "\n".join(encoded)
 
 
+def _reference_component_features(g):
+    # the component layer as feature dicts, one per edge of the graph
+    for e in g.edges.values():
+        yield featureio.line_feature(
+            featureio.polyline_coords(e.geometry),
+            {"edge_id": e.id, "component_id": e.component_id, "infra_category": e.infra_category},
+            feature_id=e.id,
+        )
+
+
+# coordinates whose spelling is easy to get wrong (signed zeros, exponent
+# reprs at 6 decimals, half-way cases), and any others in a city's range
+COORD = st.sampled_from([0.0, -0.0, 5e-07, -3.4e-05, 1.5e-06, 0.1234565, 1.0000005, 12.3456785]) | st.floats(-1e4, 1e4)
+
+
+@st.composite
+def component_graphs(draw):
+    # chains of 2-4 vertices around an origin; an edge may start within the
+    # snap tolerance of an earlier edge's end, so that its endpoint snaps
+    # onto that node and the two edges share a component
+    x0, y0 = draw(st.sampled_from([(0.0, 0.0), (400000.0, 5800000.0), (-12.5, 3.75)]))
+    tolerance = draw(st.sampled_from([0.0, 0.001, 5.0]))
+    ids = draw(st.lists(EDGE_ID, min_size=1, max_size=6, unique=True))
+    edges, ends = [], []
+    for eid in ids:
+        if ends and draw(st.booleans()):
+            x, y = draw(st.sampled_from(ends))
+            near = st.floats(-tolerance / 2, tolerance / 2)
+            coords = [(x + draw(near), y + draw(near))]
+        else:
+            coords = [(x0 + draw(COORD), y0 + draw(COORD))]
+        for _ in range(draw(st.integers(1, 3))):
+            xy = (x0 + draw(COORD), y0 + draw(COORD))
+            if xy != coords[-1]:
+                coords.append(xy)
+        if len(coords) < 2:
+            coords.append((coords[0][0] + 1.0, coords[0][1]))
+        category = draw(st.sampled_from(["protected", "unprotected", 'a "quoted" one', "stra\u00dfe"]))
+        edges.append(make_edge(eid, coords, infra=category))
+        ends.append(coords[-1])
+    return graph.build_graph(Dataset("d", edges), tolerance)
+
+
+@given(g=component_graphs())
+@settings(deadline=None)
+def test_component_lines_equal_the_encoded_features_of_the_graph(g):
+    encoded = [featureio.encode(f) for f in _reference_component_features(g)]
+    assert feature_lines(pipeline._component_lines(g)) == encoded
+    # blocks of 2 bytes: one edge a block
+    with mock.patch.object(pipeline, "_LINE_BLOCK", 2):
+        assert list(map(bytes, pipeline._component_lines(g))) == [line.encode() for line in encoded]
+
+
 def test_match_run_builds_no_segment_feature_dicts(tmp_path, monkeypatch):
     calls = Counter()
-    real = featureio.line_feature
+    for name in ("line_feature", "point_feature", "polygon_feature"):
 
-    def counting(*args, **kwargs):
-        calls["line_feature"] += 1
-        return real(*args, **kwargs)
+        def counting(*args, _name=name, _real=getattr(featureio, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(featureio, "line_feature", counting)
+        monkeypatch.setattr(featureio, name, counting)
     config = str(demo_config(tmp_path))
     assert cli_main(["match", "--config", config, "--out", str(tmp_path / "match")]) == 0
     assert (tmp_path / "match" / "segments_candidate.geojson").stat().st_size > 10**5
     assert calls["line_feature"] == 0
-    # the counter sees the layers that still build features
+    # nor does a structure run build component feature dicts
     assert cli_main(["structure", "--config", config, "--out", str(tmp_path / "structure")]) == 0
-    assert calls["line_feature"] > 0
+    assert (tmp_path / "structure" / "components_candidate.geojson").stat().st_size > 10**3
+    assert calls["line_feature"] == 0
+    # the counters see the layers that still build features
+    assert calls["polygon_feature"] > 0 and calls["point_feature"] > 0
 
 
 @pytest.mark.parametrize("tiny", [1e-15, -1e-15, 4e-10])
