@@ -13,8 +13,8 @@ sequences, inside one RFC 7946 ``FeatureCollection``), then the footer
 line, so a layer is never held in memory whole. ``write_feature_lines`` is
 that one framing loop; it takes features already encoded as ASCII bytes,
 one line each or blocks of lines joined by ``,\\n``, so a producer that
-formats its lines itself (the segment and component layers, from
-columns) writes the same bytes as ``encode`` of its features would.
+formats its lines itself (every layer netqa writes, from columns) writes
+the same bytes as ``encode`` of its features would.
 
 Such a producer spells its numbers with ``decimal_text`` and
 ``integer_text``: array kernels that turn a column into a byte matrix
@@ -42,8 +42,6 @@ __all__ = [
     "round_metric",
     "polyline_coords",
     "line_feature",
-    "point_feature",
-    "polygon_feature",
     "encode",
     "decimal_text",
     "integer_text",
@@ -74,23 +72,6 @@ def line_feature(coords, properties, feature_id=None) -> dict:
     return feat
 
 
-def point_feature(x, y, properties) -> dict:
-    return {
-        "type": "Feature",
-        "geometry": {"type": "Point", "coordinates": [round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)]},
-        "properties": properties,
-    }
-
-
-def polygon_feature(rings, properties) -> dict:
-    coords = []
-    for ring in rings:
-        closed = [[round(v.x, COORD_DECIMALS), round(v.y, COORD_DECIMALS)] for v in ring]
-        closed.append(closed[0])
-        coords.append(closed)
-    return {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": coords}, "properties": properties}
-
-
 # compact separators and no indent: ``encode`` runs the C encoder
 encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -104,13 +85,18 @@ def _words() -> np.ndarray:
     trailing ones ("042" for 420). The spelling of 0 is blank in the last
     two; ``_ZERO`` is "0".
     """
-    i = np.arange(10000, dtype=np.int16)
+    # copies of the ten digits, not arithmetic on 0..9999: no array is
+    # larger than the table, and no NumPy kernel is used that a run needs
+    # anyway. Each kernel a run uses first maps more of NumPy's library
+    # into its memory (64 KB and more), so the spellers keep to few kernels.
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
     words = np.zeros((_ZERO + 1, 4), dtype=np.uint8)
     full, lead, tail = words[:_LEAD], words[_LEAD:_TAIL], words[_TAIL:_ZERO]
     for col, place in enumerate((1000, 100, 10, 1)):
-        full[:, col] = i // place % 10 + ord("0")
-        lead[:, col] = np.where(i >= place, full[:, col], 0)
-        tail[:, col] = np.where(i % (10 * place) > 0, full[:, col], 0)
+        full[:, col] = np.tile(np.repeat(digits, place), 1000 // place)  # the digit (i // place) % 10
+        lead[place:, col] = full[place:, col]  # from i = place on
+        tail[:, col] = full[:, col]
+        tail[:: 10 * place, col] = 0  # where i % (10 * place) == 0
     words[_ZERO, 0] = ord("0")
     return words.view(np.uint32).ravel()
 
@@ -129,7 +115,7 @@ def _spell_whole(n: np.ndarray, out: np.ndarray) -> None:
     zero = n == 0
     for k in range(out.shape[1] - 1, -1, -1):  # least significant word first
         n, limb = np.divmod(n, 10000)
-        out[:, k] = _words().take(limb + _LEAD * (n == 0))
+        out[:, k] = _words().take(np.where(n == 0, limb + _LEAD, limb))  # where, not a product: see _words
     out[zero, -1] = _words()[_ZERO]
 
 
@@ -142,7 +128,7 @@ def _spell_fraction(n: np.ndarray, digits: int, out: np.ndarray) -> None:
     for k in range(out.shape[1] - 1, -1, -1):
         n, limb = np.divmod(n, 10000)
         out[:, k] = _words().take(limb + table)
-        table *= limb == 0
+        table = np.where(limb == 0, table, 0)  # where, not a product: see _words
     out[zero, 0] = _words()[_ZERO]
 
 
@@ -154,9 +140,10 @@ def integer_text(values) -> np.ndarray:
     digits.
     """
     v = np.asarray(values, dtype=np.int64)
-    n = np.abs(v)
+    n = np.where(v < 0, 0 - v, v)  # not np.abs: a kernel nothing else loads
     out = np.empty((len(v), 1 + _limbs(n)), dtype=np.uint32)
-    out[:, 0] = np.where(v < 0, _MINUS, 0)
+    out[:, 0] = 0
+    out[v < 0, 0] = _MINUS
     _spell_whole(n, out[:, 1:])
     return out.view(np.uint8)
 
@@ -206,7 +193,8 @@ def decimal_text(values, decimals: int) -> np.ndarray:
     odd = [(k, encode(round(float(v[k]), decimals)).encode()) for k in np.flatnonzero(~plain)]
     w, f = _limbs(whole), -(-max(decimals, 1) // 4)  # round(v, 0) is spelled with ".0"
     out = np.empty((len(v), max([2 + w + f] + [-(-len(t) // 4) for _, t in odd])), dtype=np.uint32)
-    out[:, 0] = np.where(np.signbit(v), _MINUS, 0)
+    out[:, 0] = 0
+    out[np.signbit(v), 0] = _MINUS
     _spell_whole(whole, out[:, 1 : 1 + w])
     out[:, 1 + w] = _POINT
     _spell_fraction(fraction, max(decimals, 1), out[:, 2 + w : 2 + w + f])

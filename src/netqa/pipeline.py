@@ -3,11 +3,10 @@
 Stages run in dependency order (ingest, graph, grid, density, structure,
 matching, tags, autocorrelation); each subcommand executes only its stage
 plus prerequisites. A stage registers each output layer as a producer: a
-zero-argument callable returning an iterable of features, built from the
-stage's results, or of blocks of encoded feature lines (the segment and
-component layers, spelled from columns). All files are written together
-at the end (the ``write`` stage), each layer streamed from its producer
-while its file is written, so no layer is held in memory whole. They go
+zero-argument callable returning an iterable of blocks of encoded feature
+lines, spelled from columns of the stage's results. All files are written
+together at the end (the ``write`` stage), each layer streamed from its
+producer while its file is written, so no layer is held in memory whole. They go
 into a temporary directory beside the output directory and are moved into
 place only once all of them are written, so neither a failing stage nor a
 failed write leaves partial files behind or destroys a previous run's
@@ -27,7 +26,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, astuple, dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -293,29 +292,16 @@ def _tag_spec(entry, key: str) -> tags.TagSpec:
     return tags.TagSpec(name=name, keys=tuple(keys))
 
 
-def _cell_key(cell_id) -> str:
-    return f"{cell_id[0]},{cell_id[1]}"
-
-
 def _parse_cell_key(text: str):
     q, r = text.split(",")
     return (int(q), int(r))
 
 
 # ---------------- output layers ----------------
-# Generators over a stage's results, bound with functools.partial into the
-# producers that Pipeline.outputs holds; each runs while its file is written.
-# partial binds its arguments at once: a closure over the stages' loop
-# variables (role, scheme, metric) would give every layer the last value.
-
-
-def _undershoot_features(g, undershoots):
-    for u in undershoots:
-        at = g.nodes[u.node_id].location
-        yield featureio.point_feature(
-            at.x, at.y, {"node_id": u.node_id, "nearest_edge_id": u.nearest_edge_id, "gap_m": _r(u.gap_distance)}
-        )
-
+# Each layer is spelled from columns, in blocks of encoded lines, by a
+# producer that Pipeline.outputs holds and that runs while its file is
+# written. functools.partial binds its arguments at once: a closure over the
+# stages' loop variables (role, scheme, metric) would see their last value.
 
 # Bytes of the matrix one block of rows is spelled into. Spelling a block
 # holds about twice that (the matrix, then the block's text), so it sets
@@ -330,19 +316,24 @@ def _text_rows(texts) -> np.ndarray:
 
 
 _NULL = _text_rows(["null"])[0]
+_BOOLEANS = _text_rows(["false", "true"])
 # what opens a vertex of a component line: row 1 on an edge's first vertex
 _VERTEX_HEADS = _text_rows(["[", '{"geometry":{"coordinates":[['])
+_NESTING = {"Point": ("[", "]"), "LineString": ("[[", "]]"), "Polygon": ("[[[", "]]]")}  # around _vertex_parts
 
 
 def _side_by_side(parts, n: int) -> bytearray:
     """``n`` rows of text as one zero-padded byte matrix: each part, a
-    literal (``bytes``) or a ``uint8`` matrix of ``n`` rows, fills the
-    next columns."""
-    at = np.cumsum([0] + [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]).tolist()
-    text = bytearray(n * at[-1])
-    block = np.frombuffer(text, dtype=np.uint8).reshape(n, at[-1])
-    for part, a, b in zip(parts, at, at[1:]):
-        block[:, a:b] = np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
+    literal (``bytes``) or a ``uint8`` matrix of ``n`` rows, fills the next
+    columns. The literals are laid out once, in a row repeated ``n`` times."""
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
+    text = bytearray(b"".join(p if isinstance(p, bytes) else bytes(w) for p, w in zip(parts, widths))) * n
+    block = np.frombuffer(text, dtype=np.uint8).reshape(n, sum(widths))
+    at = 0
+    for part, width in zip(parts, widths):
+        if not isinstance(part, bytes):
+            block[:, at : at + width] = part
+        at += width
     return text
 
 
@@ -355,16 +346,67 @@ def _block_text(matrix: bytearray) -> bytearray:
     return text
 
 
-def _component_lines(g):
-    """The component layer of a graph: one encoded feature per edge, in
-    blocks of lines joined by ``,\\n``.
+def _vertex_parts(xy: np.ndarray) -> list:
+    """``_side_by_side`` parts of the vertices ``xy`` (n, k, 2): ``x,y`` at 6
+    decimals each, joined by ``],[``, a geometry's text inside its brackets."""
+    text = featureio.decimal_text(xy.ravel(), featureio.COORD_DECIMALS).reshape(*xy.shape, -1)
+    parts = [text[:, 0, 0], b",", text[:, 0, 1]]
+    for i in range(1, xy.shape[1]):
+        parts += [b"],[", text[:, i, 0], b",", text[:, i, 1]]
+    return parts
 
-    Each line is ``featureio.encode`` of the edge's ``line_feature`` (its
-    vertices rounded by ``polyline_coords``, its id, component and
-    category), byte for byte, without building the feature: the
-    coordinates are spelled from ``g.vertices`` by
-    ``featureio.decimal_text``, and the values of the keys after the
-    geometry by ``encode``.
+
+def _feature_lines(kind: str, n: int, spell):
+    """``n`` features with ``kind`` geometries, in blocks of lines; ``spell(rows)``
+    gives a block's vertex text parts and a ``uint8`` matrix of each
+    property's value text. A block's matrix is about ``_LINE_BLOCK`` bytes
+    at the width of the block before (512 bytes a line for the first)."""
+    lo, step = 0, max(1, _LINE_BLOCK >> 9)
+    while lo < n:
+        hi = min(lo + step, n)
+        text, size = _feature_block(kind, slice(lo, hi), spell)
+        lo, step = hi, max(1, _LINE_BLOCK * (hi - lo) // size)
+        yield text
+
+
+def _feature_block(kind: str, rows: slice, spell) -> tuple:
+    """The lines of features ``rows``, each ``featureio.encode`` of its
+    feature byte for byte, and the bytes of the matrix they were spelled in."""
+    vertices, properties = spell(rows)
+    opening, closing = _NESTING[kind]
+    parts = [f'{{"geometry":{{"coordinates":{opening}'.encode(), *vertices]
+    head = f'{closing},"type":"{kind}"}},"properties":{{'
+    for key in sorted(properties):  # encode's key order
+        parts += [f"{head}{featureio.encode(key)}:".encode(), properties[key]]
+        head = ","
+    parts.append(b'},"type":"Feature"},\n')
+    matrix = _side_by_side(parts, rows.stop - rows.start)
+    del vertices, properties, parts  # the columns go before the matrix is read
+    return _block_text(matrix), len(matrix)
+
+
+def _undershoot_lines(g, undershoots):
+    """One Point feature per undershoot, at its dangling node."""
+    at = [g.nodes[u.node_id].location for u in undershoots]
+    xy = np.array([(p.x, p.y) for p in at], dtype=float).reshape(-1, 1, 2)
+    gaps = np.array([u.gap_distance for u in undershoots], dtype=float)
+    nodes = np.array([u.node_id for u in undershoots], dtype=np.int64)
+    edges = _text_rows([featureio.encode(u.nearest_edge_id) for u in undershoots])
+
+    def spell(rows):
+        gap, node = featureio.decimal_text(gaps[rows], featureio.METRIC_DECIMALS), featureio.integer_text(nodes[rows])
+        return _vertex_parts(xy[rows]), {"gap_m": gap, "nearest_edge_id": edges[rows], "node_id": node}
+
+    return _feature_lines("Point", len(undershoots), spell)
+
+
+def _component_lines(g):
+    """The component layer of a graph: one line per edge, ``featureio.encode``
+    of its ``line_feature`` (vertices rounded by ``polyline_coords``, id,
+    component and category), byte for byte. An edge has any number of
+    vertices, so its matrix has a row per vertex, not per feature as in
+    ``_feature_lines``: ``_vertex_parts`` of ``g.vertices``, with the
+    feature's opening on an edge's first vertex and the rest on its last.
     """
     edges, v = list(g.edges.values()), g.vertices
     # about 200 bytes a vertex row: 28 of head, two coordinates of 24 and
@@ -379,8 +421,7 @@ def _component_matrix(edges, v, rows) -> bytearray:
     row opens its feature, its last row closes it."""
     first, last = v.first[rows], v.last[rows]
     lo, hi = int(first[0]), int(last[-1]) + 1
-    xy = np.stack([v.x[lo:hi], v.y[lo:hi]], 1).ravel()
-    x, y = featureio.decimal_text(xy, featureio.COORD_DECIMALS).reshape(hi - lo, 2, -1).transpose(1, 0, 2)
+    vertices = _vertex_parts(np.stack([v.x[lo:hi], v.y[lo:hi]], 1)[:, None])
     opens = np.zeros(hi - lo, dtype=np.intp)
     opens[first - lo] = 1
     # the feature's keys after "geometry", in encode's order; each distinct
@@ -395,93 +436,103 @@ def _component_matrix(edges, v, rows) -> bytearray:
     closes = np.zeros((hi - lo, tails.shape[1]), dtype=np.uint8)
     closes[:, :2] = np.frombuffer(b"],", dtype=np.uint8)
     closes[last - lo] = tails
-    return _side_by_side((_VERTEX_HEADS[opens], x, b",", y, closes), hi - lo)
+    return _side_by_side((_VERTEX_HEADS[opens], *vertices, closes), hi - lo)
 
 
 def _segment_lines(table):
-    """The segment layer of a ``MatchTable``: one encoded feature per row,
-    in blocks of lines joined by ``,\\n``.
-
-    Each line is ``featureio.encode`` of the row's feature, byte for byte,
-    without building the feature; ``_segment_matrix`` spells the rows a
-    block at a time. The text that depends on a row's edge alone (its
-    encoded id) or on its match's edge alone (the matched flag and the
-    encoded id, or ``false`` and ``null``) is spelled once per edge, with
-    the literal text around it.
-    """
+    """One LineString feature per row of a ``MatchTable``; each edge id is
+    encoded once, and each group of number columns spelled by one
+    ``decimal_text`` or ``integer_text`` call a block."""
     segs, targets = table.segments, table.targets
-    edges = _text_rows(f',"edge_id":{featureio.encode(i)},"hausdorff_m":' for i in segs.edge_ids)
-    matches = _text_rows(
-        [f',"matched":true,"matched_edge_id":{featureio.encode(i)},"matched_segment_index":' for i in targets.edge_ids]
-        + [',"matched":false,"matched_edge_id":null,"matched_segment_index":']  # row -1: unmatched
-    )
-    # 153 bytes of literal text, 8 numbers of about 24 bytes and 2 indices of 8
-    step = max(1, _LINE_BLOCK // (360 + edges.shape[1] + matches.shape[1]))
-    for lo in range(0, len(segs), step):
-        yield _block_text(_segment_matrix(table, edges, matches, slice(lo, lo + step)))
+    edge_ids = _text_rows([featureio.encode(i) for i in segs.edge_ids])
+    matched_ids = _text_rows([featureio.encode(i) for i in targets.edge_ids] + ["null"])  # row -1: unmatched
+
+    def spell(rows):
+        j = table.target[rows]
+        n, matched = len(j), j >= 0
+        # not targets.edge[j]: j is -1 where unmatched, and there may be no targets
+        target_edge, target_index = np.full(n, -1), np.zeros(n, dtype=np.int64)
+        target_edge[matched], target_index[matched] = targets.edge[j[matched]], targets.index[j[matched]]
+        metrics = np.stack([segs.length[rows], table.angle[rows], table.hausdorff[rows], table.midpoint_dist[rows]], 1)
+        metrics = featureio.decimal_text(metrics.ravel(), featureio.METRIC_DECIMALS).reshape(n, 4, -1)
+        index = featureio.integer_text(np.stack([segs.index[rows], target_index], 1).ravel()).reshape(n, 2, -1)
+        for match_values in (metrics[:, 1:], index[:, 1:]):
+            match_values[~matched] = 0
+            match_values[~matched, :, : len(_NULL)] = _NULL
+        return _vertex_parts(segs.ends[rows].reshape(n, 2, 2)), {
+            "angle_deg": metrics[:, 1],
+            "edge_id": edge_ids[segs.edge[rows]],
+            "hausdorff_m": metrics[:, 2],
+            "length_m": metrics[:, 0],
+            "matched": _BOOLEANS[matched.view(np.uint8)],
+            "matched_edge_id": matched_ids[target_edge],
+            "matched_segment_index": index[:, 1],
+            "midpoint_dist_m": metrics[:, 3],
+            "segment_index": index[:, 0],
+        }
+
+    return _feature_lines("LineString", len(segs), spell)
 
 
-def _segment_matrix(table, edges, matches, rows) -> bytearray:
-    """The segment lines of table rows ``rows``, as a zero-padded byte matrix.
+def _cell_text(grid) -> tuple:
+    """The text the grid and LISA layers share, spelled once per grid in
+    ``grid.cell_ids`` order: each cell's row, its hexagon ring closed by its
+    first vertex (``_vertex_parts``) and its ``cell_id``, ``q`` and ``r``."""
+    n = len(grid.cell_ids)
+    q, r = featureio.integer_text(np.ravel(grid.cell_ids)).reshape(n, 2, -1).transpose(1, 0, 2)
+    rings = np.array([[(v.x, v.y) for v in grid.cells[cell].polygon] for cell in grid.cell_ids], dtype=float)
 
-    The rows are spelled side by side: the columns of numbers by
-    ``featureio.decimal_text`` and ``integer_text``, with ``null`` for an
-    unmatched row's match values, the rows of ``edges`` and ``matches``
-    that belong to each row, and the literal text between them. The
-    matrix's non-zero bytes are the lines, each ending in ``,\\n``.
-    """
-    segs, targets, j = table.segments, table.targets, table.target[rows]
-    matched = j >= 0
-    unmatched = ~matched
-    target_edge = np.full(len(j), -1)
-    target_edge[matched] = targets.edge[j[matched]]
-    target_index = np.zeros(len(j), dtype=np.int64)
-    target_index[matched] = targets.index[j[matched]]
-    ends = featureio.decimal_text(segs.ends[rows].ravel(), featureio.COORD_DECIMALS).reshape(len(j), 4, -1)
-    metrics = np.stack([segs.length[rows], table.angle[rows], table.hausdorff[rows], table.midpoint_dist[rows]], 1)
-    metrics = featureio.decimal_text(metrics.ravel(), featureio.METRIC_DECIMALS).reshape(len(j), 4, -1)
-    index = featureio.integer_text(np.stack([segs.index[rows], target_index], 1).ravel()).reshape(len(j), 2, -1)
-    for match_values in (metrics[:, 1:], index[:, 1:]):
-        match_values[unmatched] = 0
-        match_values[unmatched, :, : len(_NULL)] = _NULL
-    (x1, y1, x2, y2), (length, angle, hausdorff, distance) = ends.transpose(1, 0, 2), metrics.transpose(1, 0, 2)
-    parts = (
-        b'{"geometry":{"coordinates":[[', x1, b",", y1, b"],[", x2, b",", y2,
-        b']],"type":"LineString"},"properties":{"angle_deg":', angle, edges[segs.edge[rows]], hausdorff,
-        b',"length_m":', length, matches[target_edge], index[:, 1],
-        b',"midpoint_dist_m":', distance, b',"segment_index":', index[:, 0], b'},"type":"Feature"},\n',
-    )
-    return _side_by_side(parts, len(j))
+    def matrix(parts):
+        return np.frombuffer(_side_by_side(parts, n), dtype=np.uint8).reshape(n, -1)
+
+    rings = matrix(_vertex_parts(np.concatenate([rings, rings[:, :1]], axis=1)))
+    ids = {"cell_id": matrix((b'"', q, b",", r, b'"')), "q": q, "r": r}
+    return {cell: i for i, cell in enumerate(grid.cell_ids)}, rings, ids
 
 
-def _lisa_features(grid, lisa):
-    for cell in lisa.local_i:
-        yield featureio.polygon_feature(
-            [grid.cells[cell].polygon],
-            {
-                "cell_id": _cell_key(cell),
-                "local_i": _r(lisa.local_i[cell], 12),
-                "quadrant": lisa.quadrant[cell],
-                "pseudo_p": _r(lisa.pseudo_p[cell], 6),
-                "significant": lisa.significant[cell],
-            },
-        )
+def _lisa_lines(cell_text, lisa):
+    """One Polygon feature per cell of a ``LisaResult``, in its order."""
+    (row, rings, ids), cells = cell_text(), list(lisa.local_i)
+    at = np.array([row[cell] for cell in cells], dtype=np.intp)
+    local_i, pseudo_p = (np.array([d[cell] for cell in cells], dtype=float) for d in (lisa.local_i, lisa.pseudo_p))
+    significant = np.array([lisa.significant[cell] for cell in cells], dtype=bool)
+    kinds = {}  # each distinct quadrant -> its row in ``quadrants``, encoded once
+    quadrant = np.array([kinds.setdefault(lisa.quadrant[cell], len(kinds)) for cell in cells], dtype=np.intp)
+    quadrants = _text_rows(map(featureio.encode, kinds))
+
+    def spell(rows):
+        return [rings[at[rows]]], {
+            "cell_id": ids["cell_id"][at[rows]],
+            "local_i": featureio.decimal_text(local_i[rows], 12),
+            "pseudo_p": featureio.decimal_text(pseudo_p[rows], 6),
+            "quadrant": quadrants[quadrant[rows]],
+            "significant": _BOOLEANS[significant[rows].view(np.uint8)],
+        }
+
+    return _feature_lines("Polygon", len(cells), spell)
 
 
-def _grid_features(grid, grid_fields):
-    names = sorted(grid_fields)
-    for cell_id in sorted(grid.cells):
-        props = {"cell_id": _cell_key(cell_id), "q": cell_id[0], "r": cell_id[1]}
-        for name in names:
-            value = grid_fields[name].get(cell_id)
-            props[name] = _r(value, 9) if value is not None else None
-        yield featureio.polygon_feature([grid.cells[cell_id].polygon], props)
+def _grid_lines(cell_text, grid_fields):
+    """One Polygon feature per grid cell, with each field of ``grid_fields`` (``null`` where it has no value)."""
+    (row, rings, ids), names = cell_text(), sorted(grid_fields)
+    raw = [[grid_fields[name].get(cell) for name in names] for cell in row]
+    shape = (len(raw), len(names))
+    missing = np.array([[value is None for value in values] for values in raw], dtype=bool).reshape(shape)
+    values = np.array(raw, dtype=float).reshape(shape)  # None becomes NaN, spelled null where missing
+
+    def spell(rows):
+        text = featureio.decimal_text(values[rows].ravel(), featureio.METRIC_DECIMALS)
+        text = text.reshape(rows.stop - rows.start, len(names), -1)
+        text[missing[rows]] = 0
+        text[missing[rows], : len(_NULL)] = _NULL
+        properties = {key: column[rows] for key, column in ids.items()}
+        return [rings[rows]], properties | dict(zip(names, text.transpose(1, 0, 2)))
+
+    return _feature_lines("Polygon", len(raw), spell)
 
 
 def _write_file(path, kind: str, payload) -> None:
-    if kind == "fc":
-        featureio.write_feature_collection(path, payload())
-    elif kind == "lines":
+    if kind == "lines":
         featureio.write_feature_lines(path, payload())
     elif kind == "csv":
         featureio.write_csv(path, *payload)
@@ -510,9 +561,9 @@ class Pipeline:
         self._cache = {}
         self.grid_fields: dict[str, dict] = {}  # field name -> {cell_id: value}
         self.summary: dict = {"configuration": cfg.resolved()}
-        # file name -> ("fc", feature producer), ("lines", encoded-line
-        # producer) or ("csv", (header, rows))
+        # file name -> ("lines", encoded-line producer) or ("csv", (header, rows))
         self.outputs: dict[str, tuple] = {}
+        self.cell_text = cache(lambda: _cell_text(self.grid()))  # spelled on first use
         # wall seconds of each stage's first computation, less those of the
         # stages it computed first; recorded in run_info.json
         self.stage_seconds: dict[str, float] = {}
@@ -704,7 +755,7 @@ class Pipeline:
                     "largest_component_share_pct": _r(100.0 * largest_m / total_m if total_m else 0.0, 6),
                 }
                 self._add_grid_field(f"component_count_{role}", counts)
-                self.outputs[f"undershoots_{role}.geojson"] = ("fc", partial(_undershoot_features, g, undershoots))
+                self.outputs[f"undershoots_{role}.geojson"] = ("lines", partial(_undershoot_lines, g, undershoots))
                 self.outputs[f"components_{role}.geojson"] = ("lines", partial(_component_lines, g))
                 self.outputs[f"zipf_{role}.csv"] = (
                     "csv",
@@ -821,7 +872,8 @@ class Pipeline:
                         "n_permutations": moran.n_permutations,
                         "significant_cells": sum(1 for v in lisa.significant.values() if v),
                     }
-                    self.outputs[f"lisa_{label}_{metric}.geojson"] = ("fc", partial(_lisa_features, grid, lisa))
+                    layer = partial(_lisa_lines, self.cell_text, lisa)
+                    self.outputs[f"lisa_{label}_{metric}.geojson"] = ("lines", layer)
             if cfg.population_path is not None:
                 self._population_correlations()
             return results
@@ -904,7 +956,7 @@ class Pipeline:
         self._cross_check(summary_json)
         files = []
         if self.grid_fields:
-            files.append(("grid_metrics.geojson", "fc", partial(_grid_features, self.grid(), self.grid_fields)))
+            files.append(("grid_metrics.geojson", "lines", partial(_grid_lines, self.cell_text, self.grid_fields)))
         files += [(name, *self.outputs[name]) for name in sorted(self.outputs)]
         files.append(("summary.json", "json", summary_json))
         files.append(("summary.txt", "text", partial(render_text_summary, summary_json)))

@@ -252,8 +252,10 @@ def _global_batch(zs: list, w: SpatialWeights, s0: float, n_perm: int, seed: int
 
     Permutation j relabels every metric by the same ``rng.permutation(n)``:
     ``z[perm]`` has the bits of ``rng.permutation(z)`` from the same state.
-    Permutations are drawn in blocks; a block's permutations, permuted
-    values, lags and lag terms hold at most ``_BLOCK_ELEMENTS`` elements.
+    A block of permutations is one ``rng.permuted`` call over rows of
+    ``arange(n)``, the draws of one ``rng.permutation(n)`` a row; its
+    permutations, permuted values, lags and lag terms hold at most
+    ``_BLOCK_ELEMENTS`` elements.
     """
     if not zs:
         return []
@@ -266,7 +268,7 @@ def _global_batch(zs: list, w: SpatialWeights, s0: float, n_perm: int, seed: int
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_ELEMENTS // (4 * n))
     for lo in range(0, n_perm, block):
-        perms = np.array([rng.permutation(n) for _ in range(min(block, n_perm - lo))])
+        perms = rng.permuted(np.broadcast_to(np.arange(n), (min(block, n_perm - lo), n)), axis=1)
         for m, z in enumerate(zs):
             sims = _moran_rows(z[perms], nbr, wt, s0)
             extreme[m] += int((np.abs(sims - expected) >= thresholds[m]).sum())

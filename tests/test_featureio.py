@@ -8,18 +8,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from netqa import featureio
-from netqa.geometry import Point2D
 
 HEADER = '{"features":['
 FOOTER = '],"type":"FeatureCollection"}'
 
 
 def sample_features():
-    square = [Point2D(0.0, 0.0), Point2D(1.0, 0.0), Point2D(1.0, 1.0)]
+    # a point, a line with an id and a polygon, its ring closed by its first vertex
     return [
-        featureio.point_feature(1.23456789, -2.0, {"node_id": 3, "gap_m": 0.5, "note": None}),
+        {
+            "type": "Feature",
+            "geometry": {"type": "Point", "coordinates": [1.234568, -2.0]},
+            "properties": {"node_id": 3, "gap_m": 0.5, "note": None},
+        },
         featureio.line_feature([[0.0, 0.0], [10.0, 0.0]], {"name": "Straße\n2", "matched": True}, feature_id="e1"),
-        featureio.polygon_feature([square], {"cell_id": "0,-1", "values": [1, 2.5, None]}),
+        {
+            "type": "Feature",
+            "geometry": {"type": "Polygon", "coordinates": [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]]},
+            "properties": {"cell_id": "0,-1", "values": [1, 2.5, None]},
+        },
     ]
 
 

@@ -6,7 +6,9 @@ import math
 import shutil
 import tempfile
 from collections import Counter
+from functools import cache, partial
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netqa import completeness, featureio, graph, hexgrid, pipeline, spatial
+from netqa import completeness, featureio, graph, hexgrid, ingest, pipeline, spatial
 from netqa.cli import main as cli_main
 from netqa.errors import ConfigError, PipelineError
 from netqa.geometry import Point2D, Segment
+from netqa.graph import Undershoot
+from netqa.hexgrid import HexCell, HexGrid
 from netqa.ingest import Dataset
 from netqa.matching import (
     MatchConfig,
@@ -376,8 +380,8 @@ def test_outputs_hold_producers_bound_to_their_role(tmp_path):
         stage()
         for name, (kind, payload) in pipe.outputs.items():
             if name.endswith(".geojson"):
-                # the segment and component layers are produced as encoded lines
-                assert kind == ("lines" if name.startswith(("segments_", "components_")) else "fc"), name
+                # every layer is produced as encoded lines
+                assert kind == "lines", name
                 assert callable(payload) and not isinstance(payload, list), name
             else:
                 assert kind == "csv", name
@@ -390,8 +394,10 @@ def test_outputs_hold_producers_bound_to_their_role(tmp_path):
         components = feature_lines(pipe.outputs[f"components_{role}.geojson"][1]())
         assert components == feature_lines(pipe.outputs[f"components_{role}.geojson"][1]())
         assert [json.loads(line)["id"] for line in components] == list(graphs[role].edges)
-        for f in pipe.outputs[f"undershoots_{role}.geojson"][1]():
-            assert f["properties"]["nearest_edge_id"] in edge_ids
+        undershoots = feature_lines(pipe.outputs[f"undershoots_{role}.geojson"][1]())
+        assert undershoots == feature_lines(pipe.outputs[f"undershoots_{role}.geojson"][1]())
+        for line in undershoots:
+            assert json.loads(line)["properties"]["nearest_edge_id"] in edge_ids
 
 
 def test_structure_finds_components_once_per_role(tmp_path, monkeypatch):
@@ -730,15 +736,154 @@ def test_component_lines_equal_the_encoded_features_of_the_graph(g):
         assert list(map(bytes, pipeline._component_lines(g))) == [line.encode() for line in encoded]
 
 
+def _reference_point_feature(x, y, properties):
+    # the Point feature dict the undershoot layer once built
+    return {
+        "type": "Feature",
+        "geometry": {"type": "Point", "coordinates": [round(x, 6), round(y, 6)]},
+        "properties": properties,
+    }
+
+
+def _reference_polygon_feature(ring, properties):
+    # the Polygon feature dict the grid and LISA layers once built, its one
+    # ring closed by its first vertex
+    closed = [[round(v.x, 6), round(v.y, 6)] for v in ring]
+    closed.append(closed[0])
+    return {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [closed]}, "properties": properties}
+
+
+def _reference_undershoot_features(g, undershoots):
+    for u in undershoots:
+        at = g.nodes[u.node_id].location
+        properties = {"node_id": u.node_id, "nearest_edge_id": u.nearest_edge_id}
+        properties["gap_m"] = featureio.round_metric(u.gap_distance)
+        yield _reference_point_feature(at.x, at.y, properties)
+
+
+def _reference_lisa_features(grid, lisa):
+    for cell in lisa.local_i:
+        yield _reference_polygon_feature(
+            grid.cells[cell].polygon,
+            {
+                "cell_id": f"{cell[0]},{cell[1]}",
+                "local_i": featureio.round_metric(lisa.local_i[cell], 12),
+                "quadrant": lisa.quadrant[cell],
+                "pseudo_p": featureio.round_metric(lisa.pseudo_p[cell], 6),
+                "significant": lisa.significant[cell],
+            },
+        )
+
+
+def _reference_grid_features(grid, grid_fields):
+    names = sorted(grid_fields)
+    for cell_id in sorted(grid.cells):
+        props = {"cell_id": f"{cell_id[0]},{cell_id[1]}", "q": cell_id[0], "r": cell_id[1]}
+        for name in names:
+            value = grid_fields[name].get(cell_id)
+            props[name] = featureio.round_metric(value, 9) if value is not None else None
+        yield _reference_polygon_feature(grid.cells[cell_id].polygon, props)
+
+
+def lines_by_blocks(layer):
+    # a layer's lines in the default blocks, and with one line a block
+    lines = feature_lines(layer())
+    with mock.patch.object(pipeline, "_LINE_BLOCK", 2):
+        assert [bytes(block).decode("ascii") for block in layer()] == lines
+    return lines
+
+
+@st.composite
+def cell_layers(draw):
+    # a grid of drawn cells, negative q and r among them, around an origin;
+    # grid fields holding None, NaN, ints and awkward floats for some cells,
+    # named to sort before or after cell_id, q and r, to need escaping, or
+    # as q itself; and a LISA result over some of the cells in any order
+    x0, y0 = draw(st.sampled_from([(0.0, 0.0), (400000.0, 5800000.0), (-12.5, 3.75)]))
+    proto = HexGrid(Point2D(x0, y0), draw(st.sampled_from([740000.0, 10000.0, 2.5])), cells={})
+    ids = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=10, unique=True))
+    cells = {c: HexCell(center=proto.cell_center(*c), polygon=proto.cell_polygon(*c)) for c in ids}
+    grid = HexGrid(proto.origin, proto.cell_area, cells)
+    value = AWKWARD | st.none() | st.integers(-(2**70), 2**70)
+    names = ["a", "density_difference", "q", 'tag_"x"', "tag_stra\u00dfe", "zz"]
+    names = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+    fields = {name: {c: draw(value) for c in ids if draw(st.booleans())} for name in names}
+    order = draw(st.permutations(ids))[: draw(st.integers(0, len(ids)))]
+    quadrant = st.sampled_from(["HH", "HL", "LH", "LL", 'a "q"', "stra\u00dfe"])
+    lisa = spatial.LisaResult(
+        local_i={c: draw(AWKWARD) for c in order},
+        quadrant={c: draw(quadrant) for c in order},
+        pseudo_p={c: draw(AWKWARD) for c in order},
+        significant={c: draw(st.booleans()) for c in order},
+        alpha=0.05,
+        n_permutations=9,
+        seed=0,
+        scheme="knn6",
+    )
+    return grid, fields, lisa
+
+
+@given(case=cell_layers())
+@settings(deadline=None)
+def test_grid_and_lisa_lines_equal_the_encoded_features(case):
+    grid, fields, lisa = case
+    cell_text = cache(partial(pipeline._cell_text, grid))
+    grid_lines = lines_by_blocks(partial(pipeline._grid_lines, cell_text, fields))
+    assert grid_lines == [featureio.encode(f) for f in _reference_grid_features(grid, fields)]
+    lisa_lines = lines_by_blocks(partial(pipeline._lisa_lines, cell_text, lisa))
+    assert lisa_lines == [featureio.encode(f) for f in _reference_lisa_features(grid, lisa)]
+
+
+@st.composite
+def undershoot_layers(draw):
+    # none or a few undershoots at the nodes of a stand-in graph, with
+    # quoted and non-ASCII nearest edge ids and awkward gaps and coordinates
+    x0, y0 = draw(st.sampled_from([(0.0, 0.0), (400000.0, 5800000.0), (-12.5, 3.75)]))
+    node_ids = draw(st.lists(st.integers(0, 10**12), max_size=6, unique=True))
+    nodes = {i: SimpleNamespace(location=Point2D(x0 + draw(COORD), y0 + draw(COORD))) for i in node_ids}
+    undershoots = [Undershoot(i, draw(EDGE_ID), draw(AWKWARD)) for i in node_ids]
+    return SimpleNamespace(nodes=nodes), undershoots
+
+
+@given(case=undershoot_layers())
+def test_undershoot_lines_equal_the_encoded_features(case):
+    g, undershoots = case
+    lines = lines_by_blocks(partial(pipeline._undershoot_lines, g, undershoots))
+    assert lines == [featureio.encode(f) for f in _reference_undershoot_features(g, undershoots)]
+
+
+def test_a_layer_without_features_yields_no_block():
+    # as write_feature_collection of no features, the file is header and footer
+    grid = hexgrid.build_grid(ingest.load_study_area(DEMO / "study_area.geojson"), 740000.0)
+    lisa = spatial.LisaResult({}, {}, {}, {}, 0.05, 9, 0, "knn6")
+    assert list(pipeline._lisa_lines(cache(partial(pipeline._cell_text, grid)), lisa)) == []
+    assert list(pipeline._undershoot_lines(SimpleNamespace(nodes={}), [])) == []
+
+
+def test_a_full_run_spells_the_grid_rings_once(tmp_path, monkeypatch):
+    calls = []
+    real = pipeline._cell_text
+
+    def counting(grid):
+        calls.append(grid)
+        return real(grid)
+
+    monkeypatch.setattr(pipeline, "_cell_text", counting)
+    pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path)))
+    written = pipe.run_stage("full")
+    assert sum(name.startswith("lisa_") for name in written) > 1 and "grid_metrics.geojson" in written
+    assert calls == [pipe.grid()]
+
+
 def test_match_run_builds_no_segment_feature_dicts(tmp_path, monkeypatch):
     calls = Counter()
-    for name in ("line_feature", "point_feature", "polygon_feature"):
+    real = featureio.line_feature
 
-        def counting(*args, _name=name, _real=getattr(featureio, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def counting(*args, **kwargs):
+        calls["line_feature"] += 1
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(featureio, name, counting)
+    monkeypatch.setattr(featureio, "line_feature", counting)
     config = str(demo_config(tmp_path))
     assert cli_main(["match", "--config", config, "--out", str(tmp_path / "match")]) == 0
     assert (tmp_path / "match" / "segments_candidate.geojson").stat().st_size > 10**5
@@ -747,8 +892,10 @@ def test_match_run_builds_no_segment_feature_dicts(tmp_path, monkeypatch):
     assert cli_main(["structure", "--config", config, "--out", str(tmp_path / "structure")]) == 0
     assert (tmp_path / "structure" / "components_candidate.geojson").stat().st_size > 10**3
     assert calls["line_feature"] == 0
-    # the counters see the layers that still build features
-    assert calls["polygon_feature"] > 0 and calls["point_feature"] > 0
+    # the counter sees a feature built through featureio, as the layers once
+    # built theirs: one call per edge of the reference component features
+    g = Pipeline(RunConfig.from_file(config)).graphs()["candidate"]
+    assert len(list(_reference_component_features(g))) == calls["line_feature"] == len(g.edges) > 0
 
 
 @pytest.mark.parametrize("tiny", [1e-15, -1e-15, 4e-10])
