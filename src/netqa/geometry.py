@@ -54,9 +54,6 @@ class Point2D:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise GeometryError(f"non-finite coordinate ({self.x}, {self.y})")
 
-    def distance_to(self, other: "Point2D") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 @dataclass(frozen=True)
 class Polyline:
@@ -105,19 +102,6 @@ class Segment:
     @property
     def midpoint(self) -> Point2D:
         return Point2D((self.start.x + self.end.x) / 2.0, (self.start.y + self.end.y) / 2.0)
-
-    @property
-    def chord_length(self) -> float:
-        return self.start.distance_to(self.end)
-
-    @property
-    def bbox(self) -> tuple[float, float, float, float]:
-        return (
-            min(self.start.x, self.end.x),
-            min(self.start.y, self.end.y),
-            max(self.start.x, self.end.x),
-            max(self.start.y, self.end.y),
-        )
 
     @property
     def segment_id(self) -> tuple[str, int]:

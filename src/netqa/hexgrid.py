@@ -89,11 +89,6 @@ class HexGrid:
             for k in range(6)
         )
 
-    def cell_containing(self, pt: Point2D) -> tuple[int, int] | None:
-        """Axial id of the retained cell containing a point, if any."""
-        i = int(self.cells_at(np.array([pt.x]), np.array([pt.y]))[0])
-        return self.cell_ids[i] if i >= 0 else None
-
     def cells_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Position in ``cell_ids`` of the retained cell holding each point, or -1
         (cube rounding; ``np.rint`` rounds half to even, as ``round`` does)."""

@@ -31,7 +31,6 @@ __all__ = [
     "point_in_rings",
     "clip_polyline_to_polygon",
     "clip_lengths",
-    "ring_intersects_polygon",
     "rings_intersect_polygon",
 ]
 
@@ -138,10 +137,6 @@ class PolygonArea:
         bbox = (np.minimum(ecx, edx), np.maximum(ecx, edx), np.minimum(ecy, edy), np.maximum(ecy, edy))
         return _Slabs(ymin, scale, n_slabs - 1, every, starts, ecx, ecy, edx, edy, *bbox)
 
-    def contains(self, x: float, y: float) -> bool:
-        """Even-odd containment; equal to ``point_in_rings(x, y, self.rings)``."""
-        return bool(self.contains_many(np.array([x], dtype=float), np.array([y], dtype=float))[0])
-
     # an overflow gives +-inf silently, as Python's float arithmetic does
     @np.errstate(over="ignore")
     def contains_many(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -162,13 +157,6 @@ class PolygonArea:
             hits = point[x[lo:hi][point] < x_cross]
             inside[lo:hi] = np.bincount(hits, minlength=hi - lo) % 2 == 1
         return inside
-
-    def edges_near(self, xmin: float, ymin: float, xmax: float, ymax: float) -> list:
-        """Boundary edges (cx, cy, dx, dy) whose bbox meets the given bbox, each once."""
-        box = [np.array([v], dtype=float) for v in (xmin, ymin, xmax, ymax)]
-        _, e = self.near_pairs(*box)
-        s = self._slabs
-        return list(zip(s.cx[e].tolist(), s.cy[e].tolist(), s.dx[e].tolist(), s.dy[e].tolist()))
 
     def near_pairs(self, xmin, ymin, xmax, ymax) -> tuple[np.ndarray, np.ndarray]:
         """(box, entry) index arrays: for each box in order, the boundary
@@ -354,11 +342,3 @@ def rings_intersect_polygon(x: np.ndarray, y: np.ndarray, polygon: PolygonArea) 
         keep, t, u = _cross(*ends, s.cx[edge], s.cy[edge], s.dx[edge], s.dy[edge])
         hit[ring[keep][(0.0 <= t) & (t <= 1.0) & (0.0 <= u) & (u <= 1.0)]] = True
     return hit
-
-
-def ring_intersects_polygon(ring, polygon: PolygonArea) -> bool:
-    """Whether a simple ring and a polygon share any point
-    (``rings_intersect_polygon`` of one ring)."""
-    x = np.array([[v.x for v in ring]], dtype=float)
-    y = np.array([[v.y for v in ring]], dtype=float)
-    return bool(rings_intersect_polygon(x, y, polygon)[0])

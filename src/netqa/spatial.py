@@ -15,12 +15,14 @@ of them.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import WeightsError, ZeroVarianceError
-from .geometry import _ranges
+from .geometry import _blocks, _ranges
+from .spindex import SLACK, BucketJoin
 
 log = logging.getLogger(__name__)
 
@@ -108,6 +110,10 @@ class SpatialWeights:
         return np.bincount(self.row, weights=self.weight * z[self.col], minlength=len(z)).astype(float, copy=False)
 
 
+# Candidate pairs in one block of ``build_weights`` rows: caps memory, not results
+_BLOCK_PAIRS = 1 << 13
+
+
 def build_weights(centroids: dict, scheme: dict) -> SpatialWeights:
     """Build spatial weights over cell centroids.
 
@@ -121,7 +127,15 @@ def build_weights(centroids: dict, scheme: dict) -> SpatialWeights:
         ``knn_scheme(k)``, ``distance_band_scheme(d)`` or the same dict from
         a run config. KNN ties at equal distance break on cell id.
 
-    Distances are computed one row at a time: memory is O(n + nnz).
+    Neighbors come from one ``spindex.BucketJoin`` over the centroids: a
+    row keeps the cells of its box ± r·(1 + SLACK) at distance
+    ``sqrt((diff*diff).sum())`` ≤ r, all but itself. A band has r = d and
+    orders rows by index. KNN starts r where a disc holds k cells at the
+    extent's mean density and doubles it for the rows with fewer than k
+    others within it (a row's k nearest lie within any r that holds k);
+    rows are ordered by (distance, index) and cut to k. Rows are joined in
+    blocks of at most ``_BLOCK_PAIRS`` candidates (or one row alone) and cut
+    inside their block, so memory is O(n + nnz) plus one block.
     """
     if not centroids:
         raise WeightsError("no cells to build weights over")
@@ -132,36 +146,56 @@ def build_weights(centroids: dict, scheme: dict) -> SpatialWeights:
     coords = np.array(
         [(p.x, p.y) if hasattr(p, "x") else (p[0], p[1]) for p in pts], dtype=float
     )
-
-    k = d = None
+    if not np.isfinite(coords).all():
+        raise WeightsError("cell centroids must be finite")
+    w, h = np.ptp(coords, axis=0).tolist()
     if scheme["scheme"] == "knn":
         k = scheme["k"]
         if k < 1:
             raise WeightsError("knn needs k >= 1")
         if n <= k:
             raise WeightsError(f"knn with k={k} needs more than {k} cells, got {n}")
+        r = math.sqrt(w * h * k / (math.pi * n)) or max(w, h) * k / (2 * n) or 1.0
     else:
-        d = scheme["distance_m"]
-        if d <= 0:
+        k, r = None, scheme["distance_m"]
+        if not r > 0:
             raise WeightsError("distance band must be > 0")
-
-    rows = []
-    for i in range(n):
-        diff = coords[i] - coords
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        if k is None:
-            within = dist <= d
-            within[i] = False
-            rows.append(np.flatnonzero(within))
-        else:
-            dist[i] = np.inf
-            # the k least (distance, index) pairs lie within the k-th smallest
-            # distance; a stable sort of those keeps index order on ties
-            cand = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])
-            rows.append(cand[np.argsort(dist[cand], kind="stable")[:k]])
-    degrees = np.array([len(r) for r in rows], dtype=np.intp)
-    row = np.repeat(np.arange(n, dtype=np.intp), degrees)
-    col = np.concatenate(rows)
+    # any side finds every pair: half of r keeps boxes to 5 × 5 buckets, 1e-150 keeps x / side finite
+    join = BucketJoin(coords[:, 0], coords[:, 1], max(min(r * (1.0 + SLACK), max(w, h)) / 2.0, 1e-150))
+    degrees = np.full(n, k or 0)  # knn: k a row; a band counts each block's rows
+    nbr = np.empty((n, k or 0), dtype=np.intp)  # knn: each row's k neighbors
+    cols = []  # band: each block's neighbors, in row order
+    todo = np.arange(n)
+    while len(todo):
+        # above 1e-150 a difference's square does not underflow, so the box holds every cell within r
+        pad = max(r * (1.0 + SLACK), 1e-150)
+        box = (*(coords[todo] - pad).T, *(coords[todo] + pad).T)
+        # counted a chunk of rows at a time, so the join's run arrays stay small
+        chunks = range(0, len(todo), _BLOCK_PAIRS)
+        counts = np.concatenate([join.counts(*(b[c : c + _BLOCK_PAIRS] for b in box)) for c in chunks])
+        short = []
+        for lo, hi in _blocks(counts, _BLOCK_PAIRS):
+            q, j = join.pairs(*(b[lo:hi] for b in box))
+            i = todo[lo:hi]
+            diff = coords[i[q]] - coords[j]
+            dist = np.sqrt((diff * diff).sum(axis=1))
+            near = (dist <= r) & (j != i[q])
+            if k is None:
+                q, j = q[near], j[near]
+                degrees[i] = np.bincount(q, minlength=hi - lo)
+                cols.append(j[np.argsort(q * n + j)])
+            else:
+                full = np.bincount(q[near], minlength=hi - lo) >= k
+                keep = near & full[q]
+                q, j, dist = q[keep], j[keep], dist[keep]
+                order = np.lexsort((j, dist, q))
+                # q is grouped by row: a position less its row's first is a rank
+                nbr[i[full]] = j[order[np.arange(len(q)) - np.searchsorted(q, q) < k]].reshape(-1, k)
+                short.append(i[~full])
+        todo = np.concatenate(short) if short else todo[:0]
+        r *= 2.0
+    row = np.repeat(np.arange(n), degrees)
+    col = nbr.ravel() if k else np.concatenate(cols)
     islands = int((degrees == 0).sum())
     if islands:
         log.warning("%d cell(s) have no neighbors under scheme %s", islands, label)

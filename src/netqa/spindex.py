@@ -2,11 +2,11 @@
 
 This is the cell method for fixed-radius near neighbours (Bentley, Stanat
 and Williams 1977). Queries return a superset of the true hits and callers
-apply exact geometry afterwards. Matching, endpoint snapping and undershoot
-detection all go through ``BucketJoin``. ``GridIndex``, the old per-box
-dict index, has no caller left in netqa; it stays only because the traced
-benchmark run (perfbench/layers.py) patches ``GridIndex.query`` by name,
-and goes when that counter moves to ``BucketJoin.pairs``.
+apply exact geometry afterwards. Matching, snapping, undershoots and the
+weights builder all go through ``BucketJoin``. ``GridIndex``, the old
+per-box dict index, has no caller left in netqa; it stays only because
+the traced benchmark run (perfbench/layers.py) patches ``GridIndex.query``
+by name, and goes when that counter moves to ``BucketJoin.pairs``.
 """
 
 from __future__ import annotations
@@ -52,6 +52,23 @@ class BucketJoin:
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
 
+    def _runs(self, xmin, ymin, xmax, ymax):
+        # one run of keys per (query, occupied column): query, start, length
+        side = self.side
+        c0 = np.searchsorted(self.columns, np.floor(xmin / side), "left")
+        c1 = np.searchsorted(self.columns, np.floor(xmax / side), "right")
+        lo = np.searchsorted(self.rows, np.floor(ymin / side), "left")
+        hi = np.searchsorted(self.rows, np.floor(ymax / side), "right")
+        query, col = _ranges(c0, np.maximum(c1 - c0, 0))
+        base = col * len(self.rows)
+        start = np.searchsorted(self.keys, base + lo[query])
+        return query, start, np.maximum(np.searchsorted(self.keys, base + hi[query]) - start, 0)
+
+    def counts(self, xmin, ymin, xmax, ymax) -> np.ndarray:
+        """The number of points ``pairs`` gives each query box."""
+        query, _, length = self._runs(xmin, ymin, xmax, ymax)
+        return np.bincount(query, weights=length, minlength=len(xmin)).astype(np.intp)
+
     def pairs(self, xmin, ymin, xmax, ymax):
         """(query, point) index arrays: every point whose bucket lies in the
         bucket range of a query box, once, grouped by query in query order.
@@ -60,16 +77,8 @@ class BucketJoin:
         ``floor(xmax / side)``, and rows alike. Rounding is monotone, so a
         point inside a box is always in its range.
         """
-        side = self.side
-        c0 = np.searchsorted(self.columns, np.floor(xmin / side), "left")
-        c1 = np.searchsorted(self.columns, np.floor(xmax / side), "right")
-        lo = np.searchsorted(self.rows, np.floor(ymin / side), "left")
-        hi = np.searchsorted(self.rows, np.floor(ymax / side), "right")
-        # one run of keys per (query, occupied column)
-        query, col = _ranges(c0, np.maximum(c1 - c0, 0))
-        base = col * len(self.rows)
-        start = np.searchsorted(self.keys, base + lo[query])
-        run, pos = _ranges(start, np.maximum(np.searchsorted(self.keys, base + hi[query]) - start, 0))
+        query, start, length = self._runs(xmin, ymin, xmax, ymax)
+        run, pos = _ranges(start, length)
         return query[run], self.order[pos]
 
 
@@ -106,6 +115,3 @@ class GridIndex:
                 if bucket:
                     found.update(bucket)
         return sorted(found)
-
-    def query_point(self, x: float, y: float, radius: float) -> list:
-        return self.query((x - radius, y - radius, x + radius, y + radius))

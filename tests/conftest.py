@@ -605,7 +605,7 @@ class ReferenceNodeTable:
     def node_for(self, pt: Point2D) -> int:
         best = None
         for nid, node in self.nodes.items():
-            d = node.location.distance_to(pt)
+            d = math.hypot(node.location.x - pt.x, node.location.y - pt.y)
             if d <= self.tolerance and (best is None or (d, nid) < best):
                 best = (d, nid)
         if best is not None:

@@ -18,7 +18,7 @@ from netqa.completeness import (
     polygon_aggregate,
     polygon_compare,
 )
-from netqa.errors import ConfigError, GridMismatchError, ZeroVarianceError
+from netqa.errors import ConfigError, GeometryError, GridMismatchError, ZeroVarianceError
 from netqa.geometry import Point2D
 from netqa.hexgrid import build_grid
 from netqa.ingest import Dataset
@@ -345,14 +345,28 @@ def polygon_layers(draw):
     and edges on the half-lattice: free lines that leave the parts, lines
     through their vertices and lines along their boundary edges."""
     unit = draw(UNITS)
+    rect = rect_polygon(-3 * unit, -2 * unit, 6 * unit, 4 * unit)
+
+    def shifted(poly, dx, dy):
+        # whole lattice steps, then the unit: each vertex is a lattice point
+        # k * unit, spelled as lattice_polygons spells it
+        return tuple(
+            tuple(Point2D((round(v.x / unit) + dx) * unit, (round(v.y / unit) + dy) * unit) for v in ring)
+            for ring in poly.rings
+        )
+
     parts = []
     for _ in range(draw(st.integers(0, 4))):
         poly, _ = draw(lattice_polygons().filter(lambda case: case[1] == unit) | st.just((None, unit)))
-        if poly is None:
-            poly = rect_polygon(-3 * unit, -2 * unit, 6 * unit, 4 * unit)
         dx, dy = draw(st.tuples(st.integers(-12, 12), st.integers(-12, 12)))
-        rings = tuple(tuple(Point2D(v.x + dx * unit, v.y + dy * unit) for v in ring) for ring in poly.rings)
-        parts.append(PolygonArea(rings=rings, name=draw(st.sampled_from(["a", "b", "c"]))))
+        name = draw(st.sampled_from(["a", "b", "c"]))
+        try:
+            parts.append(PolygonArea(rings=shifted(poly or rect, dx, dy), name=name))
+        except GeometryError:
+            # a ring with no lattice area (collinear lattice points) that
+            # rounding kept above zero before the shift: lattice_polygons'
+            # stand-in for a collapsed ring
+            parts.append(PolygonArea(rings=shifted(rect, dx, dy), name=name))
     vertices = [(v.x, v.y) for part in parts for ring in part.rings for v in ring]
     edges = []
     for i in range(draw(st.integers(0, 12))):

@@ -173,7 +173,9 @@ def test_hausdorff_symmetric_and_bounded(rng):
         h_ab = hausdorff_distance(a, b)
         assert h_ab == hausdorff_distance(b, a)
         mid_dist = math.dist((a.midpoint.x, a.midpoint.y), (b.midpoint.x, b.midpoint.y))
-        assert h_ab >= mid_dist - (a.chord_length + b.chord_length) / 2 - 1e-9
+        chord_a = math.dist((a.start.x, a.start.y), (a.end.x, a.end.y))
+        chord_b = math.dist((b.start.x, b.start.y), (b.end.x, b.end.y))
+        assert h_ab >= mid_dist - (chord_a + chord_b) / 2 - 1e-9
 
 
 def test_hausdorff_random_pairs_vs_sampling_oracle(rng):

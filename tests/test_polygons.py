@@ -10,7 +10,6 @@ from netqa.polygons import (
     PolygonArea,
     clip_polyline_to_polygon,
     point_in_rings,
-    ring_intersects_polygon,
     ring_signed_area,
     rings_intersect_polygon,
 )
@@ -26,6 +25,26 @@ from conftest import (
 
 def line(*coords):
     return Polyline(tuple(Point2D(float(x), float(y)) for x, y in coords))
+
+
+def ring_intersects_polygon(ring, poly):
+    # ``rings_intersect_polygon`` of a one-ring array
+    x = np.array([[v.x for v in ring]], dtype=float)
+    y = np.array([[v.y for v in ring]], dtype=float)
+    return bool(rings_intersect_polygon(x, y, poly)[0])
+
+
+def contains(poly, points):
+    # ``contains_many`` of each point
+    x, y = np.array(points, dtype=float).reshape(-1, 2).T
+    return poly.contains_many(x, y).tolist()
+
+
+def edges_near(poly, xmin, ymin, xmax, ymax):
+    # ``near_pairs`` of one box, as the (cx, cy, dx, dy) of its boundary edges
+    _, entry = poly.near_pairs(*(np.array([v], dtype=float) for v in (xmin, ymin, xmax, ymax)))
+    s = poly._slabs
+    return entry, list(zip(s.cx[entry].tolist(), s.cy[entry].tolist(), s.dx[entry].tolist(), s.dy[entry].tolist()))
 
 
 def test_square_area():
@@ -115,10 +134,9 @@ def test_index_with_vertices_on_slab_boundaries():
     ring = [Point2D(float(x), float(y)) for x, y in [(0, 0), (8, 0), (8, 2), (6, 2), (6, 4), (8, 4), (8, 6), (6, 6)]]
     ring += [Point2D(float(x), float(y)) for x, y in [(6, 8), (2, 8), (2, 6), (0, 6), (0, 4), (2, 4), (2, 2), (0, 2)]]
     poly = PolygonArea(rings=(tuple(ring),))
-    assert len(poly.edges_near(*poly.bbox)) == 16
-    for y in [k / 2.0 for k in range(-2, 19)]:
-        for x in [k / 2.0 for k in range(-2, 19)]:
-            assert poly.contains(x, y) == point_in_rings(x, y, poly.rings)
+    assert len(edges_near(poly, *poly.bbox)[1]) == 16
+    points = [(x, y) for y in [k / 2.0 for k in range(-2, 19)] for x in [k / 2.0 for k in range(-2, 19)]]
+    assert contains(poly, points) == [point_in_rings(x, y, poly.rings) for x, y in points]
     for x0, y0, x1, y1 in [(-1, 2, 9, 2), (1, -1, 1, 9), (7, 6, 7, 9), (-1, -1, 9, 9), (3, 8, 5, 8)]:
         p = line((x0, y0), (x1, y1))
         assert clip_polyline_to_polygon(p, poly) == reference_clip_polyline_to_polygon(p, poly)
@@ -132,8 +150,7 @@ def test_indexed_contains_equals_every_edge_test(data):
     xmin, ymin, xmax, ymax = poly.bbox
     points += [(x, ymax) for x, _ in points[:10]] + [(x, ymin) for x, _ in points[10:20]]
     points += [(v.x, v.y) for ring in poly.rings for v in ring]
-    for x, y in points:
-        assert poly.contains(x, y) == point_in_rings(x, y, poly.rings)
+    assert contains(poly, points) == [point_in_rings(x, y, poly.rings) for x, y in points]
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,8 +165,8 @@ def test_edges_near_equals_every_edge_meeting_the_box(data):
         for c, d in zip(ring, ring[1:] + ring[:1])
         if min(c.x, d.x) <= box[2] and max(c.x, d.x) >= box[0] and min(c.y, d.y) <= box[3] and max(c.y, d.y) >= box[1]
     ]
-    near = poly.edges_near(*box)
-    assert len(near) == len(set(map(id, near)))  # each edge once
+    entry, near = edges_near(poly, *box)
+    assert len(entry) == len(set(entry.tolist()))  # each entry once
     assert sorted(near) == sorted(expected)
 
 

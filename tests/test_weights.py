@@ -100,3 +100,72 @@ def test_build_allocates_no_n_by_n_array():
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+@st.composite
+def far_sets(draw):
+    """Cell id -> centroid on layouts the lattice cases miss: about
+    (4e5, 5.8e6) from the origin, or at it, with spacings down to 1e-9 m
+    (and 1e-200 m); a few spacings apart, on one line or all at one point."""
+    ox, oy = draw(st.sampled_from([(0.0, 0.0), (4e5, 5.8e6), (-4e5, 5.8e6)]))
+    # 1e-200 m: squared differences underflow to zero
+    spacing = draw(st.sampled_from([1e-200, 1e-9, 1e-6, 1e-3, 1.0, 100.0]))
+    steps = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=2, max_size=25))
+    layout = draw(st.sampled_from(["grid", "free", "line", "point"]))
+    if layout == "free":
+        off = st.floats(-6.0, 6.0, allow_nan=False)
+        steps = draw(st.lists(st.tuples(off, off), min_size=2, max_size=25))
+    elif layout == "line":
+        a, b = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (3, 5)]))
+        steps = [(t * a, t * b) for t, _ in steps]
+    elif layout == "point":
+        steps = [(0, 0)] * len(steps)
+    pts = [(ox + sx * spacing, oy + sy * spacing) for sx, sy in steps]
+    ids = draw(st.permutations(range(len(pts))))
+    return {f"c{i:02d}": p for i, p in zip(ids, pts)}, spacing
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_weights_equal_the_dense_builder_far_from_the_origin(data):
+    cents, spacing = data.draw(far_sets())
+    n = len(cents)
+    if data.draw(st.booleans()):
+        scheme = knn_scheme(data.draw(st.one_of(st.just(n - 1), st.integers(1, n - 1))))
+    else:
+        # down to a fraction of one ulp of the coordinates (about 9e-10 m
+        # at 5.8e6), where only repeated centroids are neighbors
+        scale = data.draw(st.sampled_from([1e-12, 1e-10, 0.5, 1.0, 1.5, 2.0, 3.0, 20.0]))
+        scheme = distance_band_scheme(scale if scale < 1e-9 else scale * spacing)
+    w = build_weights(cents, scheme)
+    ref = reference_build_weights(cents, scheme)
+    assert w.ids == ref.ids
+    assert w.neighbors == ref.neighbors
+    assert w.weights == ref.weights
+    assert w.islands == ref.islands
+    assert w.s0.hex() == ref.s0.hex()
+
+
+def test_band_keeps_a_pair_whose_difference_rounds_down_to_the_distance():
+    # 1.0 - (-1e-17) rounds to 1.0, so "b" is within the 1 m band of "a",
+    # though it lies just outside a's box ± 1 m: the box needs its slack
+    cents = {"a": (1.0, 0.0), "b": (-1e-17, 0.0), "c": (3.0, 0.0)}
+    w = build_weights(cents, distance_band_scheme(1.0))
+    assert w.neighbors == reference_build_weights(cents, distance_band_scheme(1.0)).neighbors == ((1,), (0,), ())
+
+
+def test_country_block_allocates_no_more_than_the_row_loop():
+    # 24,336 cells of 20,000 m² (the country input's cells): knn6 and a
+    # 280 m band (12 neighbors a row). The per-row builder this replaced
+    # peaked at 10.55 and 19.38 MB under tracemalloc.
+    side = math.sqrt(2 * 20000.0 / (3 * SQRT3))
+    cents = {(q, r): hex_centroid(q, r, side) for q in range(156) for r in range(156)}
+    for scheme, parent_peak in ((knn_scheme(6), 10.55e6), (distance_band_scheme(280.0), 19.38e6)):
+        tracemalloc.start()
+        try:
+            w = build_weights(cents, scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w.col) == {"knn6": 146016, "band280": 288300}[w.scheme]
+        assert peak <= parent_peak
