@@ -40,8 +40,6 @@ import numpy as np
 
 __all__ = [
     "round_metric",
-    "polyline_coords",
-    "line_feature",
     "encode",
     "decimal_text",
     "integer_text",
@@ -59,17 +57,6 @@ def round_metric(x, decimals: int = METRIC_DECIMALS):
     if x is None:
         return None
     return round(float(x), decimals)
-
-
-def polyline_coords(polyline) -> list:
-    return [[round(v.x, COORD_DECIMALS), round(v.y, COORD_DECIMALS)] for v in polyline.vertices]
-
-
-def line_feature(coords, properties, feature_id=None) -> dict:
-    feat = {"type": "Feature", "geometry": {"type": "LineString", "coordinates": coords}, "properties": properties}
-    if feature_id is not None:
-        feat["id"] = feature_id
-    return feat
 
 
 # compact separators and no indent: ``encode`` runs the C encoder

@@ -24,18 +24,12 @@ __all__ = [
     "Segment",
     "VertexArrays",
     "vertex_arrays",
-    "polyline_length",
-    "segmentize",
     "hausdorff_distance",
     "segment_angle_deg",
     "point_to_polyline_distance",
     "point_segment_distance",
 ]
 
-# Merge threshold below which a trailing cut remainder is folded into the
-# previous segment, as a fraction of the requested segment length.
-_REMAINDER_MERGE_FRACTION = 0.5
-_LENGTH_EPS = 1e-9
 # Upper bound on the elements (vertices, clip rows, or pairs of a point,
 # piece or ring with a boundary edge) one block of an array pass holds; it
 # caps transient memory and does not change results. Smaller than
@@ -108,14 +102,6 @@ class Segment:
         return (self.parent_edge_id, self.index)
 
 
-def polyline_length(p: Polyline) -> float:
-    """Total length of a polyline: sum of vertex-to-vertex distances."""
-    total = 0.0
-    for a, b in zip(p.vertices, p.vertices[1:]):
-        total += math.hypot(b.x - a.x, b.y - a.y)
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class VertexArrays:
     """The vertices of a list of polylines, end to end, as columns.
@@ -126,7 +112,8 @@ class VertexArrays:
     (the entries between two polylines are not pieces; nothing reads them).
     ``cum`` is each vertex's arc distance from its polyline's start, the
     steps summed one by one from 0.0, so ``length[e] = cum[last[e]]`` has
-    the bits of ``polyline_length``.
+    the bits of a loop over the vertex pairs (``polyline_length`` in the
+    tests' ``conftest.py``).
     """
 
     x: np.ndarray
@@ -173,10 +160,11 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return owner, np.arange(len(owner)) + np.repeat(start - (np.cumsum(count) - count), count)
 
 
-def _sum_in_order(values: np.ndarray) -> float:
-    """The values added one at a time from 0.0, in order, as a loop adds
-    them (``sum()`` of floats is compensated from Python 3.12 on)."""
-    return reduce(add, values.tolist(), 0.0)
+def _sum_in_order(values) -> float:
+    """The values (an array or an iterable of numbers) added one at a time
+    from 0.0, in order, as a loop adds them (``sum()`` of floats is
+    compensated from Python 3.12 on)."""
+    return reduce(add, values.tolist() if isinstance(values, np.ndarray) else values, 0.0)
 
 
 def _blocks(sizes: np.ndarray, cap: int):
@@ -189,87 +177,6 @@ def _blocks(sizes: np.ndarray, cap: int):
         hi = max(bisect_right(ends, done + cap), lo + 1)
         yield lo, hi
         lo = hi
-
-
-def _cumulative_lengths(p: Polyline) -> list[float]:
-    cum = [0.0]
-    for a, b in zip(p.vertices, p.vertices[1:]):
-        cum.append(cum[-1] + math.hypot(b.x - a.x, b.y - a.y))
-    return cum
-
-
-def _point_at(p: Polyline, cum: list[float], distance: float) -> Point2D:
-    """Point at arc distance along the polyline, clamped to its extent."""
-    if distance <= 0:
-        return p.vertices[0]
-    if distance >= cum[-1]:
-        return p.vertices[-1]
-    # cum is sorted; find the piece containing `distance`
-    lo, hi = 0, len(cum) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if cum[mid] <= distance:
-            lo = mid
-        else:
-            hi = mid
-    a, b = p.vertices[lo], p.vertices[lo + 1]
-    span = cum[lo + 1] - cum[lo]
-    t = (distance - cum[lo]) / span
-    return Point2D(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-
-
-def segmentize(p: Polyline, seg_len: float, parent_edge_id: str = "") -> list[Segment]:
-    """Cut a polyline into consecutive pieces of arc length ``seg_len``.
-
-    The pieces cover the polyline in order, without gaps or overlaps. A
-    trailing remainder shorter than half of ``seg_len`` is merged into the
-    previous piece, so the shortest emitted piece is ``seg_len / 2``; the
-    only exception is a polyline shorter than ``seg_len``, which yields a
-    single piece covering all of it.
-
-    Parameters
-    ----------
-    p : Polyline
-    seg_len : float
-        Target piece length in meters, > 0.
-    parent_edge_id : str
-        Identifier recorded on every emitted segment.
-
-    Returns
-    -------
-    list of Segment
-    """
-    if seg_len <= 0:
-        raise GeometryError(f"seg_len must be > 0, got {seg_len}")
-    cum = _cumulative_lengths(p)
-    total = cum[-1]
-
-    if total <= seg_len:
-        boundaries = [0.0, total]
-    else:
-        n_full = int(math.floor(total / seg_len + 1e-12))
-        remainder = total - n_full * seg_len
-        boundaries = [k * seg_len for k in range(n_full + 1)]
-        if remainder <= _LENGTH_EPS or remainder < seg_len * _REMAINDER_MERGE_FRACTION:
-            # exact division up to noise, or a short remainder merged into
-            # the last piece; either way the final cut lands on the end
-            boundaries[-1] = total
-        else:
-            boundaries.append(total)
-
-    # each cut point ends one piece and starts the next
-    points = [_point_at(p, cum, d) for d in boundaries]
-    return [
-        Segment(
-            start=points[i],
-            end=points[i + 1],
-            parent_edge_id=parent_edge_id,
-            offset=boundaries[i],
-            arc_length=boundaries[i + 1] - boundaries[i],
-            index=i,
-        )
-        for i in range(len(boundaries) - 1)
-    ]
 
 
 def point_segment_distance(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:

@@ -74,21 +74,6 @@ class HexGrid:
     def signature(self) -> tuple:
         return (self.origin.x, self.origin.y, self.cell_area, len(self.cells))
 
-    def cell_center(self, q: int, r: int) -> Point2D:
-        s = self.edge_len
-        return Point2D(
-            self.origin.x + 1.5 * s * q,
-            self.origin.y + _SQRT3 * s * (r + q / 2.0),
-        )
-
-    def cell_polygon(self, q: int, r: int) -> tuple[Point2D, ...]:
-        c = self.cell_center(q, r)
-        s = self.edge_len
-        return tuple(
-            Point2D(c.x + s * math.cos(math.radians(60.0 * k)), c.y + s * math.sin(math.radians(60.0 * k)))
-            for k in range(6)
-        )
-
     def cells_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Position in ``cell_ids`` of the retained cell holding each point, or -1
         (cube rounding; ``np.rint`` rounds half to even, as ``round`` does)."""
@@ -296,7 +281,7 @@ def build_grid(study_area, cell_area: float = DEFAULT_CELL_AREA) -> HexGrid:
     r_hi = (np.ceil((ymax + s - ymin) / (_SQRT3 * s) - q / 2.0) + 1).astype(np.intp)
     column, r = _ranges(r_lo, r_hi - r_lo + 1)
     q = q[column]
-    # HexGrid.cell_center and cell_polygon, for every candidate at once
+    # conftest's cell_center and cell_polygon, for every candidate at once
     cx = origin.x + 1.5 * s * q
     cy = origin.y + _SQRT3 * s * (r + q / 2.0)
     ring_x = cx[:, None] + np.array([s * math.cos(math.radians(60.0 * k)) for k in range(6)])

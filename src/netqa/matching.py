@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GeometryError
-from .geometry import _LENGTH_EPS, _REMAINDER_MERGE_FRACTION, Point2D, Segment, _ranges
+from .geometry import Point2D, Segment, _ranges, _sum_in_order
 from .spindex import SLACK, BucketJoin
 
 __all__ = [
@@ -41,6 +41,11 @@ __all__ = [
     "summarize",
     "match_summary",
 ]
+
+# A trailing cut remainder shorter than this fraction of the segment length,
+# or at most _LENGTH_EPS meters, is merged into the previous segment.
+_REMAINDER_MERGE_FRACTION = 0.5
+_LENGTH_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,10 +125,13 @@ class SegmentTable:
 def segment_table(dataset, seg_len: float) -> SegmentTable:
     """All edges of a dataset cut into matching segments, as columns.
 
-    The cuts, pieces and floats are those of ``geometry.segmentize`` on
-    each edge, bit for bit: the cumulative lengths of ``dataset.vertices``
-    are the same sequential sums of ``math.hypot``, and the rest is array
-    arithmetic whose IEEE results equal the scalar code's.
+    Each edge is cut every ``seg_len`` of arc length from its start; a
+    trailing remainder under ``seg_len / 2`` merges into the last piece,
+    and an edge no longer than ``seg_len`` is one piece. The floats are
+    those of the scalar ``segmentize`` in the tests' ``conftest.py``, bit
+    for bit: the cumulative lengths of ``dataset.vertices`` are the same
+    sequential sums of ``math.hypot``, and the rest is array arithmetic
+    whose IEEE results equal the scalar code's.
     """
     if seg_len <= 0:
         raise GeometryError(f"seg_len must be > 0, got {seg_len}")
@@ -131,7 +139,7 @@ def segment_table(dataset, seg_len: float) -> SegmentTable:
     v = dataset.vertices
     x, y, first, last, cum = v.x, v.y, v.first, v.last, v.cum
 
-    # pieces per edge: segmentize's n_full and remainder rules
+    # pieces per edge: whole pieces, and a remainder kept or merged
     total = v.length
     n_full = np.floor(total / seg_len + 1e-12)
     remainder = total - n_full * seg_len
@@ -155,14 +163,15 @@ def segment_table(dataset, seg_len: float) -> SegmentTable:
 
 def _points_at(x, y, cum, first, last, d):
     """Points at arc distances ``d`` along polylines whose vertices are
-    ``first`` to ``last`` of (``x``, ``y``), by ``geometry._point_at``."""
+    ``first`` to ``last`` of (``x``, ``y``), clamped to each polyline's
+    extent, as ``_point_at`` in the tests' ``conftest.py`` finds them."""
     px = np.where(d <= 0, x[first], x[last])
     py = np.where(d <= 0, y[first], y[last])
     inner = np.flatnonzero((d > 0) & (d < cum[last]))
     d = d[inner]
     lo, hi = first[inner], last[inner]
-    # _point_at's bisection: lo ends at the last vertex with cum <= d,
-    # also where zero-length steps repeat a cum value
+    # a bisection: lo ends at the last vertex with cum <= d, also where
+    # zero-length steps repeat a cum value
     while True:
         open_ = np.flatnonzero(hi - lo > 1)
         if not len(open_):
@@ -439,8 +448,8 @@ def match_summary(records: list[MatchRecord], grid) -> MatchSummary:
 
 
 def _summary(ends, length, matched, grid) -> MatchSummary:
-    total_len = sum(length.tolist())
-    matched_len = sum(length[matched].tolist())
+    total_len = _sum_in_order(length)
+    matched_len = _sum_in_order(length[matched])
     at = grid.cells_at(*_midpoints(ends))
     inside = at >= 0
     cell_total = grid.sum_by_cell(at[inside], length[inside])
@@ -461,5 +470,5 @@ def _summary(ends, length, matched, grid) -> MatchSummary:
         per_cell_pct=per_cell,
         local_min_pct=min(pcts) if pcts else None,
         local_max_pct=max(pcts) if pcts else None,
-        local_avg_pct=sum(pcts) / len(pcts) if pcts else None,
+        local_avg_pct=_sum_in_order(pcts) / len(pcts) if pcts else None,
     )

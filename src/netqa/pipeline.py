@@ -34,7 +34,7 @@ import numpy as np
 from . import completeness, featureio, graph, hexgrid, ingest, matching, spatial, tags
 from .errors import ConfigError, NetqaError, PipelineError, WeightsError, ZeroVarianceError
 from .featureio import round_metric as _r
-from .geometry import _blocks
+from .geometry import _blocks, _sum_in_order
 
 try:
     import resource
@@ -88,6 +88,8 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} must hold a JSON object, got {doc!r}")
         base = path.parent
 
         def need(key):
@@ -99,7 +101,7 @@ class RunConfig:
             entry = need(role)
             if not isinstance(entry, dict) or "path" not in entry:
                 raise ConfigError(f"config key {role!r} must be an object with a 'path'")
-            return str(entry.get("name", role)), base / entry["path"]
+            return str(entry.get("name", role)), base / _string(entry["path"], f"{role}.path")
 
         cand_name, cand_path = dataset("candidate")
         ref_name, ref_path = dataset("reference")
@@ -166,17 +168,18 @@ class RunConfig:
             raise ConfigError(f"config key 'tags_use_raw_length' must be true or false, got {tags_use_raw_length!r}")
 
         grid_doc = _object(doc.get("grid", {}), "grid")
+        output_dir = base / _string(doc.get("output_dir", "netqa-out"), "output_dir")
         return cls(
             candidate_name=cand_name,
             candidate_path=cand_path,
             reference_name=ref_name,
             reference_path=ref_path,
-            study_area_path=base / need("study_area"),
-            rules_path=base / need("rules"),
-            output_dir=Path(out_override) if out_override else base / doc.get("output_dir", "netqa-out"),
+            study_area_path=base / _string(need("study_area"), "study_area"),
+            rules_path=base / _string(need("rules"), "rules"),
+            output_dir=Path(out_override) if out_override else output_dir,
             seed=doc["seed"],
-            polygons_path=base / doc["polygons"] if "polygons" in doc else None,
-            population_path=base / doc["population"] if "population" in doc else None,
+            polygons_path=base / _string(doc["polygons"], "polygons") if "polygons" in doc else None,
+            population_path=base / _string(doc["population"], "population") if "population" in doc else None,
             cell_area_m2=_number(
                 grid_doc.get("cell_area_m2", _DEFAULTS["cell_area_m2"]), "grid.cell_area_m2", *_POSITIVE
             ),
@@ -278,6 +281,12 @@ def _object(value, key: str) -> dict:
 def _list(value, key: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
     return value
 
 
@@ -402,11 +411,12 @@ def _undershoot_lines(g, undershoots):
 
 def _component_lines(g):
     """The component layer of a graph: one line per edge, ``featureio.encode``
-    of its ``line_feature`` (vertices rounded by ``polyline_coords``, id,
-    component and category), byte for byte. An edge has any number of
-    vertices, so its matrix has a row per vertex, not per feature as in
-    ``_feature_lines``: ``_vertex_parts`` of ``g.vertices``, with the
-    feature's opening on an edge's first vertex and the rest on its last.
+    of its LineString feature (``line_feature`` in the tests' conftest.py:
+    vertices rounded to 6 decimals, id, component and category), byte for
+    byte. An edge has any number of vertices, so its matrix has a row per
+    vertex, not per feature as in ``_feature_lines``: ``_vertex_parts`` of
+    ``g.vertices``, with the feature's opening on an edge's first vertex
+    and the rest on its last.
     """
     edges, v = list(g.edges.values()), g.vertices
     # about 200 bytes a vertex row: 28 of head, two coordinates of 24 and
@@ -737,7 +747,7 @@ class Pipeline:
                 undershoots = graph.detect_undershoots(g, cfg.undershoot_threshold_m)
                 zipf = graph.component_zipf(comps)
                 counts = graph.local_component_count(g, self.edge_cells(role))
-                total_m = sum(c.length_m for c in comps)
+                total_m = _sum_in_order([c.length_m for c in comps])
                 largest_m = comps[0].length_m if comps else 0.0
                 result[role] = {
                     "components": comps,

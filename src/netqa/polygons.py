@@ -23,12 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import _BLOCK_ELEMENTS, Point2D, Polyline, VertexArrays, _blocks, _ranges, vertex_arrays
+from .geometry import _BLOCK_ELEMENTS, Point2D, Polyline, VertexArrays, _blocks, _ranges, _sum_in_order, vertex_arrays
 
 __all__ = [
     "PolygonArea",
     "ring_signed_area",
-    "point_in_rings",
     "clip_polyline_to_polygon",
     "clip_lengths",
     "rings_intersect_polygon",
@@ -101,7 +100,7 @@ class PolygonArea:
     @cached_property
     def area(self) -> float:
         outer = abs(ring_signed_area(self.rings[0]))
-        holes = sum(abs(ring_signed_area(r)) for r in self.rings[1:])
+        holes = _sum_in_order([abs(ring_signed_area(r)) for r in self.rings[1:]])
         return outer - holes
 
     @cached_property
@@ -198,25 +197,6 @@ def ring_signed_area(ring) -> float:
         b = ring[(i + 1) % n]
         total += a.x * b.y - b.x * a.y
     return total / 2.0
-
-
-def point_in_rings(x: float, y: float, rings) -> bool:
-    """Even-odd containment test across every ring."""
-    inside = False
-    for ring in rings:
-        n = len(ring)
-        j = n - 1
-        for i in range(n):
-            yi = ring[i].y
-            yj = ring[j].y
-            if (yi > y) != (yj > y):
-                xi = ring[i].x
-                xj = ring[j].x
-                x_cross = xi + (xj - xi) * (y - yi) / (yj - yi)
-                if x < x_cross:
-                    inside = not inside
-            j = i
-    return inside
 
 
 # an overflow gives +-inf silently, as Python's float arithmetic does

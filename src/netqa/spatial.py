@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WeightsError, ZeroVarianceError
-from .geometry import _blocks, _ranges
+from .geometry import _blocks, _ranges, _sum_in_order
 from .spindex import SLACK, BucketJoin
 
 log = logging.getLogger(__name__)
@@ -102,8 +102,8 @@ class SpatialWeights:
     @property
     def s0(self) -> float:
         # the sum of the row sums, each row's 1/degree added degree times
-        row_sum = {d: sum([1.0 / d] * d) for d in set(self.degrees.tolist()) - {0}}
-        return float(sum(row_sum.get(d, 0) for d in self.degrees.tolist()))
+        row_sum = {d: _sum_in_order([1.0 / d] * d) for d in set(self.degrees.tolist()) - {0}}
+        return _sum_in_order([row_sum.get(d, 0.0) for d in self.degrees.tolist()])
 
     def lag(self, z: np.ndarray) -> np.ndarray:
         # np.bincount over no entries (every cell an island) gives int64

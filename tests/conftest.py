@@ -15,20 +15,28 @@ import pytest
 from hypothesis import strategies as st
 
 from netqa.errors import GeometryError, WeightsError, ZeroVarianceError
+from netqa.featureio import COORD_DECIMALS
 from netqa.geometry import (
     Point2D,
     Polyline,
+    Segment,
     hausdorff_distance,
     point_to_polyline_distance,
-    polyline_length,
     segment_angle_deg,
     vertex_arrays,
 )
 from netqa.graph import ComponentStats, NetworkEdge, NetworkNode, Undershoot, dangling_nodes
 from netqa.hexgrid import _HEX_NORMALS, _SIDE_EPS, _SQRT3, HexCell, HexGrid, edge_length_for_area
 from netqa.ingest import Dataset
-from netqa.matching import MatchSummary, _foot_offsets, _midpoints, _segment_ranks
-from netqa.polygons import _PARAM_EPS, PolygonArea, point_in_rings
+from netqa.matching import (
+    _LENGTH_EPS,
+    _REMAINDER_MERGE_FRACTION,
+    MatchSummary,
+    _foot_offsets,
+    _midpoints,
+    _segment_ranks,
+)
+from netqa.polygons import _PARAM_EPS, PolygonArea
 from netqa.spatial import LisaResult, MoranResult
 from netqa.spindex import SLACK, BucketJoin
 from netqa.tags import TagShare, tag_presence
@@ -181,6 +189,138 @@ def bits(value):
     if hasattr(value, "__dataclass_fields__"):
         return {name: bits(getattr(value, name)) for name in value.__dataclass_fields__}
     return value
+
+
+# Scalar references of netqa's array kernels, which they are held to bit
+# for bit: ``segmentize`` (with ``_cumulative_lengths`` and ``_point_at``)
+# of ``matching.segment_table``, ``polyline_length`` of
+# ``VertexArrays.length``, ``point_in_rings`` of
+# ``PolygonArea.contains_many``, ``cell_center`` and ``cell_polygon`` of
+# ``hexgrid.build_grid``, and ``line_feature`` with ``polyline_coords`` of
+# ``pipeline._component_lines``.
+
+
+def polyline_length(p: Polyline) -> float:
+    """Total length of a polyline: sum of vertex-to-vertex distances."""
+    total = 0.0
+    for a, b in zip(p.vertices, p.vertices[1:]):
+        total += math.hypot(b.x - a.x, b.y - a.y)
+    return total
+
+
+def _cumulative_lengths(p: Polyline) -> list[float]:
+    cum = [0.0]
+    for a, b in zip(p.vertices, p.vertices[1:]):
+        cum.append(cum[-1] + math.hypot(b.x - a.x, b.y - a.y))
+    return cum
+
+
+def _point_at(p: Polyline, cum: list[float], distance: float) -> Point2D:
+    """Point at arc distance along the polyline, clamped to its extent."""
+    if distance <= 0:
+        return p.vertices[0]
+    if distance >= cum[-1]:
+        return p.vertices[-1]
+    # cum is sorted; find the piece containing `distance`
+    lo, hi = 0, len(cum) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cum[mid] <= distance:
+            lo = mid
+        else:
+            hi = mid
+    a, b = p.vertices[lo], p.vertices[lo + 1]
+    span = cum[lo + 1] - cum[lo]
+    t = (distance - cum[lo]) / span
+    return Point2D(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+def segmentize(p: Polyline, seg_len: float, parent_edge_id: str = "") -> list[Segment]:
+    """Cut a polyline into consecutive pieces of arc length ``seg_len``.
+
+    The pieces cover the polyline in order, without gaps or overlaps. A
+    trailing remainder shorter than half of ``seg_len`` is merged into the
+    previous piece, so the shortest emitted piece is ``seg_len / 2``; the
+    only exception is a polyline shorter than ``seg_len``, which yields a
+    single piece covering all of it.
+    """
+    if seg_len <= 0:
+        raise GeometryError(f"seg_len must be > 0, got {seg_len}")
+    cum = _cumulative_lengths(p)
+    total = cum[-1]
+
+    if total <= seg_len:
+        boundaries = [0.0, total]
+    else:
+        n_full = int(math.floor(total / seg_len + 1e-12))
+        remainder = total - n_full * seg_len
+        boundaries = [k * seg_len for k in range(n_full + 1)]
+        if remainder <= _LENGTH_EPS or remainder < seg_len * _REMAINDER_MERGE_FRACTION:
+            # exact division up to noise, or a short remainder merged into
+            # the last piece; either way the final cut lands on the end
+            boundaries[-1] = total
+        else:
+            boundaries.append(total)
+
+    # each cut point ends one piece and starts the next
+    points = [_point_at(p, cum, d) for d in boundaries]
+    return [
+        Segment(
+            start=points[i],
+            end=points[i + 1],
+            parent_edge_id=parent_edge_id,
+            offset=boundaries[i],
+            arc_length=boundaries[i + 1] - boundaries[i],
+            index=i,
+        )
+        for i in range(len(boundaries) - 1)
+    ]
+
+
+def point_in_rings(x: float, y: float, rings) -> bool:
+    """Even-odd containment test across every ring."""
+    inside = False
+    for ring in rings:
+        n = len(ring)
+        j = n - 1
+        for i in range(n):
+            yi = ring[i].y
+            yj = ring[j].y
+            if (yi > y) != (yj > y):
+                xi = ring[i].x
+                xj = ring[j].x
+                x_cross = xi + (xj - xi) * (y - yi) / (yj - yi)
+                if x < x_cross:
+                    inside = not inside
+            j = i
+    return inside
+
+
+def cell_center(grid: HexGrid, q: int, r: int) -> Point2D:
+    """Center of the grid's lattice cell (q, r), retained or not."""
+    s = grid.edge_len
+    return Point2D(grid.origin.x + 1.5 * s * q, grid.origin.y + _SQRT3 * s * (r + q / 2.0))
+
+
+def cell_polygon(grid: HexGrid, q: int, r: int) -> tuple[Point2D, ...]:
+    """Vertices of the grid's lattice cell (q, r), counterclockwise from the east."""
+    c = cell_center(grid, q, r)
+    s = grid.edge_len
+    return tuple(
+        Point2D(c.x + s * math.cos(math.radians(60.0 * k)), c.y + s * math.sin(math.radians(60.0 * k)))
+        for k in range(6)
+    )
+
+
+def polyline_coords(polyline) -> list:
+    return [[round(v.x, COORD_DECIMALS), round(v.y, COORD_DECIMALS)] for v in polyline.vertices]
+
+
+def line_feature(coords, properties, feature_id=None) -> dict:
+    feat = {"type": "Feature", "geometry": {"type": "LineString", "coordinates": coords}, "properties": properties}
+    if feature_id is not None:
+        feat["id"] = feature_id
+    return feat
 
 
 # Polygons and points on a coarse lattice, so that horizontal edges,
@@ -390,9 +530,9 @@ def reference_build_grid(study_area, cell_area, near_only=False):
         r_lo = math.floor((ymin - s - ymin) / (_SQRT3 * s) - q / 2.0) - 1
         r_hi = math.ceil((ymax + s - ymin) / (_SQRT3 * s) - q / 2.0) + 1
         for r in range(r_lo, r_hi + 1):
-            ring = proto.cell_polygon(q, r)
+            ring = cell_polygon(proto, q, r)
             if any(reference_ring_intersects_polygon(ring, part, near_only) for part in parts):
-                cells[(q, r)] = HexCell(center=proto.cell_center(q, r), polygon=ring)
+                cells[(q, r)] = HexCell(center=cell_center(proto, q, r), polygon=ring)
     return HexGrid(proto.origin, cell_area, cells)
 
 
@@ -649,9 +789,9 @@ def reference_detect_undershoots(g, threshold):
 
 
 def reference_match_summary(records, grid):
-    total_len = sum(r.segment.arc_length for r in records)
+    total_len = reduce(add, (r.segment.arc_length for r in records), 0.0)
     matched = [r for r in records if r.matched is not None]
-    matched_len = sum(r.segment.arc_length for r in matched)
+    matched_len = reduce(add, (r.segment.arc_length for r in matched), 0.0)
     cell_total = {}
     cell_matched = {}
     for r in records:
@@ -676,7 +816,7 @@ def reference_match_summary(records, grid):
         per_cell_pct=per_cell,
         local_min_pct=min(pcts) if pcts else None,
         local_max_pct=max(pcts) if pcts else None,
-        local_avg_pct=sum(pcts) / len(pcts) if pcts else None,
+        local_avg_pct=reduce(add, pcts, 0.0) / len(pcts) if pcts else None,
     )
 
 
@@ -693,7 +833,7 @@ class ReferenceWeights:
 
     @property
     def s0(self) -> float:
-        return float(sum(sum(row) for row in self.weights))
+        return float(reduce(add, (reduce(add, row, 0.0) for row in self.weights), 0.0))
 
     def lag(self, z: np.ndarray) -> np.ndarray:
         row_idx = np.array([i for i, nbrs in enumerate(self.neighbors) for _ in nbrs], dtype=np.intp)

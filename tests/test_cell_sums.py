@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netqa.completeness import LengthPolicy, build_density_surface, infrastructure_length
-from netqa.geometry import Point2D, Segment, polyline_length
+from netqa.geometry import Point2D, Segment
 from netqa.graph import build_graph, connected_components, local_component_count
 from netqa import hexgrid
 from netqa.hexgrid import assign_lengths, build_grid
@@ -21,6 +21,7 @@ from conftest import (
     bits,
     clip,
     make_edge,
+    polyline_length,
     rect_polygon,
     reference_assign_lengths,
     reference_cell_containing,

@@ -21,7 +21,12 @@ def sample_features():
             "geometry": {"type": "Point", "coordinates": [1.234568, -2.0]},
             "properties": {"node_id": 3, "gap_m": 0.5, "note": None},
         },
-        featureio.line_feature([[0.0, 0.0], [10.0, 0.0]], {"name": "Straße\n2", "matched": True}, feature_id="e1"),
+        {
+            "type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": [[0.0, 0.0], [10.0, 0.0]]},
+            "properties": {"name": "Straße\n2", "matched": True},
+            "id": "e1",
+        },
         {
             "type": "Feature",
             "geometry": {"type": "Polygon", "coordinates": [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]]},

@@ -10,12 +10,13 @@ from netqa.geometry import (
     Segment,
     hausdorff_distance,
     point_to_polyline_distance,
-    polyline_length,
     segment_angle_deg,
-    segmentize,
+    vertex_arrays,
 )
+from netqa.ingest import Dataset
+from netqa.matching import segmentize_dataset
 
-from conftest import random_polyline
+from conftest import make_edge, random_polyline
 
 
 def seg(ax, ay, bx, by, edge="e", idx=0):
@@ -32,13 +33,17 @@ def seg(ax, ay, bx, by, edge="e", idx=0):
 # ---------------------------------------------------------------- length
 
 
+def length(p: Polyline) -> float:
+    return float(vertex_arrays([p]).length[0])
+
+
 def test_length_3_4_5():
-    assert polyline_length(Polyline((Point2D(0, 0), Point2D(3, 4)))) == 5.0
+    assert length(Polyline((Point2D(0, 0), Point2D(3, 4)))) == 5.0
 
 
 def test_length_unit_steps():
     p = Polyline((Point2D(0, 0), Point2D(1, 0), Point2D(1, 1)))
-    assert polyline_length(p) == 2.0
+    assert length(p) == 2.0
 
 
 def test_length_matches_per_pair_oracle(rng):
@@ -46,7 +51,7 @@ def test_length_matches_per_pair_oracle(rng):
     oracle = 0.0
     for a, b in zip(p.vertices, p.vertices[1:]):
         oracle += math.sqrt((b.x - a.x) ** 2 + (b.y - a.y) ** 2)
-    assert abs(polyline_length(p) - oracle) < 1e-9
+    assert abs(length(p) - oracle) < 1e-9
 
 
 def test_polyline_validation():
@@ -61,30 +66,35 @@ def test_polyline_validation():
 # ------------------------------------------------------------- segmentize
 
 
+def cut(p: Polyline, seg_len: float):
+    """The segments of a one-edge dataset holding ``p`` as edge "e"."""
+    return segmentize_dataset(Dataset("d", [make_edge("e", [(v.x, v.y) for v in p.vertices])]), seg_len)
+
+
 def test_segmentize_exact_division():
     line = Polyline((Point2D(0, 0), Point2D(100, 0)))
-    segments = segmentize(line, 10.0, "e")
+    segments = cut(line, 10.0)
     assert len(segments) == 10
     assert all(abs(s.arc_length - 10.0) < 1e-9 for s in segments)
 
 
 def test_segmentize_merges_short_remainder():
     line = Polyline((Point2D(0, 0), Point2D(104, 0)))
-    segments = segmentize(line, 10.0, "e")
+    segments = cut(line, 10.0)
     assert len(segments) == 10
     assert abs(segments[-1].arc_length - 14.0) < 1e-9
 
 
 def test_segmentize_keeps_long_remainder():
     line = Polyline((Point2D(0, 0), Point2D(106, 0)))
-    segments = segmentize(line, 10.0, "e")
+    segments = cut(line, 10.0)
     assert len(segments) == 11
     assert abs(segments[-1].arc_length - 6.0) < 1e-9
 
 
 def test_segmentize_shorter_than_one_segment():
     line = Polyline((Point2D(0, 0), Point2D(7, 0)))
-    segments = segmentize(line, 10.0, "e")
+    segments = cut(line, 10.0)
     assert len(segments) == 1
     assert segments[0].arc_length == 7.0
 
@@ -92,17 +102,17 @@ def test_segmentize_shorter_than_one_segment():
 def test_segmentize_rejects_bad_seg_len():
     line = Polyline((Point2D(0, 0), Point2D(7, 0)))
     with pytest.raises(GeometryError):
-        segmentize(line, 0.0)
+        cut(line, 0.0)
     with pytest.raises(GeometryError):
-        segmentize(line, -1.0)
+        cut(line, -1.0)
 
 
 def test_segmentize_conserves_length_and_order(rng):
     for _ in range(25):
         p = random_polyline(rng, int(rng.integers(2, 12)))
         seg_len = float(rng.uniform(0.5, 400.0))
-        segments = segmentize(p, seg_len, "e")
-        total = polyline_length(p)
+        segments = cut(p, seg_len)
+        total = length(p)
         assert abs(sum(s.arc_length for s in segments) - total) < 1e-6
         # contiguous coverage in order
         cursor = 0.0
@@ -120,7 +130,7 @@ def test_segmentize_conserves_length_and_order(rng):
 
 def test_segment_endpoints_lie_on_parent():
     p = Polyline((Point2D(0, 0), Point2D(30, 0), Point2D(30, 40)))
-    for s in segmentize(p, 12.0, "e"):
+    for s in cut(p, 12.0):
         assert point_to_polyline_distance(s.start, p) < 1e-9
         assert point_to_polyline_distance(s.end, p) < 1e-9
 

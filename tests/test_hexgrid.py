@@ -7,11 +7,21 @@ from hypothesis import strategies as st
 
 from netqa import polygons
 from netqa.errors import GeometryError
-from netqa.geometry import Point2D, Polyline, polyline_length
+from netqa.geometry import Point2D, Polyline
 from netqa.hexgrid import assign_lengths, build_grid, edge_length_for_area
-from netqa.polygons import PolygonArea, point_in_rings, ring_signed_area
+from netqa.polygons import PolygonArea, ring_signed_area
 
-from conftest import clip, lattice_polygons, make_edge, rect_polygon, reference_build_grid, wobbly_polygon
+from conftest import (
+    cell_polygon,
+    clip,
+    lattice_polygons,
+    make_edge,
+    point_in_rings,
+    polyline_length,
+    rect_polygon,
+    reference_build_grid,
+    wobbly_polygon,
+)
 
 
 def test_edge_length_formula():
@@ -62,7 +72,7 @@ def test_retained_count_matches_rasterization_oracle():
         r_lo = math.floor((-s) / (sqrt3 * s) - q / 2.0) - 1
         r_hi = math.ceil((10000 + s) / (sqrt3 * s) - q / 2.0) + 1
         for r in range(r_lo, r_hi + 1):
-            ring = grid.cell_polygon(q, r)
+            ring = cell_polygon(grid, q, r)
             xs = np.arange(min(v.x for v in ring), max(v.x for v in ring), step)
             ys = np.arange(min(v.y for v in ring), max(v.y for v in ring), step)
             hit = False

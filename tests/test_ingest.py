@@ -13,22 +13,13 @@ from netqa.ingest import (
     parse_dataset,
 )
 
+from conftest import line_feature
+
 
 def write_fc(tmp_path, features, name="data.geojson"):
     path = tmp_path / name
     path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
     return path
-
-
-def line_feature(coords, props=None, fid=None):
-    feat = {
-        "type": "Feature",
-        "geometry": {"type": "LineString", "coordinates": coords},
-        "properties": props or {},
-    }
-    if fid is not None:
-        feat["id"] = fid
-    return feat
 
 
 PROJ = [[600000, 6100000], [600100, 6100000]]  # projected-looking meters
@@ -39,7 +30,7 @@ def shifted(base, i):
 
 
 def test_parse_three_linestrings(tmp_path):
-    path = write_fc(tmp_path, [line_feature(shifted(PROJ, i)) for i in range(3)])
+    path = write_fc(tmp_path, [line_feature(shifted(PROJ, i), {}) for i in range(3)])
     features = parse_dataset(path)
     assert len(features) == 3
     assert [f.source_id for f in features] == ["feature-0", "feature-1", "feature-2"]
@@ -60,7 +51,7 @@ def test_parse_splits_multilinestring(tmp_path):
 
 
 def test_parse_null_id_counts_as_absent(tmp_path):
-    feats = [line_feature(shifted(PROJ, i)) for i in range(2)]
+    feats = [line_feature(shifted(PROJ, i), {}) for i in range(2)]
     for feat in feats:
         feat["id"] = None
     feats[1]["properties"]["id"] = "p"
@@ -70,7 +61,7 @@ def test_parse_null_id_counts_as_absent(tmp_path):
 
 def test_parse_rejects_duplicate_ids(tmp_path):
     # graph edges are keyed by id, so a repeated id would silently drop an edge
-    path = write_fc(tmp_path, [line_feature(shifted(PROJ, i), fid=fid) for i, fid in enumerate("aba")])
+    path = write_fc(tmp_path, [line_feature(shifted(PROJ, i), {}, feature_id=fid) for i, fid in enumerate("aba")])
     with pytest.raises(ParseError) as err:
         parse_dataset(path)
     assert str(err.value).endswith("duplicate feature id(s): a")
@@ -83,7 +74,7 @@ def test_parse_rejects_part_id_colliding_with_feature_id(tmp_path):
         "geometry": {"type": "MultiLineString", "coordinates": [shifted(PROJ, 0), shifted(PROJ, 1)]},
         "properties": {},
     }
-    path = write_fc(tmp_path, [line_feature(shifted(PROJ, 2), fid="x#0"), multi])
+    path = write_fc(tmp_path, [line_feature(shifted(PROJ, 2), {}, feature_id="x#0"), multi])
     with pytest.raises(ParseError) as err:
         parse_dataset(path)
     assert str(err.value).endswith("duplicate feature id(s): x#0")
@@ -96,14 +87,14 @@ def test_parse_rejects_polygon_feature(tmp_path):
         "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]},
         "properties": {},
     }
-    path = write_fc(tmp_path, [line_feature(PROJ), bad])
+    path = write_fc(tmp_path, [line_feature(PROJ, {}), bad])
     with pytest.raises(UnsupportedGeometryError) as err:
         parse_dataset(path)
     assert "P1" in str(err.value)
 
 
 def test_parse_rejects_degree_coordinates(tmp_path):
-    path = write_fc(tmp_path, [line_feature([[12.5, 55.7], [12.6, 55.8]])])
+    path = write_fc(tmp_path, [line_feature([[12.5, 55.7], [12.6, 55.8]], {})])
     with pytest.raises(CrsError):
         parse_dataset(path)
 
@@ -117,8 +108,8 @@ def test_parse_error_carries_position(tmp_path):
 
 
 def test_parse_drops_degenerate_features(tmp_path, caplog):
-    degenerate = line_feature([[600000, 6100000], [600000, 6100000]])
-    path = write_fc(tmp_path, [line_feature(PROJ), degenerate])
+    degenerate = line_feature([[600000, 6100000], [600000, 6100000]], {})
+    path = write_fc(tmp_path, [line_feature(PROJ, {}), degenerate])
     with caplog.at_level("WARNING"):
         features = parse_dataset(path)
     assert len(features) == 1
@@ -126,7 +117,7 @@ def test_parse_drops_degenerate_features(tmp_path, caplog):
 
 
 def test_parse_coerces_attribute_values(tmp_path):
-    path = write_fc(tmp_path, [line_feature(PROJ, props={"width": 2.5, "lit": None, "name": "x"})])
+    path = write_fc(tmp_path, [line_feature(PROJ, {"width": 2.5, "lit": None, "name": "x"})])
     (feat,) = parse_dataset(path)
     assert feat.attributes == {"width": "2.5", "name": "x"}
 

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from netqa import matching
 from netqa.errors import GeometryError
-from netqa.geometry import _LENGTH_EPS, _cumulative_lengths, segmentize
-from netqa.matching import MatchConfig, match_datasets, match_tables, segment_table, segmentize_dataset
+from netqa.matching import _LENGTH_EPS, MatchConfig, match_datasets, match_tables, segment_table, segmentize_dataset
 
-from conftest import make_dataset, reference_match, reference_match_direction
+from conftest import _cumulative_lengths, make_dataset, reference_match, reference_match_direction, segmentize
 
 DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 3)]
 

@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import logging
 import math
 import shutil
+import sys
 import tempfile
 from collections import Counter
 from functools import cache, partial
@@ -34,9 +36,20 @@ from netqa.matching import (
 )
 from netqa.pipeline import Pipeline, RunConfig, run_pipeline
 
-from conftest import make_dataset, make_edge, reference_clip_polyline, write_ragged_demo
+from conftest import (
+    cell_center,
+    cell_polygon,
+    line_feature,
+    make_dataset,
+    make_edge,
+    polyline_coords,
+    reference_clip_polyline,
+    write_ragged_demo,
+)
 
-DEMO = Path(__file__).parent / "data" / "demo"
+DATA = Path(__file__).parent / "data"
+DEMO = DATA / "demo"
+PERFBENCH_GENERATE = Path(__file__).parent.parent / "perfbench" / "generate.py"
 # SHA-256 of each demo output's parsed content (see parsed_digest), recorded
 # from the indented writer that preceded the compact one
 DEMO_DIGESTS = Path(__file__).parent / "data" / "demo_parsed_sha256.json"
@@ -172,6 +185,42 @@ def test_config_errors_fail_at_load_naming_the_key(tmp_path, capsys, overrides, 
     assert cli_main(["validate", "--config", str(demo_config(tmp_path, **overrides))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config key") and key in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("candidate.path", 5),
+        ("reference.path", None),
+        ("study_area", 5),
+        ("rules", ["rules.json"]),
+        ("polygons", None),
+        ("population", 5.0),
+        ("output_dir", 5),
+    ],
+)
+def test_config_paths_that_are_not_strings_fail_at_load_naming_the_key(tmp_path, capsys, key, value):
+    # these used to end in a TypeError from ``Path / value``: a traceback
+    # and exit status 1
+    path = demo_config(tmp_path)
+    doc = json.loads(path.read_text())
+    *parent, name = key.split(".")
+    (doc[parent[0]] if parent else doc)[name] = value
+    path.write_text(json.dumps(doc))
+    assert cli_main(["full", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key") and f"{key!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"x"'])
+def test_a_config_that_is_not_an_object_fails_at_load(tmp_path, capsys, text):
+    # a number or null used to end in a TypeError, and a list or a string
+    # was reported as missing the key 'candidate'
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli_main(["full", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config {path} must hold a JSON object, got ")
 
 
 def test_missing_input_reported(tmp_path):
@@ -489,6 +538,35 @@ def test_demo_ragged_outputs_reproduce_the_recorded_bytes(tmp_path, monkeypatch)
     assert got == json.loads(DEMO_RAGGED_RAW_DIGESTS.read_text(encoding="utf-8"))
 
 
+def _perfbench_generate():
+    # the benchmark's input generator, loaded from its file: perfbench is
+    # not a package
+    spec = importlib.util.spec_from_file_location("perfbench_generate", PERFBENCH_GENERATE)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "workload, digests",
+    [
+        # segment layers (about 21k rows) and component layers (about 2k edges)
+        ("match-dense", ["match_dense_seed1_segments_sha256.json", "match_dense_seed1_components_sha256.json"]),
+        # grid, LISA and undershoot layers (209 cells)
+        ("city-full", ["city_full_seed1_polygon_layers_sha256.json"]),
+    ],
+    ids=["match-dense", "city-full"],
+)
+def test_benchmark_seed1_layers_reproduce_the_recorded_bytes(tmp_path, workload, digests):
+    generate = _perfbench_generate()
+    generate.generate(generate.WORKLOADS[workload], 1, tmp_path / "in")
+    assert cli_main(["full", "--config", str(tmp_path / "in" / "config.json"), "--out", str(tmp_path / "out")]) == 0
+    recorded = {k: v for name in digests for k, v in json.loads((DATA / name).read_text(encoding="utf-8")).items()}
+    got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in recorded}
+    assert got == recorded
+
+
 def test_full_run_builds_no_per_segment_objects(tmp_path, monkeypatch):
     built = Counter()
 
@@ -538,7 +616,7 @@ def _reference_segment_features(records):
     # the layer as built from MatchRecord attributes
     for r in records:
         s, m = r.segment, r.matched
-        yield featureio.line_feature(
+        yield line_feature(
             [[round(s.start.x, 6), round(s.start.y, 6)], [round(s.end.x, 6), round(s.end.y, 6)]],
             {
                 "edge_id": s.parent_edge_id,
@@ -574,7 +652,7 @@ def _column_segment_features(table):
     for k, (x1, y1, x2, y2) in enumerate(segs.ends.tolist()):
         j = int(table.target[k])
         matched = j >= 0
-        yield featureio.line_feature(
+        yield line_feature(
             [[round(x1, 6), round(y1, 6)], [round(x2, 6), round(y2, 6)]],
             {
                 "edge_id": segs.edge_ids[segs.edge[k]],
@@ -686,8 +764,8 @@ def test_segment_lines_equal_the_encoder_on_awkward_floats(table):
 def _reference_component_features(g):
     # the component layer as feature dicts, one per edge of the graph
     for e in g.edges.values():
-        yield featureio.line_feature(
-            featureio.polyline_coords(e.geometry),
+        yield line_feature(
+            polyline_coords(e.geometry),
             {"edge_id": e.id, "component_id": e.component_id, "infra_category": e.infra_category},
             feature_id=e.id,
         )
@@ -802,7 +880,7 @@ def cell_layers(draw):
     x0, y0 = draw(st.sampled_from([(0.0, 0.0), (400000.0, 5800000.0), (-12.5, 3.75)]))
     proto = HexGrid(Point2D(x0, y0), draw(st.sampled_from([740000.0, 10000.0, 2.5])), cells={})
     ids = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=10, unique=True))
-    cells = {c: HexCell(center=proto.cell_center(*c), polygon=proto.cell_polygon(*c)) for c in ids}
+    cells = {c: HexCell(center=cell_center(proto, *c), polygon=cell_polygon(proto, *c)) for c in ids}
     grid = HexGrid(proto.origin, proto.cell_area, cells)
     value = AWKWARD | st.none() | st.integers(-(2**70), 2**70)
     names = ["a", "density_difference", "q", 'tag_"x"', "tag_stra\u00dfe", "zz"]
@@ -877,25 +955,27 @@ def test_a_full_run_spells_the_grid_rings_once(tmp_path, monkeypatch):
 
 def test_match_run_builds_no_segment_feature_dicts(tmp_path, monkeypatch):
     calls = Counter()
-    real = featureio.line_feature
+    real = featureio.encode
 
-    def counting(*args, **kwargs):
-        calls["line_feature"] += 1
-        return real(*args, **kwargs)
+    def counting(value):
+        if isinstance(value, dict) and value.get("type") == "Feature":
+            calls["feature"] += 1
+        return real(value)
 
-    monkeypatch.setattr(featureio, "line_feature", counting)
+    monkeypatch.setattr(featureio, "encode", counting)
     config = str(demo_config(tmp_path))
     assert cli_main(["match", "--config", config, "--out", str(tmp_path / "match")]) == 0
     assert (tmp_path / "match" / "segments_candidate.geojson").stat().st_size > 10**5
-    assert calls["line_feature"] == 0
-    # nor does a structure run build component feature dicts
+    assert calls["feature"] == 0
+    # nor does a structure run encode component feature dicts
     assert cli_main(["structure", "--config", config, "--out", str(tmp_path / "structure")]) == 0
     assert (tmp_path / "structure" / "components_candidate.geojson").stat().st_size > 10**3
-    assert calls["line_feature"] == 0
-    # the counter sees a feature built through featureio, as the layers once
-    # built theirs: one call per edge of the reference component features
+    assert calls["feature"] == 0
+    # the counter sees a feature encoded through featureio, as the layers
+    # once encoded theirs: one call per edge of the reference component features
     g = Pipeline(RunConfig.from_file(config)).graphs()["candidate"]
-    assert len(list(_reference_component_features(g))) == calls["line_feature"] == len(g.edges) > 0
+    encoded = [featureio.encode(f) for f in _reference_component_features(g)]
+    assert len(encoded) == calls["feature"] == len(g.edges) > 0
 
 
 @pytest.mark.parametrize("tiny", [1e-15, -1e-15, 4e-10])

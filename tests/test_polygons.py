@@ -9,7 +9,6 @@ from netqa.geometry import Point2D, Polyline
 from netqa.polygons import (
     PolygonArea,
     clip_polyline_to_polygon,
-    point_in_rings,
     ring_signed_area,
     rings_intersect_polygon,
 )
@@ -17,6 +16,7 @@ from netqa.polygons import (
 from conftest import (
     lattice_points,
     lattice_polygons,
+    point_in_rings,
     rect_polygon,
     reference_clip_polyline_to_polygon,
     reference_ring_intersects_polygon,
@@ -66,10 +66,9 @@ def test_degenerate_polygon_rejected():
 def test_point_in_rings_with_hole():
     outer = (Point2D(0, 0), Point2D(10, 0), Point2D(10, 10), Point2D(0, 10))
     hole = (Point2D(3, 3), Point2D(7, 3), Point2D(7, 7), Point2D(3, 7))
-    rings = (outer, hole)
-    assert point_in_rings(1, 1, rings)
-    assert not point_in_rings(5, 5, rings)  # inside the hole
-    assert not point_in_rings(11, 5, rings)
+    poly = PolygonArea(rings=(outer, hole))
+    inside = poly.contains_many(np.array([1.0, 5.0, 11.0]), np.array([1.0, 5.0, 5.0]))
+    assert inside.tolist() == [True, False, False]  # (5, 5) is inside the hole
 
 
 def test_clip_full_crossing():
