@@ -6,4 +6,9 @@ completeness, network structure, and attribute coverage, plus grid-level
 spatial autocorrelation of every local metric.
 """
 
+import time as _time
+
+# when the package began to load: a run's import_seconds count from here
+_import_start = _time.perf_counter()
+
 __version__ = "0.1.0"

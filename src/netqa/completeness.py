@@ -13,7 +13,6 @@ dataset treats the other as zero.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,15 +38,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LengthPolicy:
     """Multipliers keyed on (mapping_model, directionality)."""
 
-    factors: dict
-    # edge_factors' arrays, keyed by the ids of the edges they were built from
-    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("factors", "_arrays")
 
-    def __post_init__(self):
+    def __init__(self, factors: dict):
+        self.factors = factors
+        # edge_factors' arrays, keyed by the ids of the edges they were built from
+        self._arrays = {}
         for key, factor in self.factors.items():
             if factor < 1.0:
                 raise ConfigError(f"length factor for {key} must be >= 1, got {factor}")
@@ -99,14 +98,15 @@ def dataset_length_totals(dataset, policy: LengthPolicy) -> dict:
     return {key: _sum_in_order(part) for key, part in {"total_m": length, **parts}.items()}
 
 
-@dataclass
 class DensitySurface:
     """Per-cell infrastructure density in km per km²; empty cells absent."""
 
-    dataset_name: str
-    grid: HexGrid
-    values: dict = field(default_factory=dict)
-    outside_m: float = 0.0
+    __slots__ = ("dataset_name", "grid", "values", "outside_m")
+
+    def __init__(self, dataset_name: str, grid: HexGrid, values: dict | None = None, outside_m: float = 0.0):
+        self.dataset_name, self.grid = dataset_name, grid
+        self.values = {} if values is None else values
+        self.outside_m = outside_m
 
 
 def build_density_surface(dataset, cells: EdgeCells, policy: LengthPolicy) -> DensitySurface:
@@ -130,15 +130,12 @@ def density_difference(a: DensitySurface, b: DensitySurface) -> dict:
     return {cell: b.values.get(cell, 0.0) - a.values.get(cell, 0.0) for cell in sorted(cells)}
 
 
-@dataclass(frozen=True)
 class PolygonStats:
-    name: str
-    area_m2: float
-    length_a_m: float
-    length_b_m: float
-    density_a: float
-    density_b: float
-    relative_difference: float
+    __slots__ = ("name", "area_m2", "length_a_m", "length_b_m", "density_a", "density_b", "relative_difference")
+
+    def __init__(self, name, area_m2, length_a_m, length_b_m, density_a, density_b, relative_difference):
+        self.name, self.area_m2, self.length_a_m, self.length_b_m = name, area_m2, length_a_m, length_b_m
+        self.density_a, self.density_b, self.relative_difference = density_a, density_b, relative_difference
 
 
 def polygon_aggregate(dataset, polygons: list[PolygonArea], policy: LengthPolicy) -> dict:

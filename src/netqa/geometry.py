@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import add
@@ -37,37 +36,54 @@ __all__ = [
 _BLOCK_ELEMENTS = 1 << 12
 
 
-@dataclass(frozen=True)
 class Point2D:
-    """A point in projected planar coordinates, meters."""
+    """A point in projected planar coordinates, meters; equal points hash alike."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise GeometryError(f"non-finite coordinate ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GeometryError(f"non-finite coordinate ({x}, {y})")
+        self.x, self.y = x, y
+
+    def __eq__(self, other):
+        if type(other) is not Point2D:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __repr__(self):
+        return f"Point2D(x={self.x!r}, y={self.y!r})"
 
 
-@dataclass(frozen=True)
 class Polyline:
-    """An ordered vertex chain with positive total length.
+    """An ordered vertex chain with positive total length; equal chains hash alike.
 
     Consecutive duplicate vertices are rejected; cleaning of raw input
     happens upstream, at ingestion.
     """
 
-    vertices: tuple[Point2D, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[Point2D, ...]):
+        self.vertices = vertices
         if len(self.vertices) < 2:
             raise GeometryError("polyline needs at least 2 vertices")
         for a, b in zip(self.vertices, self.vertices[1:]):
             if a.x == b.x and a.y == b.y:
                 raise GeometryError("polyline has consecutive duplicate vertices")
 
+    def __eq__(self, other):
+        if type(other) is not Polyline:
+            return NotImplemented
+        return self.vertices == other.vertices
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(self.vertices)
+
+
 class Segment:
     """A straight piece cut from a parent polyline.
 
@@ -75,23 +91,28 @@ class Segment:
     arc positions ``offset`` and ``offset + arc_length``. For a piece that
     spans parent vertices the chord is shorter than ``arc_length``; all
     length accounting uses ``arc_length`` so that segment lengths always
-    sum back to the parent length exactly.
+    sum back to the parent length exactly. Segments with equal fields are equal.
     """
 
-    start: Point2D
-    end: Point2D
-    parent_edge_id: str
-    offset: float
-    arc_length: float
-    index: int = 0
+    __slots__ = ("start", "end", "parent_edge_id", "offset", "arc_length", "index")
 
-    def __post_init__(self):
+    def __init__(self, start: Point2D, end: Point2D, parent_edge_id: str, offset: float, arc_length: float, index=0):
+        self.start, self.end, self.parent_edge_id = start, end, parent_edge_id
+        self.offset, self.arc_length, self.index = offset, arc_length, index
         if self.start.x == self.end.x and self.start.y == self.end.y:
             raise GeometryError(f"degenerate segment on edge {self.parent_edge_id}")
         if self.offset < 0:
             raise GeometryError("segment offset must be >= 0")
         if self.arc_length <= 0:
             raise GeometryError("segment arc_length must be > 0")
+
+    def __eq__(self, other):
+        if type(other) is not Segment:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
 
     @property
     def midpoint(self) -> Point2D:
@@ -102,7 +123,6 @@ class Segment:
         return (self.parent_edge_id, self.index)
 
 
-@dataclass(frozen=True, eq=False)
 class VertexArrays:
     """The vertices of a list of polylines, end to end, as columns.
 
@@ -116,13 +136,11 @@ class VertexArrays:
     tests' ``conftest.py``).
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
-    step: np.ndarray
-    cum: np.ndarray
-    length: np.ndarray
+    __slots__ = ("x", "y", "first", "last", "step", "cum", "length")
+
+    def __init__(self, x, y, first, last, step, cum, length):
+        self.x, self.y, self.first, self.last = x, y, first, last
+        self.step, self.cum, self.length = step, cum, length
 
     def __len__(self) -> int:
         return len(self.first)

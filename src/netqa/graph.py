@@ -10,11 +10,13 @@ must be able to see, not a defect to repair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point2D, Polyline, VertexArrays, point_to_polyline_distance
+from .config import DEFAULT_SNAP_TOLERANCE, DEFAULT_UNDERSHOOT_THRESHOLD
+from .geometry import Point2D, VertexArrays, point_to_polyline_distance
+from .ingest import NetworkEdge
 from .spindex import SLACK, BucketJoin
 
 __all__ = [
@@ -31,30 +33,12 @@ __all__ = [
     "local_component_count",
 ]
 
-DEFAULT_SNAP_TOLERANCE = 0.001
-DEFAULT_UNDERSHOOT_THRESHOLD = 3.0
-
 
 @dataclass
 class NetworkNode:
     id: int
     location: Point2D
     degree: int = 0
-
-
-@dataclass
-class NetworkEdge:
-    """A classified infrastructure edge, with topology filled in by build_graph."""
-
-    id: str
-    geometry: Polyline
-    infra_category: str
-    mapping_model: str
-    directionality: str
-    attributes: dict = field(default_factory=dict)
-    from_node: int | None = None
-    to_node: int | None = None
-    component_id: int | None = None
 
 
 @dataclass

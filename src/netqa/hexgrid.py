@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +38,21 @@ _HEX_NORMALS = tuple(
 _SIDE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
 class HexCell:
-    center: Point2D
-    polygon: tuple[Point2D, ...]
+    """A grid cell: its center and hexagon ring. Cells with equal fields are equal."""
+
+    __slots__ = ("center", "polygon")
+
+    def __init__(self, center: Point2D, polygon: tuple[Point2D, ...]):
+        self.center, self.polygon = center, polygon
+
+    def __eq__(self, other):
+        if type(other) is not HexCell:
+            return NotImplemented
+        return self.center == other.center and self.polygon == other.polygon
+
+    def __hash__(self):
+        return hash((self.center, self.polygon))
 
 
 class HexGrid:
@@ -229,18 +239,16 @@ class HexGrid:
         return t0, t1
 
 
-@dataclass(frozen=True)
 class EdgeCells:
     """Edges clipped against a grid. Row k: edge ``edge[k]`` has length ``length[k]`` > 0
     in cell ``cell[k]`` (a position in ``grid.cell_ids``). Rows run in edge order, then in
     the order the clip first meets each cell, so per-cell sums add as a loop over edges does.
     ``vertices`` are the edges' geometries the rows were clipped from."""
 
-    grid: HexGrid
-    vertices: VertexArrays
-    edge: np.ndarray
-    cell: np.ndarray
-    length: np.ndarray
+    __slots__ = ("grid", "vertices", "edge", "cell", "length")
+
+    def __init__(self, grid: HexGrid, vertices: VertexArrays, edge: np.ndarray, cell: np.ndarray, length: np.ndarray):
+        self.grid, self.vertices, self.edge, self.cell, self.length = grid, vertices, edge, cell, length
 
     def check(self, edges) -> None:
         if len(edges) != len(self.vertices):

@@ -12,13 +12,10 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 from .errors import CrsError, ParseError, UnsupportedGeometryError
 from .geometry import GeometryError, Point2D, Polyline, VertexArrays, vertex_arrays
-from .graph import NetworkEdge
 from .polygons import PolygonArea
 
 log = logging.getLogger(__name__)
@@ -26,6 +23,7 @@ log = logging.getLogger(__name__)
 __all__ = [
     "RawFeature",
     "ClassificationRule",
+    "NetworkEdge",
     "Dataset",
     "parse_dataset",
     "classify",
@@ -40,14 +38,13 @@ MAPPING_MODELS = ("centerline", "separate_geometry")
 DIRECTIONALITIES = ("oneway", "bidirectional")
 
 
-@dataclass(frozen=True)
 class RawFeature:
-    geometry: Polyline
-    attributes: dict
-    source_id: str
+    __slots__ = ("geometry", "attributes", "source_id")
+
+    def __init__(self, geometry: Polyline, attributes: dict, source_id: str):
+        self.geometry, self.attributes, self.source_id = geometry, attributes, source_id
 
 
-@dataclass(frozen=True)
 class ClassificationRule:
     """One ordered rule: a predicate tree plus a full outcome.
 
@@ -58,12 +55,11 @@ class ClassificationRule:
       {"all": [...]} / {"any": [...]} / {"not": {...}}   combinators
     """
 
-    predicate: dict
-    infra_category: str
-    mapping_model: str
-    directionality: str
+    __slots__ = ("predicate", "infra_category", "mapping_model", "directionality")
 
-    def __post_init__(self):
+    def __init__(self, predicate: dict, infra_category: str, mapping_model: str, directionality: str):
+        self.predicate, self.infra_category = predicate, infra_category
+        self.mapping_model, self.directionality = mapping_model, directionality
         if self.infra_category not in INFRA_CATEGORIES:
             raise ValueError(f"unknown infra_category {self.infra_category!r}")
         if self.mapping_model not in MAPPING_MODELS:
@@ -112,15 +108,53 @@ def _eval_predicate(node, attributes) -> bool:
     return value is not None and value != ""
 
 
-@dataclass
-class Dataset:
-    name: str
-    edges: list = field(default_factory=list)
+class NetworkEdge:
+    """A classified infrastructure edge, with topology filled in by ``graph.build_graph``."""
 
-    @cached_property
+    __slots__ = (
+        "id",
+        "geometry",
+        "infra_category",
+        "mapping_model",
+        "directionality",
+        "attributes",
+        "from_node",
+        "to_node",
+        "component_id",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        geometry: Polyline,
+        infra_category: str,
+        mapping_model: str,
+        directionality: str,
+        attributes: dict | None = None,
+        from_node: int | None = None,
+        to_node: int | None = None,
+        component_id: int | None = None,
+    ):
+        self.id, self.geometry = id, geometry
+        self.infra_category, self.mapping_model, self.directionality = infra_category, mapping_model, directionality
+        self.attributes = {} if attributes is None else attributes
+        self.from_node, self.to_node, self.component_id = from_node, to_node, component_id
+
+
+class Dataset:
+    __slots__ = ("name", "edges", "_vertices")
+
+    def __init__(self, name: str, edges: list | None = None):
+        self.name = name
+        self.edges = [] if edges is None else edges
+        self._vertices = None
+
+    @property
     def vertices(self) -> VertexArrays:
         """The edges' geometries as vertex arrays, built on first use."""
-        return vertex_arrays(e.geometry for e in self.edges)
+        if self._vertices is None:
+            self._vertices = vertex_arrays(e.geometry for e in self.edges)
+        return self._vertices
 
 
 def _load_json(path):

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .config import MatchConfig
+from .errors import GeometryError
 from .geometry import Point2D, Segment, _ranges, _sum_in_order
 from .spindex import SLACK, BucketJoin
 
@@ -46,25 +47,6 @@ __all__ = [
 # or at most _LENGTH_EPS meters, is merged into the previous segment.
 _REMAINDER_MERGE_FRACTION = 0.5
 _LENGTH_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    """Matching thresholds, all configurable; defaults follow common
-    segment-matching practice for road networks."""
-
-    seg_len: float = 10.0
-    max_dist: float = 15.0
-    max_hausdorff: float = 17.0
-    max_angle: float = 30.0
-
-    def __post_init__(self):
-        for name in ("seg_len", "max_dist", "max_hausdorff", "max_angle"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
-        if self.max_hausdorff < self.max_dist:
-            raise ConfigError("max_hausdorff must be >= max_dist")
 
 
 @dataclass(frozen=True)

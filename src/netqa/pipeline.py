@@ -17,6 +17,7 @@ excluded from golden comparisons.
 
 from __future__ import annotations
 
+import importlib
 import json
 import logging
 import math
@@ -25,13 +26,13 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import asdict, astuple, dataclass, field
 from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
-from . import completeness, featureio, graph, hexgrid, ingest, matching, spatial, tags
+from . import _import_start, completeness, featureio, hexgrid, ingest
+from .config import DEFAULT_SNAP_TOLERANCE, DEFAULT_TAG_SPECS, DEFAULT_UNDERSHOOT_THRESHOLD, MatchConfig, TagSpec
 from .errors import ConfigError, NetqaError, PipelineError, WeightsError, ZeroVarianceError
 from .featureio import round_metric as _r
 from .geometry import _blocks, _sum_in_order
@@ -47,37 +48,65 @@ log = logging.getLogger(__name__)
 
 STAGES = ("validate", "density", "structure", "match", "tags", "autocorr", "full")
 
+# The stage modules each subcommand runs, beyond those every run needs.
+# run_stage imports them before the first stage, so that their import
+# time counts in import_seconds, not in the first stage that calls them.
+_STAGE_MODULES = {
+    "structure": ("graph",),
+    "match": ("matching",),
+    "tags": ("tags",),
+    "autocorr": ("matching", "tags", "spatial"),
+    "full": ("graph", "matching", "tags", "spatial"),
+}
+
 _DEFAULTS = {
-    "snap_tolerance_m": graph.DEFAULT_SNAP_TOLERANCE,
-    "undershoot_threshold_m": graph.DEFAULT_UNDERSHOOT_THRESHOLD,
+    "snap_tolerance_m": DEFAULT_SNAP_TOLERANCE,
+    "undershoot_threshold_m": DEFAULT_UNDERSHOOT_THRESHOLD,
     "cell_area_m2": hexgrid.DEFAULT_CELL_AREA,
     "n_permutations": 999,
     "alpha": 0.05,
 }
 
 
-@dataclass
 class RunConfig:
-    candidate_name: str
-    candidate_path: Path
-    reference_name: str
-    reference_path: Path
-    study_area_path: Path
-    rules_path: Path
-    output_dir: Path
-    seed: int
-    polygons_path: Path | None = None
-    population_path: Path | None = None
-    cell_area_m2: float = _DEFAULTS["cell_area_m2"]
-    snap_tolerance_m: float = _DEFAULTS["snap_tolerance_m"]
-    undershoot_threshold_m: float = _DEFAULTS["undershoot_threshold_m"]
-    match_config: matching.MatchConfig = field(default_factory=matching.MatchConfig)
-    weights_schemes: tuple = ({"scheme": "knn", "k": 6},)
-    n_permutations: int = _DEFAULTS["n_permutations"]
-    alpha: float = _DEFAULTS["alpha"]
-    length_policy: completeness.LengthPolicy = field(default_factory=completeness.LengthPolicy.default)
-    tag_specs: tuple = tags.DEFAULT_TAG_SPECS
-    tags_use_raw_length: bool = False
+    """The settings of one run, as ``from_file`` reads them."""
+
+    weights_schemes = ({"scheme": "knn", "k": 6},)  # the default
+
+    def __init__(
+        self,
+        candidate_name: str,
+        candidate_path: Path,
+        reference_name: str,
+        reference_path: Path,
+        study_area_path: Path,
+        rules_path: Path,
+        output_dir: Path,
+        seed: int,
+        polygons_path: Path | None = None,
+        population_path: Path | None = None,
+        cell_area_m2: float = _DEFAULTS["cell_area_m2"],
+        snap_tolerance_m: float = _DEFAULTS["snap_tolerance_m"],
+        undershoot_threshold_m: float = _DEFAULTS["undershoot_threshold_m"],
+        match_config: MatchConfig | None = None,
+        weights_schemes: tuple = weights_schemes,
+        n_permutations: int = _DEFAULTS["n_permutations"],
+        alpha: float = _DEFAULTS["alpha"],
+        length_policy: completeness.LengthPolicy | None = None,
+        tag_specs: tuple = DEFAULT_TAG_SPECS,
+        tags_use_raw_length: bool = False,
+    ):
+        self.candidate_name, self.candidate_path = candidate_name, candidate_path
+        self.reference_name, self.reference_path = reference_name, reference_path
+        self.study_area_path, self.rules_path = study_area_path, rules_path
+        self.output_dir, self.seed = output_dir, seed
+        self.polygons_path, self.population_path = polygons_path, population_path
+        self.cell_area_m2, self.snap_tolerance_m = cell_area_m2, snap_tolerance_m
+        self.undershoot_threshold_m = undershoot_threshold_m
+        self.match_config = MatchConfig() if match_config is None else match_config
+        self.weights_schemes, self.n_permutations, self.alpha = weights_schemes, n_permutations, alpha
+        self.length_policy = completeness.LengthPolicy.default() if length_policy is None else length_policy
+        self.tag_specs, self.tags_use_raw_length = tag_specs, tags_use_raw_length
 
     @classmethod
     def from_file(cls, path, out_override=None) -> "RunConfig":
@@ -101,7 +130,10 @@ class RunConfig:
             entry = need(role)
             if not isinstance(entry, dict) or "path" not in entry:
                 raise ConfigError(f"config key {role!r} must be an object with a 'path'")
-            return str(entry.get("name", role)), base / _string(entry["path"], f"{role}.path")
+            name = entry.get("name", role)
+            if not isinstance(name, str) or not name:
+                raise ConfigError(f"config key '{role}.name' must be a nonempty string, got {name!r}")
+            return name, base / _string(entry["path"], f"{role}.path")
 
         cand_name, cand_path = dataset("candidate")
         ref_name, ref_path = dataset("reference")
@@ -111,12 +143,12 @@ class RunConfig:
             raise ConfigError(f"config key 'seed' must be an integer >= 0, got {doc['seed']!r}")
 
         match_doc = _object(doc.get("match", {}), "match")
-        match_default = matching.MatchConfig()
+        match_default = MatchConfig()
 
         def threshold(key, default):
             return _number(match_doc.get(key, default), f"match.{key}", *_POSITIVE)
 
-        match_cfg = matching.MatchConfig(
+        match_cfg = MatchConfig(
             seg_len=threshold("seg_len_m", match_default.seg_len),
             max_dist=threshold("max_dist_m", match_default.max_dist),
             max_hausdorff=threshold("max_hausdorff_m", match_default.max_hausdorff),
@@ -133,7 +165,7 @@ class RunConfig:
                 factors[(parts[0], parts[1])] = _number(factor, f"length_policy.{key}", *_AT_LEAST_ONE)
             policy = completeness.LengthPolicy(factors=factors)
 
-        tag_specs = tags.DEFAULT_TAG_SPECS
+        tag_specs = DEFAULT_TAG_SPECS
         if "tags" in doc:
             tag_specs = tuple(_tag_spec(entry, f"tags[{i}]") for i, entry in enumerate(_list(doc["tags"], "tags")))
             names = [t.name for t in tag_specs]
@@ -290,7 +322,7 @@ def _string(value, key: str) -> str:
     return value
 
 
-def _tag_spec(entry, key: str) -> tags.TagSpec:
+def _tag_spec(entry, key: str) -> TagSpec:
     """A tag entry: a nonempty string ``name`` and a nonempty list of nonempty string ``keys``."""
     entry = _object(entry, key)
     name, keys = entry.get("name"), entry.get("keys")
@@ -298,7 +330,7 @@ def _tag_spec(entry, key: str) -> tags.TagSpec:
         raise ConfigError(f"config key '{key}.name' must be a nonempty string, got {name!r}")
     if not isinstance(keys, list) or not keys or not all(isinstance(k, str) and k for k in keys):
         raise ConfigError(f"config key '{key}.keys' must be a nonempty list of nonempty strings, got {keys!r}")
-    return tags.TagSpec(name=name, keys=tuple(keys))
+    return TagSpec(name=name, keys=tuple(keys))
 
 
 def _parse_cell_key(text: str):
@@ -577,8 +609,10 @@ class Pipeline:
         # wall seconds of each stage's first computation, less those of the
         # stages it computed first; recorded in run_info.json
         self.stage_seconds: dict[str, float] = {}
-        # per-direction matching work (role -> MatchCounts); run_info.json
-        self.match_counts: dict[str, matching.MatchCounts] = {}
+        # seconds from netqa's first import to the start of the first stage; run_info.json
+        self.import_seconds: float | None = None
+        # per-direction matching work (role -> the fields of its MatchCounts); run_info.json
+        self.match_counts: dict[str, dict] = {}
         # scheme -> [{"cells", "nnz"} of each weights build]; run_info.json
         self.weights_builds: dict[str, list[dict]] = {}
         # scheme -> [the metrics evaluated on each weights build]; run_info.json
@@ -588,6 +622,9 @@ class Pipeline:
         if stage not in self._cache:
             before = sum(self.stage_seconds.values())  # the stages run inside this one add to the sum
             start = time.perf_counter()
+            if self.import_seconds is None:
+                self.import_seconds = start - _import_start
+                log.debug("import: %.3f s", self.import_seconds)
             try:
                 self._cache[stage] = fn()
             except PipelineError:
@@ -639,6 +676,8 @@ class Pipeline:
 
     def graphs(self):
         def build():
+            from . import graph
+
             return {
                 role: graph.build_graph(ds, self.cfg.snap_tolerance_m)
                 for role, ds in self.datasets().items()
@@ -737,6 +776,8 @@ class Pipeline:
 
     def structure(self):
         def build():
+            from . import graph
+
             cfg = self.cfg
             graphs = self.graphs()
             result = {}
@@ -780,16 +821,20 @@ class Pipeline:
 
     def matching_results(self):
         def build():
+            from dataclasses import asdict
+
+            from . import matching
+
             datasets = self.datasets()
             grid = self.grid()
             tables = matching.match_tables(datasets["candidate"], datasets["reference"], self.cfg.match_config)
             result = {}
             for role, table in zip(self.ROLES, tables):
-                self.match_counts[role] = table.counts
+                self.match_counts[role] = asdict(table.counts)
                 log.debug(
                     "match %s: %d segments, %d pairs within max_dist, %d rejected by Hausdorff, "
                     "%d rejected by angle, %d accepted, %d matched",
-                    role, *astuple(table.counts),
+                    role, *self.match_counts[role].values(),
                 )
                 summ = matching.summarize(table, grid)
                 result[role] = {"table": table, "summary": summ}
@@ -812,6 +857,8 @@ class Pipeline:
 
     def tag_shares(self):
         def build():
+            from . import tags
+
             cfg = self.cfg
             edges = self.datasets()["candidate"].edges
             policy = None if cfg.tags_use_raw_length else cfg.length_policy
@@ -830,6 +877,8 @@ class Pipeline:
 
     def autocorr(self):
         def build():
+            from . import spatial
+
             cfg = self.cfg
             # prerequisites computed transparently
             self.density()
@@ -920,6 +969,8 @@ class Pipeline:
     def run_stage(self, stage: str):
         if stage == "validate":
             return self.validate()
+        for name in _STAGE_MODULES.get(stage, ()):
+            importlib.import_module(f"{__package__}.{name}")
         if stage == "density":
             self.density()
         elif stage == "structure":
@@ -997,12 +1048,13 @@ class Pipeline:
                 "tool": "netqa",
                 "version": "0.1.0",
                 "output_dir": str(out_dir),
+                "import_seconds": None if self.import_seconds is None else round(self.import_seconds, 6),
                 "stage_seconds": {stage: round(sec, 6) for stage, sec in self.stage_seconds.items()},
                 "write_seconds": {name: round(sec, 6) for name, sec in file_seconds.items()},
                 "peak_rss_mb": peak_rss_mb,
             }
             if self.match_counts:
-                run_info["matching"] = {role: asdict(c) for role, c in self.match_counts.items()}
+                run_info["matching"] = self.match_counts
             run_info["work"] = self._work(file_bytes)
             featureio.write_json(tmp_dir / "run_info.json", run_info)
             written.append("run_info.json")
@@ -1024,7 +1076,7 @@ class Pipeline:
             if ("clip", role) in self._cache:
                 work[role]["clips"] = len(self._cache[("clip", role)].edge)
             if role in self.match_counts:
-                work[role]["segments"] = self.match_counts[role].segments
+                work[role]["segments"] = self.match_counts[role]["segments"]
         if self.weights_builds:
             work["weights"] = self.weights_builds
             work["autocorr"] = self.autocorr_groups

@@ -17,8 +17,6 @@ bit-identical to testing all edges one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
 _PARAM_EPS = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class _Slabs:
     """Boundary edges, from ring[i] to ring[i + 1] over all rings, listed
     by slab.
@@ -52,19 +49,12 @@ class _Slabs:
     whatever the rounding.
     """
 
-    y0: float
-    scale: float
-    last: int
-    every: np.ndarray
-    starts: np.ndarray
-    cx: np.ndarray
-    cy: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    xlo: np.ndarray
-    xhi: np.ndarray
-    ylo: np.ndarray
-    yhi: np.ndarray
+    __slots__ = ("y0", "scale", "last", "every", "starts", "cx", "cy", "dx", "dy", "xlo", "xhi", "ylo", "yhi")
+
+    def __init__(self, y0: float, scale: float, last: int, every, starts, cx, cy, dx, dy, xlo, xhi, ylo, yhi):
+        self.y0, self.scale, self.last, self.every, self.starts = y0, scale, last, every, starts
+        self.cx, self.cy, self.dx, self.dy = cx, cy, dx, dy
+        self.xlo, self.xhi, self.ylo, self.yhi = xlo, xhi, ylo, yhi
 
     def slab_of(self, y: np.ndarray) -> np.ndarray:
         return _slab_of(y, self.y0, self.scale, self.last)
@@ -77,40 +67,35 @@ class _Slabs:
         return start, (self.every[lo + 1] - start[0], self.starts[hi + 1] - start[1])
 
 
-@dataclass(frozen=True)
 class PolygonArea:
     """A named polygon: outer ring first, then any holes.
 
-    ``area``, ``bbox`` and the boundary-edge index are computed once, on
-    first use.
+    ``area`` and ``bbox`` are computed when it is built, the boundary-edge
+    index once, on first use.
     """
 
-    rings: tuple[tuple[Point2D, ...], ...]
-    name: str = ""
+    __slots__ = ("rings", "name", "area", "bbox", "_index")
 
-    def __post_init__(self):
+    def __init__(self, rings: tuple[tuple[Point2D, ...], ...], name: str = ""):
+        self.rings, self.name = rings, name
         if not self.rings:
             raise GeometryError("polygon needs at least an outer ring")
         for ring in self.rings:
             if len(ring) < 3:
                 raise GeometryError(f"polygon ring with fewer than 3 vertices ({self.name!r})")
+        outer = abs(ring_signed_area(self.rings[0]))
+        self.area = outer - _sum_in_order([abs(ring_signed_area(r)) for r in self.rings[1:]])
         if self.area <= 0:
             raise GeometryError(f"degenerate polygon with nonpositive area ({self.name!r})")
-
-    @cached_property
-    def area(self) -> float:
-        outer = abs(ring_signed_area(self.rings[0]))
-        holes = _sum_in_order([abs(ring_signed_area(r)) for r in self.rings[1:]])
-        return outer - holes
-
-    @cached_property
-    def bbox(self) -> tuple[float, float, float, float]:
         xs = [v.x for v in self.rings[0]]
         ys = [v.y for v in self.rings[0]]
-        return min(xs), min(ys), max(xs), max(ys)
+        self.bbox = (min(xs), min(ys), max(xs), max(ys))
+        self._index = None
 
-    @cached_property
+    @property
     def _slabs(self) -> _Slabs:
+        if self._index is not None:
+            return self._index
         sizes = np.array([len(ring) for ring in self.rings])
         m = int(sizes.sum())
         x = np.fromiter((v.x for ring in self.rings for v in ring), dtype=float, count=m)
@@ -134,7 +119,8 @@ class PolygonArea:
         starts = every[-1] + np.append(0, np.cumsum(np.bincount(lo, minlength=n_slabs)))
         ecx, ecy, edx, edy = cx[entry], cy[entry], dx[entry], dy[entry]
         bbox = (np.minimum(ecx, edx), np.maximum(ecx, edx), np.minimum(ecy, edy), np.maximum(ecy, edy))
-        return _Slabs(ymin, scale, n_slabs - 1, every, starts, ecx, ecy, edx, edy, *bbox)
+        self._index = _Slabs(ymin, scale, n_slabs - 1, every, starts, ecx, ecy, edx, edy, *bbox)
+        return self._index
 
     # an overflow gives +-inf silently, as Python's float arithmetic does
     @np.errstate(over="ignore")

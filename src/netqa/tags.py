@@ -12,30 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TAG_SPECS, TagSpec
 from .geometry import _sum_in_order
 from .hexgrid import EdgeCells
 
 __all__ = ["TagSpec", "TagShare", "DEFAULT_TAG_SPECS", "tag_presence", "tag_share"]
-
-
-@dataclass(frozen=True)
-class TagSpec:
-    """A logical tag backed by one or more attribute keys; any one counts."""
-
-    name: str
-    keys: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.keys:
-            raise ValueError(f"tag spec {self.name!r} needs at least one key")
-
-
-DEFAULT_TAG_SPECS = (
-    TagSpec("surface", ("surface", "cycleway:surface")),
-    TagSpec("lit", ("lit",)),
-    TagSpec("width", ("width", "cycleway:width")),
-    TagSpec("maxspeed", ("maxspeed",)),
-)
 
 
 def tag_presence(edge, spec: TagSpec) -> bool:

@@ -4,9 +4,12 @@ import importlib.util
 import json
 import logging
 import math
+import re
 import shutil
+import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from functools import cache, partial
 from pathlib import Path
@@ -210,6 +213,20 @@ def test_config_paths_that_are_not_strings_fail_at_load_naming_the_key(tmp_path,
     assert cli_main(["full", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config key") and f"{key!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("role", ["candidate", "reference"])
+@pytest.mark.parametrize("value", [None, ["x"], 3, ""], ids=["null", "list", "number", "empty"])
+def test_dataset_names_that_are_not_nonempty_strings_fail_at_load(tmp_path, capsys, role, value):
+    # these used to become dataset names such as 'None' and "['x']"
+    path = demo_config(tmp_path)
+    doc = json.loads(path.read_text())
+    doc[role]["name"] = value
+    path.write_text(json.dumps(doc))
+    assert cli_main(["full", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key '{role}.name' must be a nonempty string, got {value!r}")
     assert not (tmp_path / "out").exists()
 
 
@@ -1286,6 +1303,49 @@ def test_run_info_records_each_files_bytes_and_write_seconds(tmp_path, caplog):
     assert sum(seconds.values()) <= run_info["stage_seconds"]["write"] + 1e-4  # each rounded to 1e-6
     for name, size in sizes.items():
         assert f"write {name}: {size} bytes, " in caplog.text
+
+
+STAGE_MODULES = {"netqa.graph", "netqa.matching", "netqa.spatial", "netqa.tags", "netqa.spindex"}
+
+
+def launch(*args) -> tuple[dict, str]:
+    """``cli.main(args)`` in a fresh interpreter: its status, the netqa
+    modules it imported and the dataclasses they define, and its standard error."""
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(pipeline.__file__).parents[1])!r})\n"
+        "from netqa import cli\n"
+        f"status = cli.main({list(args)!r})\n"
+        "modules = {k: m for k, m in sys.modules.items() if k.startswith('netqa.')}\n"
+        "made = [f'{k}.{n}' for k, m in modules.items() for n, v in vars(m).items()\n"
+        "        if isinstance(v, type) and v.__module__ == k and '__dataclass_fields__' in vars(v)]\n"
+        "print(json.dumps({'status': status, 'modules': sorted(modules), 'dataclasses': sorted(made)}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def test_a_launch_imports_only_the_stage_modules_of_its_subcommand(tmp_path):
+    config = ["--config", str(DEMO / "config.json")]
+    for stage in ("density", "validate"):
+        got, _ = launch(stage, *config, "--out", str(tmp_path / stage))
+        assert got["status"] == 0 and "netqa.pipeline" in got["modules"]
+        assert not set(got["modules"]) & STAGE_MODULES, stage
+        # no dataclass is generated on the way: the types these stages build are plain classes
+        assert got["dataclasses"] == [], stage
+    got, _ = launch("full", *config, "--out", str(tmp_path / "full"))
+    assert got["status"] == 0 and STAGE_MODULES <= set(got["modules"])
+    assert "netqa.matching.MatchCounts" in got["dataclasses"]  # read by asdict
+
+
+def test_run_info_records_the_start_up_before_the_first_stage(tmp_path):
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    got, err = launch("-v", "density", "--config", str(DEMO / "config.json"), "--out", str(out))
+    wall = time.perf_counter() - start
+    run_info = json.loads((out / "run_info.json").read_text())
+    assert got["status"] == 0 and 0.0 < run_info["import_seconds"] < wall
+    assert re.search(r"^DEBUG netqa\.pipeline: import: \d+\.\d{3} s$", err, re.MULTILINE)
 
 
 def test_cli_structure_rejects_duplicate_feature_ids(tmp_path, capsys):
