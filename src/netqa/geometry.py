@@ -25,8 +25,8 @@ __all__ = [
     "vertex_arrays",
     "hausdorff_distance",
     "segment_angle_deg",
-    "point_to_polyline_distance",
     "point_segment_distance",
+    "point_segment_distances",
 ]
 
 # Upper bound on the elements (vertices, clip rows, or pairs of a point,
@@ -212,8 +212,24 @@ def point_segment_distance(px: float, py: float, ax: float, ay: float, bx: float
             t = 1.0
         ex, ey = px - (ax + t * dx), py - (ay + t * dy)
     # sqrt rather than hypot: np.sqrt rounds as math.sqrt does (IEEE), so
-    # the matcher's array kernel repeats this arithmetic bit for bit
+    # point_segment_distances repeats this arithmetic bit for bit
     return math.sqrt(ex * ex + ey * ey)
+
+
+def point_segment_distances(px, py, ax, ay, bx, by) -> np.ndarray:
+    """``point_segment_distance`` of each point (px, py) and its segment
+    (a, b), over arrays, bit for bit: every step is an IEEE + - * / or
+    sqrt, or a clip."""
+    dx = bx - ax
+    dy = by - ay
+    denom = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((px - ax) * dx + (py - ay) * dy) / denom
+    # denom == 0 takes the distance to a; t = 0 gives that up to the sign
+    # of a zero, which the distance ignores
+    t = np.where(denom == 0.0, 0.0, np.clip(t, 0.0, 1.0))
+    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    return np.sqrt(ex * ex + ey * ey)
 
 
 def hausdorff_distance(a: Segment, b: Segment) -> float:
@@ -248,13 +264,3 @@ def segment_angle_deg(a: Segment, b: Segment) -> float:
     if angle > 90.0:
         angle = 180.0 - angle
     return angle
-
-
-def point_to_polyline_distance(pt: Point2D, p: Polyline) -> float:
-    """Minimum distance from a point to any point of a polyline."""
-    best = math.inf
-    for a, b in zip(p.vertices, p.vertices[1:]):
-        d = point_segment_distance(pt.x, pt.y, a.x, a.y, b.x, b.y)
-        if d < best:
-            best = d
-    return best

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_SNAP_TOLERANCE, DEFAULT_UNDERSHOOT_THRESHOLD
-from .geometry import Point2D, VertexArrays, point_to_polyline_distance
+from .geometry import _BLOCK_ELEMENTS, VertexArrays, _blocks, _ranges, point_segment_distances
 from .ingest import NetworkEdge
 from .spindex import SLACK, BucketJoin
 
 __all__ = [
-    "NetworkNode",
     "NetworkEdge",
     "Graph",
     "Undershoot",
@@ -34,31 +33,29 @@ __all__ = [
 ]
 
 
-@dataclass
-class NetworkNode:
-    id: int
-    location: Point2D
-    degree: int = 0
-
-
-@dataclass
 class Graph:
-    nodes: dict[int, NetworkNode]
-    edges: dict[str, NetworkEdge]
-    adjacency: dict[int, list[str]]
-    component_index: dict[int, list[str]]
-    vertices: VertexArrays  # the edges' geometries, in the order of ``edges``
+    """The topology of a dataset's edges, as columns.
 
-    def incident_edges(self, node_id: int) -> list[str]:
-        return self.adjacency.get(node_id, [])
+    ``edges`` is the dataset's edge list and ``vertices`` its vertex
+    arrays. Node i lies at ``nodes[i]``, the endpoint that opened it, and
+    holds ``degree[i]`` edge ends. Edge e runs from node ``ends[e, 0]`` to
+    node ``ends[e, 1]`` and lies in component ``component[e]``; components
+    are numbered densely from 0 in first-edge order.
+    """
 
-    def adjacent_nodes(self, node_id: int) -> set[int]:
-        out = set()
-        for eid in self.adjacency.get(node_id, []):
-            e = self.edges[eid]
-            out.add(e.from_node if e.to_node == node_id else e.to_node)
-        out.discard(node_id)
-        return out
+    __slots__ = ("edges", "vertices", "nodes", "degree", "ends", "component")
+
+    def __init__(self, edges: list, vertices: VertexArrays, nodes, degree, ends, component):
+        self.edges, self.vertices = edges, vertices
+        self.nodes, self.degree, self.ends, self.component = nodes, degree, ends, component
+
+    @property
+    def component_index(self) -> dict[int, list[str]]:
+        """Each component's edge ids, in edge order."""
+        index: dict[int, list[str]] = {}
+        for edge, cid in zip(self.edges, self.component.tolist()):
+            index.setdefault(cid, []).append(edge.id)
+        return index
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,8 @@ def build_graph(dataset, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> Grap
 
     Endpoints within ``snap_tolerance`` of an existing node share it; a
     node keeps the location of the endpoint that opened it. Component ids
-    are assigned densely from 0 in first-edge order. Edge objects are
-    annotated in place with their node and component ids.
+    are assigned densely from 0 in first-edge order. The edges are left
+    as they are.
 
     Parameters
     ----------
@@ -132,22 +129,12 @@ def build_graph(dataset, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> Grap
         raise ValueError(f"dataset {dataset.name!r} repeats an edge id")
     v = dataset.vertices
     end = np.column_stack([v.first, v.last]).ravel()  # each edge's first and last vertex
-    x, y = v.x[end].tolist(), v.y[end].tolist()
-    node_of, opener = _snap(x, y, snap_tolerance)
-    degree = np.bincount(np.array(node_of, dtype=np.intp), minlength=len(opener)).tolist()
-    nodes = {nid: NetworkNode(nid, Point2D(x[i], y[i]), degree[nid]) for nid, i in enumerate(opener)}
-    edges: dict[str, NetworkEdge] = {}
-    adjacency: dict[int, list[str]] = {}
-    for edge, a, b in zip(dataset.edges, node_of[0::2], node_of[1::2]):
-        edge.from_node = a
-        edge.to_node = b
-        edges[edge.id] = edge
-        adjacency.setdefault(a, []).append(edge.id)
-        if b != a:
-            adjacency.setdefault(b, []).append(edge.id)
+    node_of, opener = _snap(v.x[end].tolist(), v.y[end].tolist(), snap_tolerance)
+    at = end[np.array(opener, dtype=np.intp)]
+    ends = np.array(node_of, dtype=np.intp).reshape(-1, 2)
 
     # union-find over nodes, then dense component ids in first-edge order
-    parent = list(range(len(nodes)))
+    parent = list(range(len(opener)))
 
     def find(i):
         while parent[i] != i:
@@ -155,20 +142,21 @@ def build_graph(dataset, snap_tolerance: float = DEFAULT_SNAP_TOLERANCE) -> Grap
             i = parent[i]
         return i
 
-    for edge in edges.values():
-        ra, rb = find(edge.from_node), find(edge.to_node)
+    for a, b in zip(node_of[0::2], node_of[1::2]):
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
+    number: dict[int, int] = {}
+    component = np.array([number.setdefault(find(a), len(number)) for a in node_of[0::2]], dtype=np.intp)
 
-    root_to_component: dict[int, int] = {}
-    component_index: dict[int, list[str]] = {}
-    for edge in edges.values():
-        root = find(edge.from_node)
-        cid = root_to_component.setdefault(root, len(root_to_component))
-        edge.component_id = cid
-        component_index.setdefault(cid, []).append(edge.id)
-
-    return Graph(nodes=nodes, edges=edges, adjacency=adjacency, component_index=component_index, vertices=v)
+    return Graph(
+        edges=dataset.edges,
+        vertices=v,
+        nodes=np.column_stack([v.x[at], v.y[at]]),
+        degree=np.bincount(ends.ravel(), minlength=len(opener)),
+        ends=ends,
+        component=component,
+    )
 
 
 def connected_components(g: Graph, policy=None) -> list[ComponentStats]:
@@ -178,59 +166,71 @@ def connected_components(g: Graph, policy=None) -> list[ComponentStats]:
     given, raw geometric length otherwise. Ties in length keep component
     id order.
     """
-    edges = list(g.edges.values())
-    factors = np.ones(len(edges)) if policy is None else policy.edge_factors(edges)
+    factors = np.ones(len(g.edges)) if policy is None else policy.edge_factors(g.edges)
     # component ids are dense; bincount adds each component's edges in edge order
-    length = g.vertices.length * factors
-    totals = np.bincount([e.component_id for e in edges], length, minlength=len(g.component_index)).tolist()
-    stats = [ComponentStats(cid, len(g.component_index[cid]), totals[cid]) for cid in sorted(g.component_index)]
+    count = np.bincount(g.component)
+    totals = np.bincount(g.component, g.vertices.length * factors, minlength=len(count)).tolist()
+    stats = [ComponentStats(cid, n, totals[cid]) for cid, n in enumerate(count.tolist())]
     stats.sort(key=lambda s: (-s.length_m, s.component_id))
     return stats
 
 
 def dangling_nodes(g: Graph) -> list[int]:
     """Ids of all degree-1 nodes, ascending."""
-    return sorted(n.id for n in g.nodes.values() if n.degree == 1)
+    return np.flatnonzero(g.degree == 1).tolist()
 
 
 def detect_undershoots(g: Graph, threshold: float = DEFAULT_UNDERSHOOT_THRESHOLD) -> list[Undershoot]:
     """Dangling nodes lying within ``threshold`` of a foreign edge.
 
-    A qualifying edge must not be incident to the dangling node, nor to
-    any node adjacent to it; the exclusion keeps a node's own continuation
-    geometry from being reported as a gap. The nearest qualifying edge
-    wins, ties by edge id.
+    A dangling node's one edge runs to a far node, and no edge with an end
+    at that far node qualifies (the node's own edge among them): the
+    exclusion keeps a node's own continuation geometry from being reported
+    as a gap. An edge's distance is the least ``point_segment_distances``
+    over its pieces. The nearest qualifying edge wins, ties by edge id.
     """
     if not (threshold > 0 and math.isfinite(threshold)):
         raise ValueError(f"threshold must be finite and > 0, got {threshold}")
-    dangling = dangling_nodes(g)
-    if not dangling:
+    dangling = np.flatnonzero(g.degree == 1)
+    if not len(dangling):
         return []
-    eids = list(g.edges)
     # each edge's bbox, over its run of vertices, grown by the slackened threshold
-    v, r = g.vertices, threshold * (1.0 + SLACK)
+    v, ends, r = g.vertices, g.ends, threshold * (1.0 + SLACK)
     xmin, ymin = np.minimum.reduceat(v.x, v.first) - r, np.minimum.reduceat(v.y, v.first) - r
     xmax, ymax = np.maximum.reduceat(v.x, v.first) + r, np.maximum.reduceat(v.y, v.first) + r
-    px, py = np.array([(g.nodes[nid].location.x, g.nodes[nid].location.y) for nid in dangling]).T
+    px, py = g.nodes[dangling].T
     # buckets as wide as a typical grown bbox, so a long edge meets many
     # buckets rather than making one bucket hold every node
     extent = np.sort(np.maximum(xmax - xmin, ymax - ymin))
     side = float(extent[len(extent) // 2])
     e, k = BucketJoin(px, py, side).pairs(xmin, ymin, xmax, ymax)
+    # the node at the other end of each dangling node's one edge
+    flat = ends.ravel()
+    slot = np.flatnonzero(g.degree[flat] == 1)
+    far = np.empty(len(g.degree), dtype=np.intp)
+    far[flat[slot]] = flat[slot ^ 1]
+    f = far[dangling[k]]
     inside = (xmin[e] <= px[k]) & (px[k] <= xmax[e]) & (ymin[e] <= py[k]) & (py[k] <= ymax[e])
+    keep = inside & (ends[e, 0] != f) & (ends[e, 1] != f)
+    e, k = e[keep], k[keep]
 
+    # each pair's least distance over the edge's pieces, a block of pieces at a time
+    d = np.empty(len(e))
+    count = v.last[e] - v.first[e]
+    for lo, hi in _blocks(count, _BLOCK_ELEMENTS):
+        pair, j = _ranges(v.first[e[lo:hi]], count[lo:hi])
+        q = k[lo:hi][pair]
+        dist = point_segment_distances(px[q], py[q], v.x[j], v.y[j], v.x[j + 1], v.y[j + 1])
+        d[lo:hi] = np.minimum.reduceat(dist, np.cumsum(count[lo:hi]) - count[lo:hi])
+
+    hit = (0.0 < d) & (d <= threshold)
     best: dict[int, tuple[float, str]] = {}
-    excluded: dict[int, set] = {}
-    for ei, ki in zip(e[inside].tolist(), k[inside].tolist()):
-        nid, eid = dangling[ki], eids[ei]
-        if nid not in excluded:
-            excluded[nid] = set(g.incident_edges(nid)).union(*map(g.incident_edges, g.adjacent_nodes(nid)))
-        if eid in excluded[nid]:
-            continue
-        d = point_to_polyline_distance(g.nodes[nid].location, g.edges[eid].geometry)
-        if 0.0 < d <= threshold and (d, eid) < best.get(nid, (math.inf, "")):
-            best[nid] = (d, eid)
-    return [Undershoot(nid, best[nid][1], best[nid][0]) for nid in dangling if nid in best]
+    for ki, ei, di in zip(k[hit].tolist(), e[hit].tolist(), d[hit].tolist()):
+        candidate = (di, g.edges[ei].id)
+        if candidate < best.get(ki, (math.inf, "")):
+            best[ki] = candidate
+    nodes = dangling.tolist()
+    return [Undershoot(nodes[ki], eid, di) for ki, (di, eid) in sorted(best.items())]
 
 
 def component_zipf(components: list[ComponentStats]) -> list[tuple[int, float]]:
@@ -244,6 +244,5 @@ def local_component_count(g: Graph, cells) -> dict:
     Cells intersecting no edge are absent from the result, not zero.
     """
     cells.check(g.edges)
-    component = [e.component_id for e in g.edges.values()]
-    distinct = {(c, component[e]) for c, e in zip(cells.cell.tolist(), cells.edge.tolist())}
+    distinct = set(zip(cells.cell.tolist(), g.component[cells.edge].tolist()))
     return cells.grid.sum_by_cell([c for c, _ in distinct])

@@ -109,19 +109,9 @@ def _eval_predicate(node, attributes) -> bool:
 
 
 class NetworkEdge:
-    """A classified infrastructure edge, with topology filled in by ``graph.build_graph``."""
+    """A classified infrastructure edge; its topology lives in ``graph.Graph``."""
 
-    __slots__ = (
-        "id",
-        "geometry",
-        "infra_category",
-        "mapping_model",
-        "directionality",
-        "attributes",
-        "from_node",
-        "to_node",
-        "component_id",
-    )
+    __slots__ = ("id", "geometry", "infra_category", "mapping_model", "directionality", "attributes")
 
     def __init__(
         self,
@@ -131,14 +121,10 @@ class NetworkEdge:
         mapping_model: str,
         directionality: str,
         attributes: dict | None = None,
-        from_node: int | None = None,
-        to_node: int | None = None,
-        component_id: int | None = None,
     ):
         self.id, self.geometry = id, geometry
         self.infra_category, self.mapping_model, self.directionality = infra_category, mapping_model, directionality
         self.attributes = {} if attributes is None else attributes
-        self.from_node, self.to_node, self.component_id = from_node, to_node, component_id
 
 
 class Dataset:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import MatchConfig
 from .errors import GeometryError
-from .geometry import Point2D, Segment, _ranges, _sum_in_order
+from .geometry import Point2D, Segment, _ranges, _sum_in_order, point_segment_distances
 from .spindex import SLACK, BucketJoin
 
 __all__ = [
@@ -203,26 +203,7 @@ def _midpoints(ends: np.ndarray):
     return (ends[:, 0] + ends[:, 2]) / 2.0, (ends[:, 1] + ends[:, 3]) / 2.0
 
 
-def _foot_offsets(px, py, ax, ay, bx, by):
-    """Components of the vector from each point to the nearest point of its
-    segment, by the arithmetic of ``geometry.point_segment_distance``."""
-    dx = bx - ax
-    dy = by - ay
-    denom = dx * dx + dy * dy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = ((px - ax) * dx + (py - ay) * dy) / denom
-    # denom == 0 takes the distance to a; t = 0 gives that up to the sign
-    # of a zero, which the distance ignores
-    t = np.where(denom == 0.0, 0.0, np.clip(t, 0.0, 1.0))
-    return px - (ax + t * dx), py - (ay + t * dy)
-
-
 _DEGREES = 180.0 / math.pi  # the factor of math.degrees
-
-
-def _distance(ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-    # the arithmetic of geometry.point_segment_distance
-    return np.sqrt(ex * ex + ey * ey)
 
 
 def _block_pairs(src_ends, join, dst_ends, dst_mid, cfg):
@@ -257,10 +238,10 @@ def _block_pairs(src_ends, join, dst_ends, dst_mid, cfg):
     a1x, a1y, a2x, a2y = src_ends[s].T
     b1x, b1y, b2x, b2y = dst_ends[t].T
     # the largest of the four endpoint-to-segment distances, one at a time
-    h = _distance(*_foot_offsets(a1x, a1y, b1x, b1y, b2x, b2y))
-    np.maximum(h, _distance(*_foot_offsets(a2x, a2y, b1x, b1y, b2x, b2y)), out=h)
-    np.maximum(h, _distance(*_foot_offsets(b1x, b1y, a1x, a1y, a2x, a2y)), out=h)
-    np.maximum(h, _distance(*_foot_offsets(b2x, b2y, a1x, a1y, a2x, a2y)), out=h)
+    h = point_segment_distances(a1x, a1y, b1x, b1y, b2x, b2y)
+    np.maximum(h, point_segment_distances(a2x, a2y, b1x, b1y, b2x, b2y), out=h)
+    np.maximum(h, point_segment_distances(b1x, b1y, a1x, a1y, a2x, a2y), out=h)
+    np.maximum(h, point_segment_distances(b2x, b2y, a1x, a1y, a2x, a2y), out=h)
     keep = h <= cfg.max_hausdorff
     s, t, md, h = s[keep], t[keep], md[keep], h[keep]
     ux, uy = a2x[keep] - a1x[keep], a2y[keep] - a1y[keep]
@@ -383,17 +364,13 @@ def match_tables(a, b, cfg: MatchConfig = MatchConfig()) -> tuple[MatchTable, Ma
     return forward.table(src, dst, totals), backward.table(dst, src, totals)
 
 
-def match_datasets(a, b, cfg: MatchConfig = MatchConfig(), counts: list | None = None):
+def match_datasets(a, b, cfg: MatchConfig = MatchConfig()):
     """Match dataset a against b and b against a.
 
     Returns (records_a, records_b): one record per segment of each
     dataset, in segmentation order. The relation is not forced symmetric.
-    If ``counts`` is a list, the ``MatchCounts`` of a against b and then
-    of b against a are appended to it.
     """
     forward, backward = match_tables(a, b, cfg)
-    if counts is not None:
-        counts.extend((forward.counts, backward.counts))
     return forward.records(), backward.records()
 
 

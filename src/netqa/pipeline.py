@@ -17,7 +17,6 @@ excluded from golden comparisons.
 
 from __future__ import annotations
 
-import importlib
 import json
 import logging
 import math
@@ -428,10 +427,9 @@ def _feature_block(kind: str, rows: slice, spell) -> tuple:
 
 def _undershoot_lines(g, undershoots):
     """One Point feature per undershoot, at its dangling node."""
-    at = [g.nodes[u.node_id].location for u in undershoots]
-    xy = np.array([(p.x, p.y) for p in at], dtype=float).reshape(-1, 1, 2)
-    gaps = np.array([u.gap_distance for u in undershoots], dtype=float)
     nodes = np.array([u.node_id for u in undershoots], dtype=np.int64)
+    xy = g.nodes[nodes].reshape(-1, 1, 2)
+    gaps = np.array([u.gap_distance for u in undershoots], dtype=float)
     edges = _text_rows([featureio.encode(u.nearest_edge_id) for u in undershoots])
 
     def spell(rows):
@@ -450,17 +448,17 @@ def _component_lines(g):
     ``g.vertices``, with the feature's opening on an edge's first vertex
     and the rest on its last.
     """
-    edges, v = list(g.edges.values()), g.vertices
+    v, component = g.vertices, g.component.tolist()
     # about 200 bytes a vertex row: 28 of head, two coordinates of 24 and
     # the edge's closing text on its last vertex
     for e0, e1 in _blocks(v.last - v.first + 1, max(1, _LINE_BLOCK // 256)):
-        yield _block_text(_component_matrix(edges[e0:e1], v, slice(e0, e1)))
+        yield _block_text(_component_matrix(g.edges[e0:e1], component[e0:e1], v, slice(e0, e1)))
 
 
-def _component_matrix(edges, v, rows) -> bytearray:
-    """The component lines of ``edges``, the polylines ``rows`` of ``v``,
-    as a zero-padded byte matrix with one row per vertex: an edge's first
-    row opens its feature, its last row closes it."""
+def _component_matrix(edges, component, v, rows) -> bytearray:
+    """The component lines of ``edges`` in components ``component``, the
+    polylines ``rows`` of ``v``, as a zero-padded byte matrix with one row
+    per vertex: an edge's first row opens its feature, its last row closes it."""
     first, last = v.first[rows], v.last[rows]
     lo, hi = int(first[0]), int(last[-1]) + 1
     vertices = _vertex_parts(np.stack([v.x[lo:hi], v.y[lo:hi]], 1)[:, None])
@@ -468,12 +466,12 @@ def _component_matrix(edges, v, rows) -> bytearray:
     opens[first - lo] = 1
     # the feature's keys after "geometry", in encode's order; each distinct
     # component id and category is encoded once
-    values = {value for e in edges for value in (e.component_id, e.infra_category)}
+    values = {*component, *(e.infra_category for e in edges)}
     spelled = {value: featureio.encode(value) for value in values}
     tails = _text_rows(
-        f']],"type":"LineString"}},"id":{i},"properties":{{"component_id":{spelled[e.component_id]},'
+        f']],"type":"LineString"}},"id":{i},"properties":{{"component_id":{spelled[c]},'
         f'"edge_id":{i},"infra_category":{spelled[e.infra_category]}}},"type":"Feature"}},\n'
-        for e, i in zip(edges, map(featureio.encode, (e.id for e in edges)))
+        for e, c, i in zip(edges, component, map(featureio.encode, (e.id for e in edges)))
     )
     closes = np.zeros((hi - lo, tails.shape[1]), dtype=np.uint8)
     closes[:, :2] = np.frombuffer(b"],", dtype=np.uint8)
@@ -586,7 +584,19 @@ def _write_file(path, kind: str, payload) -> None:
 
 
 def _peak_rss_mb() -> float | None:
-    """This process's peak resident set size so far, in MB (10**6 bytes)."""
+    """This process's peak resident set size so far, in MB (10**6 bytes).
+
+    ``VmHWM`` is the peak of this program alone; ``ru_maxrss``, the
+    fallback where there is no /proc, also keeps that of the process image
+    an exec replaced, such as a launcher's fork.
+    """
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return round(int(line.split()[1]) * 1024 / 1e6, 3)  # kB
+    except OSError:
+        pass
     if resource is None:
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
@@ -970,7 +980,8 @@ class Pipeline:
         if stage == "validate":
             return self.validate()
         for name in _STAGE_MODULES.get(stage, ()):
-            importlib.import_module(f"{__package__}.{name}")
+            # the import statement's route, which -X importtime reports
+            __import__(f"{__package__}.{name}")
         if stage == "density":
             self.density()
         elif stage == "structure":

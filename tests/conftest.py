@@ -21,18 +21,18 @@ from netqa.geometry import (
     Polyline,
     Segment,
     hausdorff_distance,
-    point_to_polyline_distance,
+    point_segment_distance,
+    point_segment_distances,
     segment_angle_deg,
     vertex_arrays,
 )
-from netqa.graph import ComponentStats, NetworkEdge, NetworkNode, Undershoot, dangling_nodes
+from netqa.graph import ComponentStats, NetworkEdge, Undershoot
 from netqa.hexgrid import _HEX_NORMALS, _SIDE_EPS, _SQRT3, HexCell, HexGrid, edge_length_for_area
 from netqa.ingest import Dataset
 from netqa.matching import (
     _LENGTH_EPS,
     _REMAINDER_MERGE_FRACTION,
     MatchSummary,
-    _foot_offsets,
     _midpoints,
     _segment_ranks,
 )
@@ -196,8 +196,9 @@ def bits(value):
 # of ``matching.segment_table``, ``polyline_length`` of
 # ``VertexArrays.length``, ``point_in_rings`` of
 # ``PolygonArea.contains_many``, ``cell_center`` and ``cell_polygon`` of
-# ``hexgrid.build_grid``, and ``line_feature`` with ``polyline_coords`` of
-# ``pipeline._component_lines``.
+# ``hexgrid.build_grid``, ``line_feature`` with ``polyline_coords`` of
+# ``pipeline._component_lines``, and ``point_to_polyline_distance`` of the
+# undershoot search's distances.
 
 
 def polyline_length(p: Polyline) -> float:
@@ -206,6 +207,16 @@ def polyline_length(p: Polyline) -> float:
     for a, b in zip(p.vertices, p.vertices[1:]):
         total += math.hypot(b.x - a.x, b.y - a.y)
     return total
+
+
+def point_to_polyline_distance(pt: Point2D, p: Polyline) -> float:
+    """Minimum distance from a point to any point of a polyline."""
+    best = math.inf
+    for a, b in zip(p.vertices, p.vertices[1:]):
+        d = point_segment_distance(pt.x, pt.y, a.x, a.y, b.x, b.y)
+        if d < best:
+            best = d
+    return best
 
 
 def _cumulative_lengths(p: Polyline) -> list[float]:
@@ -330,28 +341,38 @@ def line_feature(coords, properties, feature_id=None) -> dict:
 UNITS = st.sampled_from([1.0, 0.1, 37.5])
 
 
-def _star_ring(angles, radii, unit):
-    return tuple(
-        Point2D(round(r * math.cos(math.radians(a))) * unit, round(r * math.sin(math.radians(a))) * unit)
-        for a, r in zip(angles, radii)
-    )
+def _star_points(angles, radii) -> list:
+    """Integer lattice points at the given angles (degrees) and radii."""
+    return [(round(r * math.cos(math.radians(a))), round(r * math.sin(math.radians(a)))) for a, r in zip(angles, radii)]
+
+
+def _twice_lattice_area(points) -> int:
+    """Twice the shoelace area of a ring of integer points, exactly."""
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1])))
 
 
 @st.composite
 def lattice_polygons(draw):
-    """Star-shaped polygons on a lattice, some with a star-shaped hole."""
+    """Star-shaped polygons on a lattice, some with a star-shaped hole.
+
+    Rings are judged by their exact lattice area, not by the float area of
+    their scaled vertices, which rounding can leave a little above zero for
+    collinear points: a hole without area is left out, and an outer ring
+    without area, or one no larger than its hole, gives way to a rectangle.
+    """
     unit = draw(UNITS)
     angles = sorted(draw(st.sets(st.integers(0, 359), min_size=3, max_size=60)))
     radii = draw(st.lists(st.integers(6, 12), min_size=len(angles), max_size=len(angles)))
-    rings = [_star_ring(angles, radii, unit)]
+    rings = [_star_points(angles, radii)]
     if draw(st.booleans()):
         hole_angles = sorted(draw(st.sets(st.integers(0, 359), min_size=3, max_size=12)))
         hole_radii = draw(st.lists(st.integers(1, 4), min_size=len(hole_angles), max_size=len(hole_angles)))
-        rings.append(_star_ring(hole_angles, hole_radii, unit))
-    try:
-        return PolygonArea(rings=tuple(rings)), unit
-    except GeometryError:  # rounding collapsed a ring to zero area
+        hole = _star_points(hole_angles, hole_radii)
+        if _twice_lattice_area(hole) > 0:
+            rings.append(hole)
+    if _twice_lattice_area(rings[0]) <= sum(map(_twice_lattice_area, rings[1:])):
         return rect_polygon(-3 * unit, -2 * unit, 6 * unit, 4 * unit), unit
+    return PolygonArea(rings=tuple(tuple(Point2D(i * unit, j * unit) for i, j in ring) for ring in rings)), unit
 
 
 def lattice_points(unit, n):
@@ -481,13 +502,10 @@ def reference_match_direction(src, dst, cfg):
         b1x, b1y, b2x, b2y = dst.ends[t].T
         h = np.maximum.reduce(
             [
-                np.sqrt(ex * ex + ey * ey)
-                for ex, ey in (
-                    _foot_offsets(a1x, a1y, b1x, b1y, b2x, b2y),
-                    _foot_offsets(a2x, a2y, b1x, b1y, b2x, b2y),
-                    _foot_offsets(b1x, b1y, a1x, a1y, a2x, a2y),
-                    _foot_offsets(b2x, b2y, a1x, a1y, a2x, a2y),
-                )
+                point_segment_distances(a1x, a1y, b1x, b1y, b2x, b2y),
+                point_segment_distances(a2x, a2y, b1x, b1y, b2x, b2y),
+                point_segment_distances(b1x, b1y, a1x, a1y, a2x, a2y),
+                point_segment_distances(b2x, b2y, a1x, a1y, a2x, a2y),
             ]
         )
         keep = h <= cfg.max_hausdorff
@@ -699,11 +717,10 @@ def reference_tag_share(edges, spec, grid, policy=None):
 
 def reference_local_component_count(g, grid):
     per_cell = {}
-    for eid in g.edges:
-        edge = g.edges[eid]
+    for edge, cid in zip(g.edges, g.component.tolist()):
         for cell_id, length in reference_clip_polyline(grid, edge.geometry).items():
             if length > 0.0:
-                per_cell.setdefault(cell_id, set()).add(edge.component_id)
+                per_cell.setdefault(cell_id, set()).add(cid)
     return {cell: len(comps) for cell, comps in sorted(per_cell.items())}
 
 
@@ -717,12 +734,14 @@ def reference_dataset_length_totals(edges, policy):
 
 
 def reference_connected_components(g, policy=None):
+    edges = {edge.id: edge for edge in g.edges}
+    index = g.component_index
     stats = []
-    for cid in sorted(g.component_index):
-        eids = g.component_index[cid]
+    for cid in sorted(index):
+        eids = index[cid]
         length = 0.0
         for eid in eids:
-            edge = g.edges[eid]
+            edge = edges[eid]
             factor = policy.factor_for(edge) if policy is not None else 1.0
             length += polyline_length(edge.geometry) * factor
         stats.append(ComponentStats(cid, len(eids), length))
@@ -740,49 +759,54 @@ class ReferenceNodeTable:
 
     def __init__(self, tolerance: float):
         self.tolerance = tolerance
-        self.nodes: dict[int, NetworkNode] = {}
+        self.locations: list[Point2D] = []
 
     def node_for(self, pt: Point2D) -> int:
         best = None
-        for nid, node in self.nodes.items():
-            d = math.hypot(node.location.x - pt.x, node.location.y - pt.y)
+        for nid, at in enumerate(self.locations):
+            d = math.hypot(at.x - pt.x, at.y - pt.y)
             if d <= self.tolerance and (best is None or (d, nid) < best):
                 best = (d, nid)
         if best is not None:
             return best[1]
-        nid = len(self.nodes)
-        self.nodes[nid] = NetworkNode(nid, pt)
-        return nid
+        self.locations.append(pt)
+        return len(self.locations) - 1
 
 
 def reference_snap(dataset, tolerance):
-    """(nodes, [(from node, to node) per edge]) of the reference table."""
+    """(node locations, node degrees, [(from node, to node) per edge]) of
+    the reference table."""
     table = ReferenceNodeTable(tolerance)
-    ends = []
-    for edge in dataset.edges:
-        a = table.node_for(edge.geometry.vertices[0])
-        b = table.node_for(edge.geometry.vertices[-1])
-        table.nodes[a].degree += 1
-        table.nodes[b].degree += 1
-        ends.append((a, b))
-    return table.nodes, ends
+    ends = [(table.node_for(e.geometry.vertices[0]), table.node_for(e.geometry.vertices[-1])) for e in dataset.edges]
+    degree = [0] * len(table.locations)
+    for a, b in ends:
+        degree[a] += 1
+        degree[b] += 1
+    return table.locations, degree, ends
 
 
-def reference_detect_undershoots(g, threshold):
-    """Each dangling node against every edge."""
+def reference_detect_undershoots(dataset, tolerance, threshold):
+    """Each dangling node of ``reference_snap`` against every edge. Edges
+    incident to the node, or to a node adjacent to it, do not qualify."""
+    locations, degree, ends = reference_snap(dataset, tolerance)
+
+    def incident(nid):
+        return {e for e, pair in enumerate(ends) if nid in pair}
+
     out = []
-    for nid in dangling_nodes(g):
-        node = g.nodes[nid]
-        excluded = set(g.incident_edges(nid))
-        for adj in g.adjacent_nodes(nid):
-            excluded.update(g.incident_edges(adj))
+    for nid, at in enumerate(locations):
+        if degree[nid] != 1:
+            continue
+        excluded = incident(nid)
+        for adj in {b if a == nid else a for a, b in map(ends.__getitem__, incident(nid))} - {nid}:
+            excluded |= incident(adj)
         best = None
-        for eid in g.edges:
-            if eid in excluded:
+        for e, edge in enumerate(dataset.edges):
+            if e in excluded:
                 continue
-            d = point_to_polyline_distance(node.location, g.edges[eid].geometry)
-            if 0.0 < d <= threshold and (best is None or (d, eid) < best):
-                best = (d, eid)
+            d = point_to_polyline_distance(at, edge.geometry)
+            if 0.0 < d <= threshold and (best is None or (d, edge.id) < best):
+                best = (d, edge.id)
         if best is not None:
             out.append(Undershoot(nid, best[1], best[0]))
     return out

@@ -149,7 +149,7 @@ def test_clip_index_sums_equal_the_reference_loops(case):
         for spec in SPECS:
             assert bits(tag_share(edges, spec, cells, policy)) == bits(reference_tag_share(edges, spec, grid, policy))
     g = build_graph(Dataset(name="d", edges=edges))
-    assert local_component_count(g, clip(grid, g.edges.values())) == reference_local_component_count(g, grid)
+    assert local_component_count(g, clip(grid, g.edges)) == reference_local_component_count(g, grid)
     for policy in (None, POLICY):
         assert bits(connected_components(g, policy)) == bits(reference_connected_components(g, policy))
 
@@ -276,8 +276,8 @@ def test_reversing_every_line_keeps_density_components_and_tags(case):
     assert back_surface.outside_m == pytest.approx(forward_surface.outside_m, rel=1e-9, abs=1e-6)
 
     g, g_back = build_graph(Dataset("f", edges)), build_graph(Dataset("b", back))
-    assert local_component_count(g, clip(grid, g.edges.values())) == local_component_count(
-        g_back, clip(grid, g_back.edges.values())
+    assert local_component_count(g, clip(grid, g.edges)) == local_component_count(
+        g_back, clip(grid, g_back.edges)
     )
 
     for spec in SPECS:

@@ -18,7 +18,7 @@ from netqa.completeness import (
     polygon_aggregate,
     polygon_compare,
 )
-from netqa.errors import ConfigError, GeometryError, GridMismatchError, ZeroVarianceError
+from netqa.errors import ConfigError, GridMismatchError, ZeroVarianceError
 from netqa.geometry import Point2D
 from netqa.hexgrid import build_grid
 from netqa.ingest import Dataset
@@ -360,13 +360,7 @@ def polygon_layers(draw):
         poly, _ = draw(lattice_polygons().filter(lambda case: case[1] == unit) | st.just((None, unit)))
         dx, dy = draw(st.tuples(st.integers(-12, 12), st.integers(-12, 12)))
         name = draw(st.sampled_from(["a", "b", "c"]))
-        try:
-            parts.append(PolygonArea(rings=shifted(poly or rect, dx, dy), name=name))
-        except GeometryError:
-            # a ring with no lattice area (collinear lattice points) that
-            # rounding kept above zero before the shift: lattice_polygons'
-            # stand-in for a collapsed ring
-            parts.append(PolygonArea(rings=shifted(rect, dx, dy), name=name))
+        parts.append(PolygonArea(rings=shifted(poly or rect, dx, dy), name=name))
     vertices = [(v.x, v.y) for part in parts for ring in part.rings for v in ring]
     edges = []
     for i in range(draw(st.integers(0, 12))):

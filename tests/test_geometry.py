@@ -9,14 +9,13 @@ from netqa.geometry import (
     Polyline,
     Segment,
     hausdorff_distance,
-    point_to_polyline_distance,
     segment_angle_deg,
     vertex_arrays,
 )
 from netqa.ingest import Dataset
 from netqa.matching import segmentize_dataset
 
-from conftest import make_edge, random_polyline
+from conftest import make_edge, point_to_polyline_distance, random_polyline
 
 
 def seg(ax, ay, bx, by, edge="e", idx=0):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netqa.geometry import point_to_polyline_distance
+from netqa.geometry import Point2D
 from netqa.graph import (
     build_graph,
     component_zipf,
@@ -15,7 +15,14 @@ from netqa.graph import (
 )
 from netqa.hexgrid import build_grid
 
-from conftest import clip, make_dataset, rect_polygon, reference_detect_undershoots, reference_snap
+from conftest import (
+    clip,
+    make_dataset,
+    point_to_polyline_distance,
+    rect_polygon,
+    reference_detect_undershoots,
+    reference_snap,
+)
 
 
 def graph_of(edge_specs, snap=0.001):
@@ -46,10 +53,23 @@ def test_snapping_is_first_come_then_nearest_then_lowest_id():
         ("e", [(1.3, 0.0), (40.0, 50.0)]),  # only node 3 in reach
     ]
     g = graph_of(specs, snap=1.0)
-    assert [e.from_node for e in g.edges.values()] == [0, 0, 3, 0, 3]
-    assert (g.nodes[3].location.x, g.nodes[3].degree) == (1.8, 2)
-    nodes, ends = reference_snap(make_dataset("t", specs), 1.0)
-    assert [e.from_node for e in g.edges.values()] == [a for a, _ in ends]
+    assert g.ends[:, 0].tolist() == [0, 0, 3, 0, 3]
+    assert (g.nodes[3, 0], g.degree[3]) == (1.8, 2)
+    _, _, ends = reference_snap(make_dataset("t", specs), 1.0)
+    assert g.ends[:, 0].tolist() == [a for a, _ in ends]
+
+
+def test_build_graph_leaves_its_edges_unchanged():
+    dataset = make_dataset("t", [("a", [(0, 0), (10, 0)]), ("b", [(10, 0), (20, 0)]), ("c", [(50, 0), (60, 0)])])
+
+    def state(edge):
+        return {name: getattr(edge, name, None) for name in type(edge).__slots__}
+
+    before = [state(e) for e in dataset.edges]
+    g = build_graph(dataset)
+    assert [state(e) for e in dataset.edges] == before
+    assert g.edges is dataset.edges
+    assert g.ends.tolist() == [[0, 1], [1, 2], [3, 4]] and g.component.tolist() == [0, 0, 1]
 
 
 def test_no_snapping_beyond_tolerance():
@@ -189,17 +209,15 @@ def clustered_specs(draw):
     return specs
 
 
-def _located(node):
-    return (node.id, repr(node.location.x), repr(node.location.y), node.degree)
-
-
 @settings(max_examples=150, deadline=None)
 @given(specs=clustered_specs(), snap=st.sampled_from([0.0, 1e-3, 5.0]))
 def test_snapping_equals_the_one_at_a_time_reference(specs, snap):
     g = graph_of(specs, snap=snap)
-    nodes, ends = reference_snap(make_dataset("t", specs), snap)
-    assert [_located(n) for n in g.nodes.values()] == [_located(n) for n in nodes.values()]
-    assert [(e.from_node, e.to_node) for e in g.edges.values()] == ends
+    locations, degree, ends = reference_snap(make_dataset("t", specs), snap)
+    # repr tells -0.0 from 0.0
+    assert [(repr(x), repr(y)) for x, y in g.nodes.tolist()] == [(repr(p.x), repr(p.y)) for p in locations]
+    assert g.degree.tolist() == degree
+    assert list(map(tuple, g.ends.tolist())) == ends
 
 
 def test_component_lengths_and_order():
@@ -298,11 +316,32 @@ def test_undershoot_monotone_in_threshold(rng):
     g = graph_of(specs)
     counts = [len(detect_undershoots(g, threshold=t)) for t in (0.001, 1.0, 2.0, 4.0, 7.0)]
     assert counts == sorted(counts)
+    edges = {e.id: i for i, e in enumerate(g.edges)}
     for u in detect_undershoots(g, threshold=3.0):
-        node = g.nodes[u.node_id]
-        assert u.nearest_edge_id not in g.incident_edges(u.node_id)
+        edge = edges[u.nearest_edge_id]
+        assert u.node_id not in g.ends[edge]
         assert 0 < u.gap_distance <= 3.0
-        assert abs(point_to_polyline_distance(node.location, g.edges[u.nearest_edge_id].geometry) - u.gap_distance) < 1e-9
+        at = Point2D(*g.nodes[u.node_id].tolist())
+        assert abs(point_to_polyline_distance(at, g.edges[edge].geometry) - u.gap_distance) < 1e-9
+
+
+def test_equally_near_edges_tie_by_the_lesser_id_string():
+    # the stub's free end is 2 m from both streets; "e10" < "e9" as strings
+    g = graph_of(
+        [
+            ("e9", [(0, 0), (100, 0)]),
+            ("e10", [(0, 4), (100, 4)]),
+            ("stub", [(50, 2), (50, 60)]),
+        ]
+    )
+    found = detect_undershoots(g, threshold=3.0)
+    assert [(u.nearest_edge_id, u.gap_distance) for u in found] == [("e10", 2.0)]
+
+
+def test_a_node_on_a_foreign_edge_is_no_undershoot():
+    # the stub ends on the street's interior (d = 0), not short of it
+    g = graph_of([("street", [(0, 0), (100, 0)]), ("stub", [(50, 0), (50, 60)])])
+    assert detect_undershoots(g, threshold=3.0) == []
 
 
 @pytest.mark.parametrize("threshold", [0.0, math.nan, math.inf])
@@ -338,7 +377,7 @@ def stubbed_specs(draw):
 @given(specs=stubbed_specs(), threshold=st.sampled_from([0.5, 3.0, 7.5]), snap=st.sampled_from([1e-3, 5.0]))
 def test_undershoots_equal_the_every_edge_reference(specs, threshold, snap):
     g = graph_of(specs, snap=snap)
-    assert detect_undershoots(g, threshold) == reference_detect_undershoots(g, threshold)
+    assert detect_undershoots(g, threshold) == reference_detect_undershoots(make_dataset("t", specs), snap, threshold)
 
 
 def test_undershoots_vanish_as_threshold_approaches_zero():
@@ -396,11 +435,11 @@ def test_local_component_count():
         ("d", [(100, 500), (200, 500)]),
     ]
     g = graph_of(specs)
-    counts = local_component_count(g, clip(grid, g.edges.values()))
+    counts = local_component_count(g, clip(grid, g.edges))
     assert max(counts.values()) == 3
     # same-component edges a+b count once wherever they fall together
     only_ab = graph_of(specs[:2])
-    counts_ab = local_component_count(only_ab, clip(grid, only_ab.edges.values()))
+    counts_ab = local_component_count(only_ab, clip(grid, only_ab.edges))
     assert set(counts_ab.values()) == {1}
 
 
@@ -409,7 +448,7 @@ def test_local_component_count_extreme():
     grid = build_grid(study, cell_area=1000000.0)
     specs = [(f"stub{i}", [(50 + i * 10, 100), (50 + i * 10, 160)]) for i in range(21)]
     g = graph_of(specs)
-    counts = local_component_count(g, clip(grid, g.edges.values()))
+    counts = local_component_count(g, clip(grid, g.edges))
     assert max(counts.values()) == 21
 
 
@@ -417,6 +456,6 @@ def test_cells_without_edges_absent():
     study = rect_polygon(0, 0, 5000, 5000)
     grid = build_grid(study, cell_area=740000.0)
     g = graph_of([("a", [(100, 100), (200, 100)])])
-    counts = local_component_count(g, clip(grid, g.edges.values()))
+    counts = local_component_count(g, clip(grid, g.edges))
     assert all(v >= 1 for v in counts.values())
     assert len(counts) < len(grid.cells)

@@ -79,8 +79,8 @@ def lattice_case(draw):
 @given(case=lattice_case())
 def test_matches_scalar_reference_bit_for_bit(case):
     a, b, cfg = case
-    counts = []
-    records_a, records_b = match_datasets(a, b, cfg, counts)
+    records_a, records_b = match_datasets(a, b, cfg)
+    counts = [table.counts for table in match_tables(a, b, cfg)]
     segs_a = segmentize_dataset(a, cfg.seg_len)
     segs_b = segmentize_dataset(b, cfg.seg_len)
     for records, c, src, dst in ((records_a, counts[0], segs_a, segs_b), (records_b, counts[1], segs_b, segs_a)):
@@ -130,12 +130,11 @@ def test_block_of_one_source_gives_identical_records(monkeypatch):
     specs_a += [(f"v{i}", [(37 * i, 0), (37 * i + 3, 300)]) for i in range(8)]
     specs_b = [(f"b{i}", [(x + 2.5, y - 1.5) for x, y in coords]) for i, (_, coords) in enumerate(specs_a)]
     a, b = make_dataset("a", specs_a), make_dataset("b", specs_b)
-    counts = []
-    records = match_datasets(a, b, MatchConfig(), counts)
+    records = match_datasets(a, b, MatchConfig())
+    counts = [table.counts for table in match_tables(a, b, MatchConfig())]
     monkeypatch.setattr(matching, "_BLOCK_SOURCES", 1)
-    counts_one = []
-    assert match_datasets(a, b, MatchConfig(), counts_one) == records
-    assert counts_one == counts
+    assert match_datasets(a, b, MatchConfig()) == records
+    assert [table.counts for table in match_tables(a, b, MatchConfig())] == counts
     assert sum(r.matched is not None for r in records[0]) > 0
 
 

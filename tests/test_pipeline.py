@@ -453,13 +453,13 @@ def test_outputs_hold_producers_bound_to_their_role(tmp_path):
                 assert kind == "csv", name
     graphs = pipe.graphs()
     for role in Pipeline.ROLES:
-        edge_ids = set(graphs[role].edges)
+        edge_ids = {e.id for e in graphs[role].edges}
         segments = feature_lines(pipe.outputs[f"segments_{role}.geojson"][1]())
         assert segments == feature_lines(pipe.outputs[f"segments_{role}.geojson"][1]())  # a fresh iterable per call
         assert {json.loads(line)["properties"]["edge_id"] for line in segments} == edge_ids
         components = feature_lines(pipe.outputs[f"components_{role}.geojson"][1]())
         assert components == feature_lines(pipe.outputs[f"components_{role}.geojson"][1]())
-        assert [json.loads(line)["id"] for line in components] == list(graphs[role].edges)
+        assert [json.loads(line)["id"] for line in components] == [e.id for e in graphs[role].edges]
         undershoots = feature_lines(pipe.outputs[f"undershoots_{role}.geojson"][1]())
         assert undershoots == feature_lines(pipe.outputs[f"undershoots_{role}.geojson"][1]())
         for line in undershoots:
@@ -780,10 +780,10 @@ def test_segment_lines_equal_the_encoder_on_awkward_floats(table):
 
 def _reference_component_features(g):
     # the component layer as feature dicts, one per edge of the graph
-    for e in g.edges.values():
+    for e, cid in zip(g.edges, g.component.tolist()):
         yield line_feature(
             polyline_coords(e.geometry),
-            {"edge_id": e.id, "component_id": e.component_id, "infra_category": e.infra_category},
+            {"edge_id": e.id, "component_id": cid, "infra_category": e.infra_category},
             feature_id=e.id,
         )
 
@@ -850,10 +850,10 @@ def _reference_polygon_feature(ring, properties):
 
 def _reference_undershoot_features(g, undershoots):
     for u in undershoots:
-        at = g.nodes[u.node_id].location
+        x, y = g.nodes[u.node_id].tolist()
         properties = {"node_id": u.node_id, "nearest_edge_id": u.nearest_edge_id}
         properties["gap_m"] = featureio.round_metric(u.gap_distance)
-        yield _reference_point_feature(at.x, at.y, properties)
+        yield _reference_point_feature(x, y, properties)
 
 
 def _reference_lisa_features(grid, lisa):
@@ -935,9 +935,20 @@ def undershoot_layers(draw):
     # quoted and non-ASCII nearest edge ids and awkward gaps and coordinates
     x0, y0 = draw(st.sampled_from([(0.0, 0.0), (400000.0, 5800000.0), (-12.5, 3.75)]))
     node_ids = draw(st.lists(st.integers(0, 10**12), max_size=6, unique=True))
-    nodes = {i: SimpleNamespace(location=Point2D(x0 + draw(COORD), y0 + draw(COORD))) for i in node_ids}
+    at = {i: (x0 + draw(COORD), y0 + draw(COORD)) for i in node_ids}
     undershoots = [Undershoot(i, draw(EDGE_ID), draw(AWKWARD)) for i in node_ids]
-    return SimpleNamespace(nodes=nodes), undershoots
+    return SimpleNamespace(nodes=_NodeTable(at)), undershoots
+
+
+class _NodeTable:
+    """Node locations indexed by id as ``Graph.nodes`` is, for ids too
+    large to index an array."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def __getitem__(self, ids):
+        return np.array([self.at[i] for i in np.ravel(ids).tolist()], dtype=float).reshape(np.shape(ids) + (2,))
 
 
 @given(case=undershoot_layers())
@@ -952,7 +963,7 @@ def test_a_layer_without_features_yields_no_block():
     grid = hexgrid.build_grid(ingest.load_study_area(DEMO / "study_area.geojson"), 740000.0)
     lisa = spatial.LisaResult({}, {}, {}, {}, 0.05, 9, 0, "knn6")
     assert list(pipeline._lisa_lines(cache(partial(pipeline._cell_text, grid)), lisa)) == []
-    assert list(pipeline._undershoot_lines(SimpleNamespace(nodes={}), [])) == []
+    assert list(pipeline._undershoot_lines(SimpleNamespace(nodes=np.empty((0, 2))), [])) == []
 
 
 def test_a_full_run_spells_the_grid_rings_once(tmp_path, monkeypatch):
@@ -1336,6 +1347,29 @@ def test_a_launch_imports_only_the_stage_modules_of_its_subcommand(tmp_path):
     got, _ = launch("full", *config, "--out", str(tmp_path / "full"))
     assert got["status"] == 0 and STAGE_MODULES <= set(got["modules"])
     assert "netqa.matching.MatchCounts" in got["dataclasses"]  # read by asdict
+
+
+def test_importtime_lists_the_stage_module_a_subcommand_loads(tmp_path):
+    # CI reads -X importtime's log to see that density loads no stage
+    # module; a stage module that structure loads must show in that log
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(pipeline.__file__).parents[1])!r})\n"
+        "from netqa import cli\n"
+        f"sys.exit(cli.main(['structure', '--config', {str(DEMO / 'config.json')!r}, '--out', {str(tmp_path)!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code], capture_output=True, text=True, check=True)
+    assert re.search(r"\| +netqa\.graph$", proc.stderr, re.MULTILINE)
+
+
+def test_peak_rss_is_the_run_s_own_not_its_launcher_s(tmp_path):
+    # a launcher holding 100 MB of written pages: ru_maxrss would carry
+    # them across the exec into the run's figure
+    held = bytes(range(256)) * (100 * 10**6 // 256)
+    got, _ = launch("density", "--config", str(DEMO / "config.json"), "--out", str(tmp_path / "out"))
+    del held
+    run_info = json.loads((tmp_path / "out" / "run_info.json").read_text())
+    assert got["status"] == 0 and 0.0 < run_info["peak_rss_mb"] < 100.0
 
 
 def test_run_info_records_the_start_up_before_the_first_stage(tmp_path):
