@@ -17,7 +17,7 @@ import logging
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError, ZeroVarianceError
-from .geometry import _sum_in_order, vertex_arrays
+from .geometry import _sum_in_order, polyline_columns, vertex_arrays
 from .hexgrid import EdgeCells, HexGrid, assign_lengths
 from .ingest import INFRA_CATEGORIES
 from .polygons import PolygonArea, clip_lengths
@@ -87,7 +87,7 @@ class LengthPolicy:
 
 def infrastructure_length(edge, policy: LengthPolicy) -> float:
     """Geometric length times the data-model multiplier, in meters."""
-    return float(vertex_arrays([edge.geometry]).length[0]) * policy.factor_for(edge)
+    return float(vertex_arrays(*polyline_columns([edge.geometry])).length[0]) * policy.factor_for(edge)
 
 
 def dataset_length_totals(dataset, policy: LengthPolicy) -> dict:

@@ -22,6 +22,7 @@ __all__ = [
     "Polyline",
     "Segment",
     "VertexArrays",
+    "polyline_columns",
     "vertex_arrays",
     "hausdorff_distance",
     "segment_angle_deg",
@@ -149,20 +150,32 @@ class VertexArrays:
         """(polyline, start vertex) of every piece, in polyline order."""
         return _ranges(self.first, self.last - self.first)
 
+    def polyline(self, e: int) -> Polyline:
+        """Polyline e as an object."""
+        lo, hi = int(self.first[e]), int(self.last[e]) + 1
+        return Polyline(tuple(map(Point2D, self.x[lo:hi].tolist(), self.y[lo:hi].tolist())))
 
-def vertex_arrays(polylines) -> VertexArrays:
-    """The vertices of the polylines, in order, as a ``VertexArrays``."""
+
+def polyline_columns(polylines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, count) of the polylines' vertices, end to end: ``vertex_arrays``' input."""
     polylines = list(polylines)
-    n_vertices = np.array([len(p.vertices) for p in polylines], dtype=np.intp)
-    total = int(n_vertices.sum())
+    count = np.array([len(p.vertices) for p in polylines], dtype=np.intp)
+    total = int(count.sum())
     x = np.fromiter((v.x for p in polylines for v in p.vertices), dtype=float, count=total)
     y = np.fromiter((v.y for p in polylines for v in p.vertices), dtype=float, count=total)
-    last = np.cumsum(n_vertices) - 1
-    first = last - (n_vertices - 1)
+    return x, y, count
+
+
+def vertex_arrays(x: np.ndarray, y: np.ndarray, count: np.ndarray) -> VertexArrays:
+    """Polylines of ``count[e]`` vertices each, stored end to end in
+    (``x``, ``y``), as a ``VertexArrays``."""
+    last = np.cumsum(count) - 1
+    first = last - (count - 1)
+    total = len(x)
     step = np.zeros(max(total - 1, 0))
     cum = np.empty(total)
     # a block of polylines at a time, so the Python floats stay few
-    for e0, e1 in _blocks(n_vertices, _BLOCK_ELEMENTS):
+    for e0, e1 in _blocks(count, _BLOCK_ELEMENTS):
         v0, v1 = int(first[e0]), int(last[e1 - 1]) + 1
         steps = list(map(math.hypot, np.diff(x[v0:v1]).tolist(), np.diff(y[v0:v1]).tolist()))
         step[v0 : v1 - 1] = steps

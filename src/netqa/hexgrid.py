@@ -18,7 +18,9 @@ import math
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import _BLOCK_ELEMENTS, Point2D, Polyline, VertexArrays, _blocks, _ranges, _sum_in_order, vertex_arrays
+from .geometry import (
+    _BLOCK_ELEMENTS, Point2D, Polyline, VertexArrays, _blocks, _ranges, _sum_in_order, polyline_columns, vertex_arrays,
+)
 from .polygons import PolygonArea, rings_intersect_polygon
 
 log = logging.getLogger(__name__)
@@ -118,7 +120,7 @@ class HexGrid:
         Only cells receiving positive length appear in the result, in the
         order the pieces first meet them.
         """
-        _, cell, length = self._clip(vertex_arrays([p]))
+        _, cell, length = self._clip(vertex_arrays(*polyline_columns([p])))
         return dict(zip([self.cell_ids[c] for c in cell.tolist()], length.tolist()))
 
     def clip_edges(self, vertices: VertexArrays) -> EdgeCells:

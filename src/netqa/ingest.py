@@ -9,19 +9,26 @@ non-matching features are dropped.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
+import math
 from collections import Counter
+from contextlib import suppress
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from .errors import CrsError, ParseError, UnsupportedGeometryError
-from .geometry import GeometryError, Point2D, Polyline, VertexArrays, vertex_arrays
+from .geometry import GeometryError, Point2D, Polyline, VertexArrays, _ranges, polyline_columns, vertex_arrays
 from .polygons import PolygonArea
 
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "RawFeature",
+    "Features",
     "ClassificationRule",
     "NetworkEdge",
     "Dataset",
@@ -38,11 +45,16 @@ MAPPING_MODELS = ("centerline", "separate_geometry")
 DIRECTIONALITIES = ("oneway", "bidirectional")
 
 
-class RawFeature:
-    __slots__ = ("geometry", "attributes", "source_id")
+class Features:
+    """A line file's parts as columns, in file order: part i has id
+    ``ids[i]``, attribute map ``attributes[i]`` (one map shared by the parts
+    of a feature) and ``count[i]`` vertices, stored end to end in
+    (``x``, ``y``)."""
 
-    def __init__(self, geometry: Polyline, attributes: dict, source_id: str):
-        self.geometry, self.attributes, self.source_id = geometry, attributes, source_id
+    __slots__ = ("ids", "attributes", "x", "y", "count")
+
+    def __init__(self, ids: list, attributes: list, x: np.ndarray, y: np.ndarray, count: np.ndarray):
+        self.ids, self.attributes, self.x, self.y, self.count = ids, attributes, x, y, count
 
 
 class ClassificationRule:
@@ -109,38 +121,46 @@ def _eval_predicate(node, attributes) -> bool:
 
 
 class NetworkEdge:
-    """A classified infrastructure edge; its topology lives in ``graph.Graph``."""
+    """A classified infrastructure edge; its topology lives in ``graph.Graph``.
 
-    __slots__ = ("id", "geometry", "infra_category", "mapping_model", "directionality", "attributes")
+    ``geometry`` is given as a Polyline, or as (vertex arrays, row) for an
+    edge that is a row of its dataset's vertex arrays, as ``classify`` makes
+    them; such an edge builds its Polyline from the row on each read.
+    """
+
+    __slots__ = ("id", "_geometry", "infra_category", "mapping_model", "directionality", "attributes")
 
     def __init__(
         self,
         id: str,
-        geometry: Polyline,
+        geometry: Polyline | tuple[VertexArrays, int],
         infra_category: str,
         mapping_model: str,
         directionality: str,
         attributes: dict | None = None,
     ):
-        self.id, self.geometry = id, geometry
+        self.id, self._geometry = id, geometry
         self.infra_category, self.mapping_model, self.directionality = infra_category, mapping_model, directionality
         self.attributes = {} if attributes is None else attributes
 
+    @property
+    def geometry(self) -> Polyline:
+        if type(self._geometry) is tuple:
+            vertices, row = self._geometry
+            return vertices.polyline(row)
+        return self._geometry
+
 
 class Dataset:
-    __slots__ = ("name", "edges", "_vertices")
+    """Named network edges, with their geometries as vertex arrays: given
+    (as ``classify`` gives them) or built from the edges' Polylines."""
 
-    def __init__(self, name: str, edges: list | None = None):
+    __slots__ = ("name", "edges", "vertices")
+
+    def __init__(self, name: str, edges: list | None = None, vertices: VertexArrays | None = None):
         self.name = name
         self.edges = [] if edges is None else edges
-        self._vertices = None
-
-    @property
-    def vertices(self) -> VertexArrays:
-        """The edges' geometries as vertex arrays, built on first use."""
-        if self._vertices is None:
-            self._vertices = vertex_arrays(e.geometry for e in self.edges)
-        return self._vertices
+        self.vertices = vertex_arrays(*polyline_columns(e.geometry for e in self.edges)) if vertices is None else vertices
 
 
 def _load_json(path):
@@ -148,51 +168,69 @@ def _load_json(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, str(exc)) from exc
+    paused = gc.isenabled()
+    gc.disable()  # a parsed document holds no reference cycles, so collecting while parsing finds none
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.msg, line=exc.lineno, column=exc.colno) from exc
+    finally:
+        if paused:
+            gc.enable()
 
 
-def _clean_coords(coords):
-    points = []
-    for xy in coords:
-        pt = Point2D(float(xy[0]), float(xy[1]))
-        if points and pt.x == points[-1].x and pt.y == points[-1].y:
-            continue
-        points.append(pt)
-    if len(points) < 2:
-        return None
-    return Polyline(tuple(points))
+def _read_positions(path, parts, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, count) of the parts' (lines' or rings') positions, end to end.
+
+    A part is an array of positions, and a position an array of two or more
+    JSON numbers (not booleans or strings) whose first two, x and y, are
+    finite. The first part or position that is not raises a ParseError
+    naming the part's label.
+    """
+    if set(map(type, parts)) <= {list}:
+        positions = list(chain.from_iterable(parts))
+        if set(map(type, positions)) <= {list} and min(map(len, positions), default=2) >= 2:
+            xs, ys = list(map(itemgetter(0), positions)), list(map(itemgetter(1), positions))
+            if set(map(type, xs)) | set(map(type, ys)) <= {int, float}:
+                with suppress(OverflowError):  # an int beyond the float range, reported below
+                    x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+                    if np.isfinite(x).all() and np.isfinite(y).all():
+                        return x, y, np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
+    for part, label in zip(parts, labels):
+        if type(part) is not list:
+            message = f"coordinates must be an array of positions, not {json.dumps(part)[:40]}"
+            raise ParseError(path, f"feature {label}: {message}")
+        for k, pos in enumerate(part):
+            if type(pos) is not list or len(pos) < 2 or not {type(pos[0]), type(pos[1])} <= {int, float}:
+                message = f"position {k} must be an array of two or more numbers, not {json.dumps(pos)[:40]}"
+                raise ParseError(path, f"feature {label}: {message}")
+            try:
+                px, py = float(pos[0]), float(pos[1])
+            except OverflowError:
+                px = py = math.inf
+            if not (math.isfinite(px) and math.isfinite(py)):
+                raise ParseError(path, f"feature {label}: non-finite coordinate ({px}, {py})")
+    raise AssertionError("positions judged malformed, but none is")
 
 
-def _looks_geographic(features) -> bool:
-    saw_any = False
-    for feat in features:
-        for v in feat.geometry.vertices:
-            saw_any = True
-            if abs(v.x) > 180.0 or abs(v.y) > 90.0:
-                return False
-    return saw_any
+def parse_dataset(path) -> Features:
+    """Read a line feature collection into columns.
 
-
-def parse_dataset(path) -> list[RawFeature]:
-    """Read a line feature collection into RawFeatures.
-
-    MultiLineStrings split into one feature per part with ``#<n>``
-    suffixed ids. Degenerate geometries (under two distinct vertices) are
-    dropped with a logged count; non-line geometries, duplicate ids (a
-    part id counts, so ``x#0`` may not also be a feature's own id) and
-    degree-like coordinates are hard errors.
+    MultiLineStrings split into one part per line with ``#<n>`` suffixed
+    ids. Consecutive duplicate vertices are dropped, and so are parts left
+    with fewer than two vertices, with a logged count. Malformed or
+    non-finite positions, non-line geometries, duplicate ids (a part id
+    counts, so ``x#0`` may not also be a feature's own id) and degree-like
+    coordinates are hard errors, in that order.
     """
     doc = _load_json(path)
     if doc.get("type") != "FeatureCollection" or "features" not in doc:
         raise ParseError(path, "expected a FeatureCollection with a 'features' list")
 
-    features: list[RawFeature] = []
-    bad_type_ids: list[str] = []
+    parts: list = []
     part_ids: list[str] = []
-    dropped = 0
+    part_attributes: list[dict] = []
+    bad_type_ids: list[str] = []
     for i, feat in enumerate(doc["features"]):
         props = feat.get("properties") or {}
         fid = feat.get("id")
@@ -200,71 +238,83 @@ def parse_dataset(path) -> list[RawFeature]:
             fid = props.get("id")
         source_id = f"feature-{i}" if fid is None else str(fid)
         attributes = {str(k): str(v) for k, v in props.items() if v is not None}
+        if attributes == props:  # all text already: keep the parsed map, not a copy
+            attributes = props
         geom = feat.get("geometry") or {}
         gtype = geom.get("type")
         if gtype == "LineString":
-            parts = [geom.get("coordinates", [])]
-            ids = [source_id]
+            lines, ids = [geom.get("coordinates", [])], [source_id]
         elif gtype == "MultiLineString":
-            parts = geom.get("coordinates", [])
-            ids = [f"{source_id}#{k}" for k in range(len(parts))]
+            lines = geom.get("coordinates", [])
+            if type(lines) is not list:
+                message = f"coordinates must be an array of lines, not {json.dumps(lines)[:40]}"
+                raise ParseError(path, f"feature {source_id}: {message}")
+            ids = [f"{source_id}#{k}" for k in range(len(lines))]
         else:
             bad_type_ids.append(source_id)
             continue
-        part_ids.extend(ids)
-        for part_id, coords in zip(ids, parts):
-            try:
-                line = _clean_coords(coords)
-            except (GeometryError, TypeError, IndexError, ValueError) as exc:
-                raise ParseError(path, f"feature {part_id}: {exc}") from exc
-            if line is None:
-                dropped += 1
-                continue
-            features.append(RawFeature(geometry=line, attributes=attributes, source_id=part_id))
+        parts += lines
+        part_ids += ids
+        part_attributes += [attributes] * len(ids)
+
+    x, y, count = _read_positions(path, parts, part_ids)
+    part = np.repeat(np.arange(len(count)), count)
+    kept = np.ones(len(x), dtype=bool)  # drops each vertex equal to the one before it in its part
+    kept[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (part[1:] != part[:-1])
+    count = np.bincount(part[kept], minlength=len(count))
+    long = count >= 2
+    kept &= long[part]
+    x, y = x[kept], y[kept]
 
     if bad_type_ids:
         raise UnsupportedGeometryError(path, bad_type_ids)
-    duplicate_ids = [fid for fid, count in Counter(part_ids).items() if count > 1]
+    duplicate_ids = [fid for fid, n in Counter(part_ids).items() if n > 1]
     if duplicate_ids:
         shown = ", ".join(duplicate_ids[:10]) + (", ..." if len(duplicate_ids) > 10 else "")
         raise ParseError(path, f"duplicate feature id(s): {shown}")
+    dropped = len(count) - int(np.count_nonzero(long))
     if dropped:
         log.warning("%s: dropped %d degenerate (zero-length) feature(s)", path, dropped)
-    if _looks_geographic(features):
+    if len(x) and (np.abs(x) <= 180.0).all() and (np.abs(y) <= 90.0).all():
         raise CrsError(
             f"{path}: every coordinate falls within |x|<=180, |y|<=90, which looks like "
             "lon/lat degrees. Reproject the data to a planar CRS in meters first."
         )
-    return features
+    rows = np.flatnonzero(long).tolist()
+    return Features([part_ids[i] for i in rows], [part_attributes[i] for i in rows], x, y, count[long])
 
 
-def classify(features, rules, name: str) -> Dataset:
+def classify(features: Features, rules, name: str) -> Dataset:
     """Apply ordered classification rules; first match wins.
 
-    Matching features become network edges carrying the rule outcome and
-    the full attribute map; the rest are dropped. An empty result is a
-    warning, not an error.
+    Matching parts become network edges carrying the rule outcome and
+    their feature's attribute map, each edge a row of the dataset's vertex
+    arrays; the rest are dropped. An empty result is a warning, not an
+    error.
     """
     if not rules:
         raise ValueError("classification needs at least one rule")
-    edges = []
-    for feat in features:
+    rows, outcomes = [], []
+    for row, attributes in enumerate(features.attributes):
         for rule in rules:
-            if rule.matches(feat.attributes):
-                edges.append(
-                    NetworkEdge(
-                        id=feat.source_id,
-                        geometry=feat.geometry,
-                        infra_category=rule.infra_category,
-                        mapping_model=rule.mapping_model,
-                        directionality=rule.directionality,
-                        attributes=dict(feat.attributes),
-                    )
-                )
+            if rule.matches(attributes):
+                rows.append(row)
+                outcomes.append(rule)
                 break
+    rows = np.array(rows, dtype=np.intp)
+    count = features.count[rows]
+    _, vertex = _ranges((np.cumsum(features.count) - features.count)[rows], count)
+    vertices = vertex_arrays(features.x[vertex], features.y[vertex], count)
+    edges = [
+        NetworkEdge(
+            features.ids[row], (vertices, e), rule.infra_category, rule.mapping_model, rule.directionality,
+            features.attributes[row],
+        )
+        for e, (row, rule) in enumerate(zip(rows.tolist(), outcomes))
+    ]
     if not edges:
         log.warning("dataset %r: no features matched any classification rule", name)
-    return Dataset(name=name, edges=edges)
+    return Dataset(name=name, edges=edges, vertices=vertices)
 
 
 def load_rules(path) -> dict[str, list[ClassificationRule]]:
@@ -299,13 +349,15 @@ def load_rules(path) -> dict[str, list[ClassificationRule]]:
     return out
 
 
-def _rings_from_polygon_coords(coords):
+def _rings_from_polygon_coords(path, coords, name):
+    x, y, count = _read_positions(path, coords, [name] * len(coords))
     rings = []
-    for ring_coords in coords:
-        pts = [Point2D(float(xy[0]), float(xy[1])) for xy in ring_coords]
-        if len(pts) > 1 and pts[0].x == pts[-1].x and pts[0].y == pts[-1].y:
+    ends = np.cumsum(count).tolist()
+    for lo, hi in zip([0, *ends], ends):
+        pts = tuple(map(Point2D, x[lo:hi].tolist(), y[lo:hi].tolist()))
+        if len(pts) > 1 and pts[0] == pts[-1]:
             pts = pts[:-1]  # drop GeoJSON closing vertex
-        rings.append(tuple(pts))
+        rings.append(pts)
     return tuple(rings)
 
 
@@ -320,7 +372,7 @@ def _polygon_parts(path, feat, fallback_name):
         raise ParseError(path, f"feature {name}: {gtype} has no coordinates")
     all_coords = [geom["coordinates"]] if gtype == "Polygon" else geom["coordinates"]
     try:
-        return name, [PolygonArea(rings=_rings_from_polygon_coords(c), name=name) for c in all_coords]
+        return name, [PolygonArea(rings=_rings_from_polygon_coords(path, c, name), name=name) for c in all_coords]
     except (GeometryError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(path, f"feature {name}: {exc}") from exc
 

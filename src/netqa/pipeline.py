@@ -583,24 +583,26 @@ def _write_file(path, kind: str, payload) -> None:
             fh.write(payload())
 
 
-def _peak_rss_mb() -> float | None:
-    """This process's peak resident set size so far, in MB (10**6 bytes).
+def _memory_mb() -> dict:
+    """This process's resident set size now (``rss``) and its peak so far
+    (``hwm``), in MB (10**6 bytes) to 0.1 MB; only read, never reset.
 
-    ``VmHWM`` is the peak of this program alone; ``ru_maxrss``, the
-    fallback where there is no /proc, also keeps that of the process image
-    an exec replaced, such as a launcher's fork.
+    /proc's ``VmHWM`` is the peak of this program alone. Where there is no
+    /proc, ``rss`` is None and ``hwm`` is ``ru_maxrss``, which also keeps the
+    peak of the process image an exec replaced, such as a launcher's fork.
     """
+    found = {"rss": None, "hwm": None}
     try:
         with open("/proc/self/status", "rb") as fh:
             for line in fh:
-                if line.startswith(b"VmHWM:"):
-                    return round(int(line.split()[1]) * 1024 / 1e6, 3)  # kB
+                if line.startswith((b"VmRSS:", b"VmHWM:")):
+                    found[line[2:5].decode().lower()] = round(int(line.split()[1]) * 1024 / 1e6, 1)  # kB
     except OSError:
         pass
-    if resource is None:
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
-    return round(peak * (1 if sys.platform == "darwin" else 1024) / 1e6, 3)
+    if found["hwm"] is None and resource is not None:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+        found["hwm"] = round(peak * (1 if sys.platform == "darwin" else 1024) / 1e6, 1)
+    return found
 
 
 class Pipeline:
@@ -619,6 +621,8 @@ class Pipeline:
         # wall seconds of each stage's first computation, less those of the
         # stages it computed first; recorded in run_info.json
         self.stage_seconds: dict[str, float] = {}
+        # stage -> this process's memory (_memory_mb) as the stage ended; run_info.json
+        self.stage_rss_mb: dict[str, dict] = {}
         # seconds from netqa's first import to the start of the first stage; run_info.json
         self.import_seconds: float | None = None
         # per-direction matching work (role -> the fields of its MatchCounts); run_info.json
@@ -644,8 +648,12 @@ class Pipeline:
             except Exception as exc:  # defensive: name the failing stage
                 raise PipelineError(stage, repr(exc)) from exc
             self.stage_seconds[stage] = time.perf_counter() - start - (sum(self.stage_seconds.values()) - before)
-            log.debug("stage %s: %.3f s", stage, self.stage_seconds[stage])
+            self._end_stage(stage)
         return self._cache[stage]
+
+    def _end_stage(self, stage: str) -> None:
+        memory = self.stage_rss_mb[stage] = _memory_mb()
+        log.debug("stage %s: %.3f s, RSS %s MB, peak %s MB", stage, self.stage_seconds[stage], *memory.values())
 
     def _add_grid_field(self, name: str, values: dict):
         self.grid_fields[name] = dict(values)
@@ -1051,8 +1059,8 @@ class Pipeline:
                 log.debug("write %s: %d bytes, %.3f s", name, file_bytes[name], file_seconds[name])
                 written.append(name)
             self.stage_seconds["write"] = time.perf_counter() - start
-            peak_rss_mb = _peak_rss_mb()
-            log.debug("stage write: %.3f s", self.stage_seconds["write"])
+            self._end_stage("write")
+            peak_rss_mb = self.stage_rss_mb["write"]["hwm"]
             log.debug("peak RSS: %s MB", peak_rss_mb)
             run_info = {
                 "finished_unix": int(time.time()),
@@ -1061,6 +1069,7 @@ class Pipeline:
                 "output_dir": str(out_dir),
                 "import_seconds": None if self.import_seconds is None else round(self.import_seconds, 6),
                 "stage_seconds": {stage: round(sec, 6) for stage, sec in self.stage_seconds.items()},
+                "stage_rss_mb": self.stage_rss_mb,
                 "write_seconds": {name: round(sec, 6) for name, sec in file_seconds.items()},
                 "peak_rss_mb": peak_rss_mb,
             }

@@ -21,7 +21,9 @@ import math
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import _BLOCK_ELEMENTS, Point2D, Polyline, VertexArrays, _blocks, _ranges, _sum_in_order, vertex_arrays
+from .geometry import (
+    _BLOCK_ELEMENTS, Point2D, Polyline, VertexArrays, _blocks, _ranges, _sum_in_order, polyline_columns, vertex_arrays,
+)
 
 __all__ = [
     "PolygonArea",
@@ -265,7 +267,7 @@ def _clip_pieces(v: VertexArrays, k: np.ndarray, polygon: PolygonArea) -> tuple[
 def clip_polyline_to_polygon(p: Polyline, polygon: PolygonArea) -> float:
     """Length of the portion of a polyline inside a polygon (``clip_lengths``
     of one polyline)."""
-    return float(clip_lengths(vertex_arrays([p]), polygon)[0])
+    return float(clip_lengths(vertex_arrays(*polyline_columns([p])), polygon)[0])
 
 
 # an overflow gives +-inf silently, as Python's float arithmetic does

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import shutil
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from netqa.errors import GeometryError, WeightsError, ZeroVarianceError
+from netqa.errors import CrsError, GeometryError, ParseError, UnsupportedGeometryError, WeightsError, ZeroVarianceError
 from netqa.featureio import COORD_DECIMALS
 from netqa.geometry import (
     Point2D,
@@ -23,6 +24,7 @@ from netqa.geometry import (
     hausdorff_distance,
     point_segment_distance,
     point_segment_distances,
+    polyline_columns,
     segment_angle_deg,
     vertex_arrays,
 )
@@ -62,7 +64,7 @@ def make_edge(
 
 def clip(grid, edges):
     """``grid.clip_edges`` of the edges' geometries."""
-    return grid.clip_edges(vertex_arrays(e.geometry for e in edges))
+    return grid.clip_edges(vertex_arrays(*polyline_columns(e.geometry for e in edges)))
 
 
 def make_dataset(name, edge_specs):
@@ -332,6 +334,90 @@ def line_feature(coords, properties, feature_id=None) -> dict:
     if feature_id is not None:
         feat["id"] = feature_id
     return feat
+
+
+# The per-vertex line reader that ``ingest.parse_dataset`` replaced with
+# columns; it is the reference that parse is held to on well-formed
+# positions (ids, vertex bits, dropped count, and each error's type and
+# message).
+
+
+class RawFeature:
+    __slots__ = ("geometry", "attributes", "source_id")
+
+    def __init__(self, geometry: Polyline, attributes: dict, source_id: str):
+        self.geometry, self.attributes, self.source_id = geometry, attributes, source_id
+
+
+def _clean_coords(coords):
+    points = []
+    for xy in coords:
+        pt = Point2D(float(xy[0]), float(xy[1]))
+        if points and pt.x == points[-1].x and pt.y == points[-1].y:
+            continue
+        points.append(pt)
+    if len(points) < 2:
+        return None
+    return Polyline(tuple(points))
+
+
+def _looks_geographic(features) -> bool:
+    saw_any = False
+    for feat in features:
+        for v in feat.geometry.vertices:
+            saw_any = True
+            if abs(v.x) > 180.0 or abs(v.y) > 90.0:
+                return False
+    return saw_any
+
+
+def reference_parse_dataset(path) -> tuple[list[RawFeature], int]:
+    """(features, dropped degenerate parts) of a line feature collection."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    features: list[RawFeature] = []
+    bad_type_ids: list[str] = []
+    part_ids: list[str] = []
+    dropped = 0
+    for i, feat in enumerate(doc["features"]):
+        props = feat.get("properties") or {}
+        fid = feat.get("id")
+        if fid is None:
+            fid = props.get("id")
+        source_id = f"feature-{i}" if fid is None else str(fid)
+        attributes = {str(k): str(v) for k, v in props.items() if v is not None}
+        geom = feat.get("geometry") or {}
+        gtype = geom.get("type")
+        if gtype == "LineString":
+            parts = [geom.get("coordinates", [])]
+            ids = [source_id]
+        elif gtype == "MultiLineString":
+            parts = geom.get("coordinates", [])
+            ids = [f"{source_id}#{k}" for k in range(len(parts))]
+        else:
+            bad_type_ids.append(source_id)
+            continue
+        part_ids.extend(ids)
+        for part_id, coords in zip(ids, parts):
+            try:
+                line = _clean_coords(coords)
+            except (GeometryError, TypeError, IndexError, ValueError) as exc:
+                raise ParseError(path, f"feature {part_id}: {exc}") from exc
+            if line is None:
+                dropped += 1
+                continue
+            features.append(RawFeature(geometry=line, attributes=attributes, source_id=part_id))
+    if bad_type_ids:
+        raise UnsupportedGeometryError(path, bad_type_ids)
+    duplicate_ids = [fid for fid, count in Counter(part_ids).items() if count > 1]
+    if duplicate_ids:
+        shown = ", ".join(duplicate_ids[:10]) + (", ..." if len(duplicate_ids) > 10 else "")
+        raise ParseError(path, f"duplicate feature id(s): {shown}")
+    if _looks_geographic(features):
+        raise CrsError(
+            f"{path}: every coordinate falls within |x|<=180, |y|<=90, which looks like "
+            "lon/lat degrees. Reproject the data to a planar CRS in meters first."
+        )
+    return features, dropped
 
 
 # Polygons and points on a coarse lattice, so that horizontal edges,

@@ -9,6 +9,7 @@ from netqa.geometry import (
     Polyline,
     Segment,
     hausdorff_distance,
+    polyline_columns,
     segment_angle_deg,
     vertex_arrays,
 )
@@ -33,7 +34,7 @@ def seg(ax, ay, bx, by, edge="e", idx=0):
 
 
 def length(p: Polyline) -> float:
-    return float(vertex_arrays([p]).length[0])
+    return float(vertex_arrays(*polyline_columns([p])).length[0])
 
 
 def test_length_3_4_5():

@@ -1,10 +1,17 @@
 import json
+import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netqa.errors import CrsError, ParseError, UnsupportedGeometryError
+from netqa import ingest
+from netqa.errors import CrsError, NetqaError, ParseError, UnsupportedGeometryError
 from netqa.ingest import (
     ClassificationRule,
+    Features,
     classify,
     load_polygon_layer,
     load_population_csv,
@@ -13,7 +20,7 @@ from netqa.ingest import (
     parse_dataset,
 )
 
-from conftest import line_feature
+from conftest import DEMO, line_feature, reference_parse_dataset
 
 
 def write_fc(tmp_path, features, name="data.geojson"):
@@ -32,8 +39,8 @@ def shifted(base, i):
 def test_parse_three_linestrings(tmp_path):
     path = write_fc(tmp_path, [line_feature(shifted(PROJ, i), {}) for i in range(3)])
     features = parse_dataset(path)
-    assert len(features) == 3
-    assert [f.source_id for f in features] == ["feature-0", "feature-1", "feature-2"]
+    assert len(features.ids) == 3
+    assert features.ids == ["feature-0", "feature-1", "feature-2"]
 
 
 def test_parse_splits_multilinestring(tmp_path):
@@ -47,7 +54,7 @@ def test_parse_splits_multilinestring(tmp_path):
         "properties": {},
     }
     features = parse_dataset(write_fc(tmp_path, [feat]))
-    assert [f.source_id for f in features] == ["X#0", "X#1"]
+    assert features.ids == ["X#0", "X#1"]
 
 
 def test_parse_null_id_counts_as_absent(tmp_path):
@@ -56,7 +63,7 @@ def test_parse_null_id_counts_as_absent(tmp_path):
         feat["id"] = None
     feats[1]["properties"]["id"] = "p"
     features = parse_dataset(write_fc(tmp_path, feats))
-    assert [f.source_id for f in features] == ["feature-0", "p"]
+    assert features.ids == ["feature-0", "p"]
 
 
 def test_parse_rejects_duplicate_ids(tmp_path):
@@ -112,14 +119,112 @@ def test_parse_drops_degenerate_features(tmp_path, caplog):
     path = write_fc(tmp_path, [line_feature(PROJ, {}), degenerate])
     with caplog.at_level("WARNING"):
         features = parse_dataset(path)
-    assert len(features) == 1
+    assert len(features.ids) == 1
     assert "degenerate" in caplog.text
+
+
+@pytest.mark.parametrize(
+    ("coordinates", "problem"),
+    [
+        ([[600000, 6100000], [True, 6100000]], "position 1 must be an array of two or more numbers, not [true, 6100000]"),
+        ([["600000.5", 6100000], [600100, 6100000]], 'position 0 must be an array of two or more numbers, not ["600000.5", 6100000]'),
+        ([[600000, 6100000], [600100]], "position 1 must be an array of two or more numbers, not [600100]"),
+        ([[600000, 6100000], None], "position 1 must be an array of two or more numbers, not null"),
+        ("a", 'coordinates must be an array of positions, not "a"'),
+        ([[600000, 6100000], [10**400, 6100000]], "non-finite coordinate (inf, inf)"),
+    ],
+)
+def test_parse_rejects_malformed_positions(tmp_path, coordinates, problem):
+    # booleans and numeric strings were read as numbers, and a string of
+    # coordinates was read character by character
+    path = write_fc(tmp_path, [line_feature(PROJ, {}), line_feature(coordinates, {}, feature_id="bad")])
+    with pytest.raises(ParseError) as err:
+        parse_dataset(path)
+    assert str(err.value) == f"{path}: feature bad: {problem}"
+
+
+def test_parse_rejects_multilinestring_coordinates_that_are_not_lines(tmp_path):
+    feat = {"type": "Feature", "id": "m", "geometry": {"type": "MultiLineString", "coordinates": "ab"}, "properties": {}}
+    path = write_fc(tmp_path, [feat])
+    with pytest.raises(ParseError) as err:
+        parse_dataset(path)
+    assert str(err.value) == f'{path}: feature m: coordinates must be an array of lines, not "ab"'
 
 
 def test_parse_coerces_attribute_values(tmp_path):
     path = write_fc(tmp_path, [line_feature(PROJ, {"width": 2.5, "lit": None, "name": "x"})])
-    (feat,) = parse_dataset(path)
-    assert feat.attributes == {"width": "2.5", "name": "x"}
+    assert parse_dataset(path).attributes == [{"width": "2.5", "name": "x"}]
+
+
+# Positions from a small pool, so that consecutive duplicates and parts of
+# only duplicates are common. Coordinates are projected-looking values,
+# any float (NaN and infinities among them) and ints beyond 2**53, or, in
+# some collections, degree-sized values only.
+COORDINATES = st.one_of(
+    st.sampled_from([600000.0, 600000.5, 6100000, 12.5, -0.0, math.nan]),
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+)
+DEGREES = st.sampled_from([0.0, -0.0, 12.5, 7, 55])
+
+
+@st.composite
+def line_collections(draw):
+    coordinates = draw(st.sampled_from([COORDINATES, COORDINATES, DEGREES]))
+    pool = draw(st.lists(st.lists(coordinates, min_size=2, max_size=3), min_size=2, max_size=4))
+    part = st.lists(st.sampled_from(pool), max_size=5)
+    features = []
+    for _ in range(draw(st.integers(1, 6))):
+        gtype = draw(st.sampled_from(["LineString"] * 4 + ["MultiLineString"] * 3 + ["Point"]))
+        coordinates = draw(st.lists(part, max_size=3) if gtype == "MultiLineString" else part)
+        values = st.one_of(st.none(), st.text(max_size=2), st.integers(0, 2))
+        props = draw(st.dictionaries(st.sampled_from(["highway", "id", "lit"]), values, max_size=2))
+        feat = {"type": "Feature", "geometry": {"type": gtype, "coordinates": coordinates}, "properties": props}
+        fid = draw(st.one_of(st.none(), st.sampled_from(["a", "b", "a#0", 3])))
+        if fid is not None or draw(st.booleans()):  # null or absent
+            feat["id"] = fid
+        features.append(feat)
+    return {"type": "FeatureCollection", "features": features}
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except NetqaError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=line_collections())
+def test_parse_equals_the_reference_reader(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("parse") / "lines.geojson"
+    path.write_text(json.dumps(doc))
+    expected = _outcome(reference_parse_dataset, path)
+    with mock.patch.object(ingest.log, "warning") as warning:
+        got = _outcome(parse_dataset, path)
+    if isinstance(expected, tuple) and not isinstance(expected[0], list):
+        assert got == expected
+        return
+    features, dropped = expected
+    assert warning.call_args_list == ([mock.call(mock.ANY, path, dropped)] if dropped else [])
+    assert got.ids == [f.source_id for f in features]
+    assert got.attributes == [f.attributes for f in features]
+    assert got.count.tolist() == [len(f.geometry.vertices) for f in features]
+    assert list(map(float.hex, got.x.tolist())) == [v.x.hex() for f in features for v in f.geometry.vertices]
+    assert list(map(float.hex, got.y.tolist())) == [v.y.hex() for f in features for v in f.geometry.vertices]
+
+
+def test_an_ingested_edge_s_geometry_is_the_reference_reader_s_polyline():
+    rules = load_rules(DEMO / "rules.json")
+    for role in ("candidate", "reference"):
+        ds = classify(parse_dataset(DEMO / f"{role}.geojson"), rules[role], role)
+        features, _ = reference_parse_dataset(DEMO / f"{role}.geojson")
+        polylines = {f.source_id: f.geometry for f in features}
+        assert ds.edges
+        for edge in ds.edges:
+            assert edge.geometry == polylines[edge.id]
+            vertex_bits = [(v.x.hex(), v.y.hex()) for v in edge.geometry.vertices]
+            assert vertex_bits == [(v.x.hex(), v.y.hex()) for v in polylines[edge.id].vertices]
 
 
 # ---------------------------------------------------------------- rules
@@ -140,18 +245,18 @@ RULE_LANE = ClassificationRule(
 
 
 def _raw(attrs, source_id="f"):
-    from netqa.geometry import Point2D, Polyline
-    from netqa.ingest import RawFeature
+    return source_id, attrs
 
-    return RawFeature(
-        geometry=Polyline((Point2D(0, 0), Point2D(10, 0))),
-        attributes=attrs,
-        source_id=source_id,
-    )
+
+def _features(raws):
+    """Features of (id, attributes) rows, row i a line from (0, i) to (10, i)."""
+    n = len(raws)
+    rows = np.repeat(np.arange(n, dtype=float), 2)
+    return Features([r[0] for r in raws], [r[1] for r in raws], np.tile([0.0, 10.0], n), rows, np.full(n, 2))
 
 
 def test_classify_direct_hit():
-    ds = classify([_raw({"highway": "cycleway"})], [RULE_PROTECTED, RULE_LANE], name="t")
+    ds = classify(_features([_raw({"highway": "cycleway"})]), [RULE_PROTECTED, RULE_LANE], name="t")
     assert len(ds.edges) == 1
     assert ds.edges[0].infra_category == "protected"
     assert ds.edges[0].mapping_model == "separate_geometry"
@@ -159,7 +264,7 @@ def test_classify_direct_hit():
 
 def test_classify_centerline_lane():
     ds = classify(
-        [_raw({"highway": "residential", "cycleway": "lane"})],
+        _features([_raw({"highway": "residential", "cycleway": "lane"})]),
         [RULE_PROTECTED, RULE_LANE],
         name="t",
     )
@@ -168,19 +273,19 @@ def test_classify_centerline_lane():
 
 
 def test_classify_drops_unmatched():
-    ds = classify([_raw({"highway": "residential"})], [RULE_PROTECTED], name="t")
+    ds = classify(_features([_raw({"highway": "residential"})]), [RULE_PROTECTED], name="t")
     assert ds.edges == []
 
 
 def test_classify_first_match_wins():
-    both = _raw({"highway": "cycleway", "cycleway": "lane"})
-    assert classify([both], [RULE_PROTECTED, RULE_LANE], "t").edges[0].infra_category == "protected"
-    assert classify([both], [RULE_LANE, RULE_PROTECTED], "t").edges[0].infra_category == "unprotected"
+    both = _features([_raw({"highway": "cycleway", "cycleway": "lane"})])
+    assert classify(both, [RULE_PROTECTED, RULE_LANE], "t").edges[0].infra_category == "protected"
+    assert classify(both, [RULE_LANE, RULE_PROTECTED], "t").edges[0].infra_category == "unprotected"
 
 
 def test_classify_keeps_attributes_and_is_stable():
     feats = [_raw({"highway": "cycleway", "surface": "asphalt"}, source_id=f"f{i}") for i in range(5)]
-    ds = classify(feats, [RULE_PROTECTED], name="t")
+    ds = classify(_features(feats), [RULE_PROTECTED], name="t")
     assert [e.id for e in ds.edges] == [f"f{i}" for i in range(5)]
     assert ds.edges[0].attributes["surface"] == "asphalt"
 
@@ -194,8 +299,8 @@ def test_classify_permutation_equivariant():
         _raw({"highway": "cycleway"}, "d"),
     ]
     rules = [RULE_PROTECTED, RULE_LANE]
-    forward = classify(feats, rules, "t")
-    backward = classify(list(reversed(feats)), rules, "t")
+    forward = classify(_features(feats), rules, "t")
+    backward = classify(_features(feats[::-1]), rules, "t")
     assert [e.id for e in backward.edges] == [e.id for e in forward.edges][::-1]
     by_id_f = {e.id: e.infra_category for e in forward.edges}
     by_id_b = {e.id: e.infra_category for e in backward.edges}
@@ -203,15 +308,12 @@ def test_classify_permutation_equivariant():
 
 
 def test_classify_idempotent():
-    from netqa.ingest import RawFeature
-
     feats = [_raw({"highway": "cycleway", "surface": "asphalt"}, "a"), _raw({"cycleway": "lane"}, "b")]
     rules = [RULE_PROTECTED, RULE_LANE]
-    once = classify(feats, rules, "t")
-    again_raw = [
-        RawFeature(geometry=e.geometry, attributes=e.attributes, source_id=e.id) for e in once.edges
-    ]
-    twice = classify(again_raw, rules, "t")
+    once = classify(_features(feats), rules, "t")
+    v = once.vertices
+    again = Features([e.id for e in once.edges], [e.attributes for e in once.edges], v.x, v.y, v.last - v.first + 1)
+    twice = classify(again, rules, "t")
     assert [(e.id, e.infra_category, e.mapping_model, e.directionality) for e in once.edges] == [
         (e.id, e.infra_category, e.mapping_model, e.directionality) for e in twice.edges
     ]
@@ -330,6 +432,23 @@ def test_load_polygons_reject_short_ring_naming_file_and_feature(tmp_path, load)
     assert err.value.path == str(path)
     assert str(err.value).startswith(f"{path}: feature sliver: ")
     assert "fewer than 3 vertices" in str(err.value)
+
+
+@pytest.mark.parametrize("load", [load_study_area, load_polygon_layer])
+@pytest.mark.parametrize(
+    ("position", "problem"),
+    [
+        ([1000, False], "position 1 must be an array of two or more numbers, not [1000, false]"),
+        (["1000", 0], 'position 1 must be an array of two or more numbers, not ["1000", 0]'),
+        ([1000], "position 1 must be an array of two or more numbers, not [1000]"),
+        ([1000, float("nan")], "non-finite coordinate (1000.0, nan)"),
+    ],
+)
+def test_load_polygons_reject_malformed_positions(tmp_path, load, position, problem):
+    path = polygon_fc(tmp_path, "odd", [[0, 0], position, [1000, 1000], [0, 1000], [0, 0]])
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: feature odd: {problem}"
 
 
 @pytest.mark.parametrize("load", [load_study_area, load_polygon_layer])

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from netqa import completeness, featureio, graph, hexgrid, ingest, pipeline, spatial
 from netqa.cli import main as cli_main
 from netqa.errors import ConfigError, PipelineError
-from netqa.geometry import Point2D, Segment
+from netqa.geometry import Point2D, Polyline, Segment
 from netqa.graph import Undershoot
 from netqa.hexgrid import HexCell, HexGrid
 from netqa.ingest import Dataset
@@ -1370,6 +1370,43 @@ def test_peak_rss_is_the_run_s_own_not_its_launcher_s(tmp_path):
     del held
     run_info = json.loads((tmp_path / "out" / "run_info.json").read_text())
     assert got["status"] == 0 and 0.0 < run_info["peak_rss_mb"] < 100.0
+
+
+def test_run_info_records_the_memory_after_each_stage_that_ran(tmp_path, caplog):
+    with caplog.at_level(logging.DEBUG, logger="netqa.pipeline"):
+        assert cli_main(["density", "--config", str(DEMO / "config.json"), "--out", str(tmp_path / "out")]) == 0
+    run_info = json.loads((tmp_path / "out" / "run_info.json").read_text())
+    memory = run_info["stage_rss_mb"]
+    assert set(memory) == set(run_info["stage_seconds"]) == {"ingest", "grid", "density", "write"}
+    for stage, m in memory.items():
+        assert set(m) == {"rss", "hwm"} and m["hwm"] >= m["rss"] > 0.0, stage
+        assert m == {key: round(value, 1) for key, value in m.items()}
+        assert f"stage {stage}: " in caplog.text and f"s, RSS {m['rss']} MB, peak {m['hwm']} MB" in caplog.text
+    assert run_info["peak_rss_mb"] == memory["write"]["hwm"]
+
+
+def test_memory_figures_leave_every_other_output_unchanged(tmp_path, monkeypatch):
+    written = {}
+    for figure in (1.0, 2000.0):
+        monkeypatch.setattr(pipeline, "_memory_mb", lambda: {"rss": figure, "hwm": figure})
+        out = tmp_path / str(figure)
+        assert cli_main(["full", "--config", str(DEMO / "config.json"), "--out", str(out)]) == 0
+        written[figure] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_info.json"}
+        run_info = json.loads((out / "run_info.json").read_text())
+        assert run_info["stage_rss_mb"] == dict.fromkeys(run_info["stage_seconds"], {"rss": figure, "hwm": figure})
+    assert written[1.0] == written[2000.0]
+
+
+def test_a_run_builds_no_polyline(tmp_path, monkeypatch):
+    # an ingested edge is a row of its dataset's vertex arrays; only the
+    # record views that tests import build its Polyline
+    built = []
+    init = Polyline.__init__
+    monkeypatch.setattr(Polyline, "__init__", lambda self, vertices: built.append(init(self, vertices)))
+    assert cli_main(["full", "--config", str(DEMO / "config.json"), "--out", str(tmp_path / "full")]) == 0
+    ragged = write_ragged_demo(tmp_path / "ragged")
+    assert cli_main(["density", "--config", str(ragged / "config.json"), "--out", str(tmp_path / "density")]) == 0
+    assert built == []
 
 
 def test_run_info_records_the_start_up_before_the_first_stage(tmp_path):
