@@ -21,7 +21,12 @@ Such a producer spells its numbers with ``decimal_text`` and
 whose rows, with their zero bytes dropped, are the text ``encode`` gives
 each value (after ``round`` to fixed decimals, for floats). Rows of
 different widths share one matrix this way, and a block of lines is the
-matrix's non-zero bytes, written as they are.
+matrix's non-zero bytes, written as they are. ``_feature_lines`` lays such
+blocks out for any layer of one geometry kind, from a block's vertex text
+and one text matrix per property; each layer's speller lives beside the
+columns it reads (``matching._segment_lines``, ``graph._undershoot_lines``
+and ``graph._component_lines``, ``spatial._lisa_lines``,
+``hexgrid._grid_lines``).
 
 CSV tables go through the ``csv`` module with ``\\n`` line ends and minimal
 quoting (RFC 4180): a field holding a comma, a quote or a line break is
@@ -191,6 +196,88 @@ def decimal_text(values, decimals: int) -> np.ndarray:
         text[k] = 0
         text[k, : len(t)] = np.frombuffer(t, dtype=np.uint8)
     return text
+
+
+# ---------------- blocks of feature lines ----------------
+
+# Bytes of the matrix one block of rows is spelled into. Spelling a block
+# holds about twice that (the matrix, then the block's text), so it sets
+# the write stage's share of a run's peak memory.
+_LINE_BLOCK = 1 << 18
+
+
+def _text_rows(texts) -> np.ndarray:
+    """ASCII texts as the rows of a zero-padded ``uint8`` matrix."""
+    rows = np.array([t.encode("ascii") for t in texts], dtype=bytes)
+    return rows.view(np.uint8).reshape(len(rows), rows.itemsize)
+
+
+_NULL = _text_rows(["null"])[0]
+_BOOLEANS = _text_rows(["false", "true"])
+_NESTING = {"Point": ("[", "]"), "LineString": ("[[", "]]"), "Polygon": ("[[[", "]]]")}  # around _vertex_parts
+
+
+def _side_by_side(parts, n: int) -> bytearray:
+    """``n`` rows of text as one zero-padded byte matrix: each part, a
+    literal (``bytes``) or a ``uint8`` matrix of ``n`` rows, fills the next
+    columns. The literals are laid out once, in a row repeated ``n`` times."""
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
+    text = bytearray(b"".join(p if isinstance(p, bytes) else bytes(w) for p, w in zip(parts, widths))) * n
+    block = np.frombuffer(text, dtype=np.uint8).reshape(n, sum(widths))
+    at = 0
+    for part, width in zip(parts, widths):
+        if not isinstance(part, bytes):
+            block[:, at : at + width] = part
+        at += width
+    return text
+
+
+def _block_text(matrix: bytearray) -> bytearray:
+    """The lines of a matrix whose rows each end in ``,\\n``: its non-zero
+    bytes, without the last separator (``write_feature_lines`` puts one
+    between two blocks)."""
+    text = matrix.translate(None, b"\0")
+    del text[-2:]
+    return text
+
+
+def _vertex_parts(xy: np.ndarray) -> list:
+    """``_side_by_side`` parts of the vertices ``xy`` (n, k, 2): ``x,y`` at 6
+    decimals each, joined by ``],[``, a geometry's text inside its brackets."""
+    text = decimal_text(xy.ravel(), COORD_DECIMALS).reshape(*xy.shape, -1)
+    parts = [text[:, 0, 0], b",", text[:, 0, 1]]
+    for i in range(1, xy.shape[1]):
+        parts += [b"],[", text[:, i, 0], b",", text[:, i, 1]]
+    return parts
+
+
+def _feature_lines(kind: str, n: int, spell):
+    """``n`` features with ``kind`` geometries, in blocks of lines; ``spell(rows)``
+    gives a block's vertex text parts and a ``uint8`` matrix of each
+    property's value text. A block's matrix is about ``_LINE_BLOCK`` bytes
+    at the width of the block before (512 bytes a line for the first)."""
+    lo, step = 0, max(1, _LINE_BLOCK >> 9)
+    while lo < n:
+        hi = min(lo + step, n)
+        text, size = _feature_block(kind, slice(lo, hi), spell)
+        lo, step = hi, max(1, _LINE_BLOCK * (hi - lo) // size)
+        yield text
+
+
+def _feature_block(kind: str, rows: slice, spell) -> tuple:
+    """The lines of features ``rows``, each ``encode`` of its
+    feature byte for byte, and the bytes of the matrix they were spelled in."""
+    vertices, properties = spell(rows)
+    opening, closing = _NESTING[kind]
+    parts = [f'{{"geometry":{{"coordinates":{opening}'.encode(), *vertices]
+    head = f'{closing},"type":"{kind}"}},"properties":{{'
+    for key in sorted(properties):  # encode's key order
+        parts += [f"{head}{encode(key)}:".encode(), properties[key]]
+        head = ","
+    parts.append(b'},"type":"Feature"},\n')
+    matrix = _side_by_side(parts, rows.stop - rows.start)
+    del vertices, properties, parts  # the columns go before the matrix is read
+    return _block_text(matrix), len(matrix)
 
 
 def _open(path):

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import featureio
 from .config import DEFAULT_SNAP_TOLERANCE, DEFAULT_UNDERSHOOT_THRESHOLD
+from .featureio import _block_text, _feature_lines, _side_by_side, _text_rows, _vertex_parts
 from .geometry import _BLOCK_ELEMENTS, VertexArrays, _blocks, _ranges, point_segment_distances
 from .ingest import NetworkEdge
 from .spindex import SLACK, BucketJoin
@@ -246,3 +248,63 @@ def local_component_count(g: Graph, cells) -> dict:
     cells.check(g.edges)
     distinct = set(zip(cells.cell.tolist(), g.component[cells.edge].tolist()))
     return cells.grid.sum_by_cell([c for c, _ in distinct])
+
+
+# ---------------- output layers ----------------
+
+# what opens a vertex of a component line: row 1 on an edge's first vertex
+_VERTEX_HEADS = _text_rows(["[", '{"geometry":{"coordinates":[['])
+
+
+def _undershoot_lines(g, undershoots):
+    """One Point feature per undershoot, at its dangling node."""
+    nodes = np.array([u.node_id for u in undershoots], dtype=np.int64)
+    xy = g.nodes[nodes].reshape(-1, 1, 2)
+    gaps = np.array([u.gap_distance for u in undershoots], dtype=float)
+    edges = _text_rows([featureio.encode(u.nearest_edge_id) for u in undershoots])
+
+    def spell(rows):
+        gap, node = featureio.decimal_text(gaps[rows], featureio.METRIC_DECIMALS), featureio.integer_text(nodes[rows])
+        return _vertex_parts(xy[rows]), {"gap_m": gap, "nearest_edge_id": edges[rows], "node_id": node}
+
+    return _feature_lines("Point", len(undershoots), spell)
+
+
+def _component_lines(g):
+    """The component layer of a graph: one line per edge, ``featureio.encode``
+    of its LineString feature (``line_feature`` in the tests' conftest.py:
+    vertices rounded to 6 decimals, id, component and category), byte for
+    byte. An edge has any number of vertices, so its matrix has a row per
+    vertex, not per feature as in ``_feature_lines``: ``_vertex_parts`` of
+    ``g.vertices``, with the feature's opening on an edge's first vertex
+    and the rest on its last.
+    """
+    v, component = g.vertices, g.component.tolist()
+    # about 200 bytes a vertex row: 28 of head, two coordinates of 24 and
+    # the edge's closing text on its last vertex
+    for e0, e1 in _blocks(v.last - v.first + 1, max(1, featureio._LINE_BLOCK // 256)):
+        yield _block_text(_component_matrix(g.edges[e0:e1], component[e0:e1], v, slice(e0, e1)))
+
+
+def _component_matrix(edges, component, v, rows) -> bytearray:
+    """The component lines of ``edges`` in components ``component``, the
+    polylines ``rows`` of ``v``, as a zero-padded byte matrix with one row
+    per vertex: an edge's first row opens its feature, its last row closes it."""
+    first, last = v.first[rows], v.last[rows]
+    lo, hi = int(first[0]), int(last[-1]) + 1
+    vertices = _vertex_parts(np.stack([v.x[lo:hi], v.y[lo:hi]], 1)[:, None])
+    opens = np.zeros(hi - lo, dtype=np.intp)
+    opens[first - lo] = 1
+    # the feature's keys after "geometry", in encode's order; each distinct
+    # component id and category is encoded once
+    values = {*component, *(e.infra_category for e in edges)}
+    spelled = {value: featureio.encode(value) for value in values}
+    tails = _text_rows(
+        f']],"type":"LineString"}},"id":{i},"properties":{{"component_id":{spelled[c]},'
+        f'"edge_id":{i},"infra_category":{spelled[e.infra_category]}}},"type":"Feature"}},\n'
+        for e, c, i in zip(edges, component, map(featureio.encode, (e.id for e in edges)))
+    )
+    closes = np.zeros((hi - lo, tails.shape[1]), dtype=np.uint8)
+    closes[:, :2] = np.frombuffer(b"],", dtype=np.uint8)
+    closes[last - lo] = tails
+    return _side_by_side((_VERTEX_HEADS[opens], *vertices, closes), hi - lo)

@@ -17,7 +17,9 @@ import math
 
 import numpy as np
 
+from . import featureio
 from .errors import GeometryError
+from .featureio import _NULL, _feature_lines, _side_by_side, _vertex_parts
 from .geometry import (
     _BLOCK_ELEMENTS, Point2D, Polyline, VertexArrays, _blocks, _ranges, _sum_in_order, polyline_columns, vertex_arrays,
 )
@@ -329,3 +331,41 @@ def assign_lengths(edges, cells: EdgeCells, policy=None) -> tuple[dict[tuple[int
     if outside > 1e-6:
         log.warning("%.3f m of infrastructure length falls outside the grid", outside)
     return cells.grid.sum_by_cell(cells.cell, cells.length * factors[cells.edge]), outside
+
+
+# ---------------- output layers ----------------
+
+
+def _cell_text(grid) -> tuple:
+    """The text the grid and LISA layers share, spelled once per grid in
+    ``grid.cell_ids`` order: each cell's row, its hexagon ring closed by its
+    first vertex (``_vertex_parts``) and its ``cell_id``, ``q`` and ``r``."""
+    n = len(grid.cell_ids)
+    q, r = featureio.integer_text(np.ravel(grid.cell_ids)).reshape(n, 2, -1).transpose(1, 0, 2)
+    rings = np.array([[(v.x, v.y) for v in grid.cells[cell].polygon] for cell in grid.cell_ids], dtype=float)
+
+    def matrix(parts):
+        return np.frombuffer(_side_by_side(parts, n), dtype=np.uint8).reshape(n, -1)
+
+    rings = matrix(_vertex_parts(np.concatenate([rings, rings[:, :1]], axis=1)))
+    ids = {"cell_id": matrix((b'"', q, b",", r, b'"')), "q": q, "r": r}
+    return {cell: i for i, cell in enumerate(grid.cell_ids)}, rings, ids
+
+
+def _grid_lines(cell_text, grid_fields):
+    """One Polygon feature per grid cell, with each field of ``grid_fields`` (``null`` where it has no value)."""
+    (row, rings, ids), names = cell_text(), sorted(grid_fields)
+    raw = [[grid_fields[name].get(cell) for name in names] for cell in row]
+    shape = (len(raw), len(names))
+    missing = np.array([[value is None for value in values] for values in raw], dtype=bool).reshape(shape)
+    values = np.array(raw, dtype=float).reshape(shape)  # None becomes NaN, spelled null where missing
+
+    def spell(rows):
+        text = featureio.decimal_text(values[rows].ravel(), featureio.METRIC_DECIMALS)
+        text = text.reshape(rows.stop - rows.start, len(names), -1)
+        text[missing[rows]] = 0
+        text[missing[rows], : len(_NULL)] = _NULL
+        properties = {key: column[rows] for key, column in ids.items()}
+        return [rings[rows]], properties | dict(zip(names, text.transpose(1, 0, 2)))
+
+    return _feature_lines("Polygon", len(raw), spell)

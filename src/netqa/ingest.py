@@ -65,9 +65,12 @@ class ClassificationRule:
       {"key": K, "in": [...]}   attribute K is one of the listed values
       {"key": K, "present": true}   attribute K has a nonempty value
       {"all": [...]} / {"any": [...]} / {"not": {...}}   combinators
+
+    Values compare as text: ``str`` of each ``equals`` or ``in`` value,
+    spelled once, when the rule is built.
     """
 
-    __slots__ = ("predicate", "infra_category", "mapping_model", "directionality")
+    __slots__ = ("predicate", "infra_category", "mapping_model", "directionality", "_test")
 
     def __init__(self, predicate: dict, infra_category: str, mapping_model: str, directionality: str):
         self.predicate, self.infra_category = predicate, infra_category
@@ -78,13 +81,14 @@ class ClassificationRule:
             raise ValueError(f"unknown mapping_model {self.mapping_model!r}")
         if self.directionality not in DIRECTIONALITIES:
             raise ValueError(f"unknown directionality {self.directionality!r}")
-        _validate_predicate(self.predicate)
+        self._test = _compile_predicate(self.predicate)
 
     def matches(self, attributes: dict) -> bool:
-        return _eval_predicate(self.predicate, attributes)
+        return self._test(attributes)
 
 
-def _validate_predicate(node) -> None:
+def _compile_predicate(node):
+    """A checked predicate node as a function of an attribute map."""
     if not isinstance(node, dict):
         raise ValueError(f"predicate node must be a mapping, got {type(node).__name__}")
     if "all" in node or "any" in node:
@@ -92,32 +96,26 @@ def _validate_predicate(node) -> None:
         children = node[key]
         if not isinstance(children, list) or not children:
             raise ValueError(f"'{key}' needs a nonempty list of predicates")
-        for child in children:
-            _validate_predicate(child)
-    elif "not" in node:
-        _validate_predicate(node["not"])
-    elif "key" in node:
-        if not isinstance(node["key"], str):
-            raise ValueError("predicate 'key' must be a string")
-        if not any(op in node for op in ("equals", "in", "present")):
-            raise ValueError(f"predicate on key {node['key']!r} needs equals/in/present")
-    else:
-        raise ValueError(f"unrecognized predicate node: {node!r}")
-
-
-def _eval_predicate(node, attributes) -> bool:
-    if "all" in node:
-        return all(_eval_predicate(c, attributes) for c in node["all"])
-    if "any" in node:
-        return any(_eval_predicate(c, attributes) for c in node["any"])
+        tests = [_compile_predicate(child) for child in children]
+        combine = all if key == "all" else any
+        return lambda attributes: combine(test(attributes) for test in tests)
     if "not" in node:
-        return not _eval_predicate(node["not"], attributes)
-    value = attributes.get(node["key"])
+        test = _compile_predicate(node["not"])
+        return lambda attributes: not test(attributes)
+    if "key" not in node:
+        raise ValueError(f"unrecognized predicate node: {node!r}")
+    key = node["key"]
+    if not isinstance(key, str):
+        raise ValueError("predicate 'key' must be a string")
     if "equals" in node:
-        return value == str(node["equals"])
+        value = str(node["equals"])
+        return lambda attributes: attributes.get(key) == value
     if "in" in node:
-        return value is not None and value in [str(v) for v in node["in"]]
-    return value is not None and value != ""
+        values = tuple(map(str, node["in"]))
+        return lambda attributes: attributes.get(key) in values
+    if "present" in node:
+        return lambda attributes: attributes.get(key) not in (None, "")
+    raise ValueError(f"predicate on key {key!r} needs equals/in/present")
 
 
 class NetworkEdge:
@@ -295,12 +293,13 @@ def classify(features: Features, rules, name: str) -> Dataset:
     if not rules:
         raise ValueError("classification needs at least one rule")
     rows, outcomes = [], []
+    last = rule = None
     for row, attributes in enumerate(features.attributes):
-        for rule in rules:
-            if rule.matches(attributes):
-                rows.append(row)
-                outcomes.append(rule)
-                break
+        if attributes is not last:  # the parts of a feature share its map, one after another
+            last, rule = attributes, next((r for r in rules if r.matches(attributes)), None)
+        if rule is not None:
+            rows.append(row)
+            outcomes.append(rule)
     rows = np.array(rows, dtype=np.intp)
     count = features.count[rows]
     _, vertex = _ranges((np.cumsum(features.count) - features.count)[rows], count)

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import featureio
 from .config import MatchConfig
 from .errors import GeometryError
+from .featureio import _BOOLEANS, _NULL, _feature_lines, _text_rows, _vertex_parts
 from .geometry import Point2D, Segment, _ranges, _sum_in_order, point_segment_distances
 from .spindex import SLACK, BucketJoin
 
@@ -431,3 +433,41 @@ def _summary(ends, length, matched, grid) -> MatchSummary:
         local_max_pct=max(pcts) if pcts else None,
         local_avg_pct=_sum_in_order(pcts) / len(pcts) if pcts else None,
     )
+
+
+# ---------------- output layers ----------------
+
+
+def _segment_lines(table):
+    """One LineString feature per row of a ``MatchTable``; each edge id is
+    encoded once, and each group of number columns spelled by one
+    ``decimal_text`` or ``integer_text`` call a block."""
+    segs, targets = table.segments, table.targets
+    edge_ids = _text_rows([featureio.encode(i) for i in segs.edge_ids])
+    matched_ids = _text_rows([featureio.encode(i) for i in targets.edge_ids] + ["null"])  # row -1: unmatched
+
+    def spell(rows):
+        j = table.target[rows]
+        n, matched = len(j), j >= 0
+        # not targets.edge[j]: j is -1 where unmatched, and there may be no targets
+        target_edge, target_index = np.full(n, -1), np.zeros(n, dtype=np.int64)
+        target_edge[matched], target_index[matched] = targets.edge[j[matched]], targets.index[j[matched]]
+        metrics = np.stack([segs.length[rows], table.angle[rows], table.hausdorff[rows], table.midpoint_dist[rows]], 1)
+        metrics = featureio.decimal_text(metrics.ravel(), featureio.METRIC_DECIMALS).reshape(n, 4, -1)
+        index = featureio.integer_text(np.stack([segs.index[rows], target_index], 1).ravel()).reshape(n, 2, -1)
+        for match_values in (metrics[:, 1:], index[:, 1:]):
+            match_values[~matched] = 0
+            match_values[~matched, :, : len(_NULL)] = _NULL
+        return _vertex_parts(segs.ends[rows].reshape(n, 2, 2)), {
+            "angle_deg": metrics[:, 1],
+            "edge_id": edge_ids[segs.edge[rows]],
+            "hausdorff_m": metrics[:, 2],
+            "length_m": metrics[:, 0],
+            "matched": _BOOLEANS[matched.view(np.uint8)],
+            "matched_edge_id": matched_ids[target_edge],
+            "matched_segment_index": index[:, 1],
+            "midpoint_dist_m": metrics[:, 3],
+            "segment_index": index[:, 0],
+        }
+
+    return _feature_lines("LineString", len(segs), spell)

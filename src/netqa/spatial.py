@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import featureio
+from .config import scheme_label
 from .errors import WeightsError, ZeroVarianceError
+from .featureio import _BOOLEANS, _feature_lines, _text_rows
 from .geometry import _blocks, _ranges, _sum_in_order
 from .spindex import SLACK, BucketJoin
 
@@ -46,16 +49,6 @@ def knn_scheme(k: int) -> dict:
 
 def distance_band_scheme(distance_m: float) -> dict:
     return {"scheme": "distance_band", "distance_m": float(distance_m)}
-
-
-def scheme_label(scheme: dict) -> str:
-    """The name a weights scheme goes by in outputs: ``knn6``, ``band250``."""
-    kind = scheme.get("scheme")
-    if kind == "knn":
-        return f"knn{scheme['k']}"
-    if kind == "distance_band":
-        return f"band{scheme['distance_m']:g}"
-    raise WeightsError(f"unknown weights scheme {kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,3 +486,28 @@ def moran_batch(
             zs.append(z)
     pairs = iter(zip(_global_batch(zs, w, s0, n_perm, seed), _local_batch(zs, w, n_perm, seed, alpha)))
     return [next(pairs) if res is None else res for res in out]
+
+
+# ---------------- output layers ----------------
+
+
+def _lisa_lines(cell_text, lisa):
+    """One Polygon feature per cell of a ``LisaResult``, in its order."""
+    (row, rings, ids), cells = cell_text(), list(lisa.local_i)
+    at = np.array([row[cell] for cell in cells], dtype=np.intp)
+    local_i, pseudo_p = (np.array([d[cell] for cell in cells], dtype=float) for d in (lisa.local_i, lisa.pseudo_p))
+    significant = np.array([lisa.significant[cell] for cell in cells], dtype=bool)
+    kinds = {}  # each distinct quadrant -> its row in ``quadrants``, encoded once
+    quadrant = np.array([kinds.setdefault(lisa.quadrant[cell], len(kinds)) for cell in cells], dtype=np.intp)
+    quadrants = _text_rows(map(featureio.encode, kinds))
+
+    def spell(rows):
+        return [rings[at[rows]]], {
+            "cell_id": ids["cell_id"][at[rows]],
+            "local_i": featureio.decimal_text(local_i[rows], 12),
+            "pseudo_p": featureio.decimal_text(pseudo_p[rows], 6),
+            "quadrant": quadrants[quadrant[rows]],
+            "significant": _BOOLEANS[significant[rows].view(np.uint8)],
+        }
+
+    return _feature_lines("Polygon", len(cells), spell)

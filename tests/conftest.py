@@ -199,7 +199,7 @@ def bits(value):
 # ``VertexArrays.length``, ``point_in_rings`` of
 # ``PolygonArea.contains_many``, ``cell_center`` and ``cell_polygon`` of
 # ``hexgrid.build_grid``, ``line_feature`` with ``polyline_coords`` of
-# ``pipeline._component_lines``, and ``point_to_polyline_distance`` of the
+# ``graph._component_lines``, and ``point_to_polyline_distance`` of the
 # undershoot search's distances.
 
 
@@ -418,6 +418,26 @@ def reference_parse_dataset(path) -> tuple[list[RawFeature], int]:
             "lon/lat degrees. Reproject the data to a planar CRS in meters first."
         )
     return features, dropped
+
+
+# The predicate evaluator that ``ClassificationRule`` replaced with
+# predicates compiled when a rule is built: it walks the predicate tree
+# and spells each ``equals`` and ``in`` value as text on every call.
+
+
+def reference_eval_predicate(node, attributes) -> bool:
+    if "all" in node:
+        return all(reference_eval_predicate(c, attributes) for c in node["all"])
+    if "any" in node:
+        return any(reference_eval_predicate(c, attributes) for c in node["any"])
+    if "not" in node:
+        return not reference_eval_predicate(node["not"], attributes)
+    value = attributes.get(node["key"])
+    if "equals" in node:
+        return value == str(node["equals"])
+    if "in" in node:
+        return value is not None and value in [str(v) for v in node["in"]]
+    return value is not None and value != ""
 
 
 # Polygons and points on a coarse lattice, so that horizontal edges,

@@ -20,7 +20,7 @@ from netqa.ingest import (
     parse_dataset,
 )
 
-from conftest import DEMO, line_feature, reference_parse_dataset
+from conftest import DEMO, line_feature, reference_eval_predicate, reference_parse_dataset
 
 
 def write_fc(tmp_path, features, name="data.geojson"):
@@ -346,6 +346,54 @@ def test_predicate_empty_value_is_absent():
         directionality="oneway",
     )
     assert not rule.matches({"surface": ""})
+
+
+# Values as a rules file or an attribute map may hold them: JSON true, a
+# number, their texts, an empty text and null.
+PREDICATE_VALUES = st.sampled_from([True, False, 30, 2.5, "30", "True", "true", "2.5", "", "lane", None])
+PREDICATE_KEYS = st.sampled_from(["highway", "lit", "maxspeed"])
+
+
+def predicate_trees():
+    leaves = st.one_of(
+        st.fixed_dictionaries({"key": PREDICATE_KEYS, "equals": PREDICATE_VALUES}),
+        st.fixed_dictionaries({"key": PREDICATE_KEYS, "in": st.lists(PREDICATE_VALUES, max_size=4)}),
+        st.fixed_dictionaries({"key": PREDICATE_KEYS, "present": st.booleans()}),
+        # equals wins over in, in over present
+        st.fixed_dictionaries(
+            {"key": PREDICATE_KEYS, "equals": PREDICATE_VALUES, "in": st.lists(PREDICATE_VALUES, max_size=2)}
+        ),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.fixed_dictionaries({"all": st.lists(children, min_size=1, max_size=3)}),
+            st.fixed_dictionaries({"any": st.lists(children, min_size=1, max_size=3)}),
+            st.fixed_dictionaries({"not": children}),
+        ),
+        max_leaves=8,
+    )
+
+
+@given(
+    predicate=predicate_trees(),
+    attributes=st.lists(st.dictionaries(PREDICATE_KEYS, PREDICATE_VALUES), min_size=1, max_size=4),
+)
+def test_compiled_predicates_agree_with_the_reference_evaluator(predicate, attributes):
+    rule = ClassificationRule(predicate, "protected", "separate_geometry", "oneway")
+    for attrs in attributes:
+        assert rule.matches(attrs) == reference_eval_predicate(predicate, attrs)
+
+
+def test_classify_evaluates_the_rules_once_per_feature():
+    # the two parts of a MultiLineString share one attribute map
+    shared, other = {"highway": "cycleway"}, {"highway": "cycleway"}
+    calls = []
+    rule = ClassificationRule({"key": "highway", "equals": "cycleway"}, "protected", "separate_geometry", "oneway")
+    with mock.patch.object(rule, "_test", side_effect=lambda attrs: calls.append(attrs) or True):
+        ds = classify(_features([("m", shared), ("m", shared), ("n", other)]), [RULE_LANE, rule], name="t")
+    assert [e.id for e in ds.edges] == ["m", "m", "n"]
+    assert [a is shared for a in calls] == [True, False]
 
 
 def test_rule_validation():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netqa import completeness, featureio, graph, hexgrid, ingest, pipeline, spatial
+from netqa import completeness, featureio, graph, hexgrid, ingest, matching, pipeline, spatial
 from netqa.cli import main as cli_main
 from netqa.errors import ConfigError, PipelineError
 from netqa.geometry import Point2D, Polyline, Segment
@@ -137,8 +137,22 @@ def test_config_defaults_come_from_their_owners(tmp_path):
         ({"n_permutations": 0}, "'n_permutations'"),
         ({"alpha": 2}, "'alpha'"),
         ({"alpha": 0.0}, "'alpha'"),
+        # the second scheme's outputs replaced the first's, and its weights were built twice
+        ({"weights": [{"scheme": "knn", "k": 6}, {"scheme": "knn", "k": 6}]}, "'weights'.*: knn6$"),
+        ({"weights": [{"scheme": "distance_band", "distance_m": d} for d in (250, 250.0)]}, "'weights'.*: band250$"),
     ],
-    ids=["knn_k0", "knn_k_fraction", "band_negative", "band_zero", "perm_negative", "perm_zero", "alpha2", "alpha0"],
+    ids=[
+        "knn_k0",
+        "knn_k_fraction",
+        "band_negative",
+        "band_zero",
+        "perm_negative",
+        "perm_zero",
+        "alpha2",
+        "alpha0",
+        "knn_repeated",
+        "band_repeated",
+    ],
 )
 def test_config_rejects_bad_autocorrelation_settings(tmp_path, overrides, key):
     # each of these used to run: skipped every metric, crashed in numpy,
@@ -155,6 +169,9 @@ def test_config_rejects_bad_autocorrelation_settings(tmp_path, overrides, key):
         ({"tags": [{"name": "surface", "keys": "surface"}]}, "'tags[0].keys'"),
         ({"tags": [{"name": "s", "keys": ["surface"]}, {"name": "s", "keys": ["lit"]}]}, "'tags'"),
         ({"length_policy": {"centerline,bidirectional": "two"}}, "'length_policy.centerline,bidirectional'"),
+        ({"length_policy": {"centreline,bidirectional": 3}}, "'centreline,bidirectional'"),
+        ({"length_policy": {"centerline,both": 1}}, "'centerline,both'"),
+        ({"length_policy": {"centerline": 1}}, "'centerline'"),
         ({"match": {"seg_len_m": "ten"}}, "'match.seg_len_m'"),
         ({"match": {"max_dist_m": float("nan")}}, "'match.max_dist_m'"),
         ({"match": {"max_angle_deg": float("inf")}}, "'match.max_angle_deg'"),
@@ -171,6 +188,9 @@ def test_config_rejects_bad_autocorrelation_settings(tmp_path, overrides, key):
         "tag_keys_string",
         "tag_name_repeated",
         "policy_factor_text",
+        "policy_model_misspelled",
+        "policy_directionality_unknown",
+        "policy_key_one_part",
         "seg_len_text",
         "max_dist_nan",
         "max_angle_inf",
@@ -422,7 +442,7 @@ def test_failing_producer_names_the_write_stage_and_keeps_previous_outputs(tmp_p
     pipe.structure()
     pipe.matching_results()
     kind, produce = pipe.outputs["segments_candidate.geojson"]
-    monkeypatch.setattr(pipeline, "_LINE_BLOCK", 2)  # a block per line
+    monkeypatch.setattr(featureio, "_LINE_BLOCK", 2)  # a block per line
 
     def failing():
         for i, block in enumerate(produce()):
@@ -660,7 +680,7 @@ def test_segment_layer_from_columns_equals_the_layer_from_records():
         assert 0 < sum(r.matched is not None for r in records) < len(records)
         assert any(r.matched and r.midpoint_dist != r.hausdorff for r in records)
         encoded = [featureio.encode(f) for f in _reference_segment_features(records)]
-        assert feature_lines(pipeline._segment_lines(table)) == encoded
+        assert feature_lines(matching._segment_lines(table)) == encoded
 
 
 def _column_segment_features(table):
@@ -716,9 +736,9 @@ def jittered_networks(draw):
 def segment_lines_by_blocks(table):
     # the layer with the default block of rows, and with blocks of 2 rows,
     # so the reuse of strings crosses block boundaries
-    lines = "\n".join(feature_lines(pipeline._segment_lines(table)))
-    with mock.patch.object(pipeline, "_LINE_BLOCK", 2):
-        assert "\n".join(feature_lines(pipeline._segment_lines(table))) == lines
+    lines = "\n".join(feature_lines(matching._segment_lines(table)))
+    with mock.patch.object(featureio, "_LINE_BLOCK", 2):
+        assert "\n".join(feature_lines(matching._segment_lines(table))) == lines
     return lines
 
 
@@ -825,10 +845,10 @@ def component_graphs(draw):
 @settings(deadline=None)
 def test_component_lines_equal_the_encoded_features_of_the_graph(g):
     encoded = [featureio.encode(f) for f in _reference_component_features(g)]
-    assert feature_lines(pipeline._component_lines(g)) == encoded
+    assert feature_lines(graph._component_lines(g)) == encoded
     # blocks of 2 bytes: one edge a block
-    with mock.patch.object(pipeline, "_LINE_BLOCK", 2):
-        assert list(map(bytes, pipeline._component_lines(g))) == [line.encode() for line in encoded]
+    with mock.patch.object(featureio, "_LINE_BLOCK", 2):
+        assert list(map(bytes, graph._component_lines(g))) == [line.encode() for line in encoded]
 
 
 def _reference_point_feature(x, y, properties):
@@ -883,7 +903,7 @@ def _reference_grid_features(grid, grid_fields):
 def lines_by_blocks(layer):
     # a layer's lines in the default blocks, and with one line a block
     lines = feature_lines(layer())
-    with mock.patch.object(pipeline, "_LINE_BLOCK", 2):
+    with mock.patch.object(featureio, "_LINE_BLOCK", 2):
         assert [bytes(block).decode("ascii") for block in layer()] == lines
     return lines
 
@@ -922,10 +942,10 @@ def cell_layers(draw):
 @settings(deadline=None)
 def test_grid_and_lisa_lines_equal_the_encoded_features(case):
     grid, fields, lisa = case
-    cell_text = cache(partial(pipeline._cell_text, grid))
-    grid_lines = lines_by_blocks(partial(pipeline._grid_lines, cell_text, fields))
+    cell_text = cache(partial(hexgrid._cell_text, grid))
+    grid_lines = lines_by_blocks(partial(hexgrid._grid_lines, cell_text, fields))
     assert grid_lines == [featureio.encode(f) for f in _reference_grid_features(grid, fields)]
-    lisa_lines = lines_by_blocks(partial(pipeline._lisa_lines, cell_text, lisa))
+    lisa_lines = lines_by_blocks(partial(spatial._lisa_lines, cell_text, lisa))
     assert lisa_lines == [featureio.encode(f) for f in _reference_lisa_features(grid, lisa)]
 
 
@@ -954,7 +974,7 @@ class _NodeTable:
 @given(case=undershoot_layers())
 def test_undershoot_lines_equal_the_encoded_features(case):
     g, undershoots = case
-    lines = lines_by_blocks(partial(pipeline._undershoot_lines, g, undershoots))
+    lines = lines_by_blocks(partial(graph._undershoot_lines, g, undershoots))
     assert lines == [featureio.encode(f) for f in _reference_undershoot_features(g, undershoots)]
 
 
@@ -962,19 +982,19 @@ def test_a_layer_without_features_yields_no_block():
     # as write_feature_collection of no features, the file is header and footer
     grid = hexgrid.build_grid(ingest.load_study_area(DEMO / "study_area.geojson"), 740000.0)
     lisa = spatial.LisaResult({}, {}, {}, {}, 0.05, 9, 0, "knn6")
-    assert list(pipeline._lisa_lines(cache(partial(pipeline._cell_text, grid)), lisa)) == []
-    assert list(pipeline._undershoot_lines(SimpleNamespace(nodes=np.empty((0, 2))), [])) == []
+    assert list(spatial._lisa_lines(cache(partial(hexgrid._cell_text, grid)), lisa)) == []
+    assert list(graph._undershoot_lines(SimpleNamespace(nodes=np.empty((0, 2))), [])) == []
 
 
 def test_a_full_run_spells_the_grid_rings_once(tmp_path, monkeypatch):
     calls = []
-    real = pipeline._cell_text
+    real = hexgrid._cell_text
 
     def counting(grid):
         calls.append(grid)
         return real(grid)
 
-    monkeypatch.setattr(pipeline, "_cell_text", counting)
+    monkeypatch.setattr(hexgrid, "_cell_text", counting)
     pipe = Pipeline(RunConfig.from_file(demo_config(tmp_path)))
     written = pipe.run_stage("full")
     assert sum(name.startswith("lisa_") for name in written) > 1 and "grid_metrics.geojson" in written
